@@ -21,12 +21,11 @@ import numpy as np
 from . import chiral, entanglement, phasespace, potentials
 from .chiral import GapClosed, NotInversionSymmetric
 from .hobasis import HOExpansion, TruncationError, ho_stack
-from .overlap import DimensionMismatch, GramBoundError
+from .overlap import GramBoundError
 from .states import SlaterState, ho_slater, interpolated_state
 
 NUMERIC_ERRORS = (
     TruncationError,
-    DimensionMismatch,
     GramBoundError,
     entanglement.NonHermitian,
     entanglement.SingularOverlap,
@@ -51,6 +50,20 @@ DEFAULTS = {
     "grid_half_width": 8.0,
     "winding_grid": 256,
     "state": None,
+}
+
+# the quadrature oracle confirms the overlap table through index ~1000
+MAX_BASIS = 1024
+
+# key: (type, predicate, what the predicate asks for); bools are not ints here
+NUMERIC_KEYS = {
+    "theta_points": (int, lambda v: v >= 16 and v % 2 == 0, "an even integer >= 16"),
+    "basis": (int, lambda v: 1 <= v <= MAX_BASIS, f"an integer in [1, {MAX_BASIS}]"),
+    "t_points": (int, lambda v: v >= 1, "an integer >= 1"),
+    "levels": (int, lambda v: v >= 1, "an integer >= 1"),
+    "grid_points": (int, lambda v: v >= 2, "an integer >= 2"),
+    "winding_grid": (int, lambda v: v >= 1, "an integer >= 1"),
+    "grid_half_width": (float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
 }
 
 PLOT_CLIP = 30.0
@@ -160,10 +173,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
-    k = int(cfg["theta_points"])
-    if k < 16 or k % 2:
-        raise ConfigError("theta_points must be even and at least 16")
-    cfg["theta_points"] = k
+    for key, (kind, ok, what) in NUMERIC_KEYS.items():
+        val = cfg[key]
+        if key == "basis" and val is None:
+            continue
+        types = (int,) if kind is int else (int, float)
+        if isinstance(val, bool) or not isinstance(val, types) or not ok(val):
+            raise ConfigError(f"{key} must be {what}, got {val!r}")
     return cfg
 
 
@@ -384,9 +400,11 @@ def cmd_solve_potential(cfg: dict) -> int:
         raise ConfigError("solve-potential requires a potential spec")
     try:
         pot = potentials.potential(entry["kind"], entry.get("expression"))
+        levels = int(entry.get("n", cfg["levels"]))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
-    levels = int(entry.get("n", cfg["levels"]))
+    if levels < 1:
+        raise ConfigError("particle number must be at least 1")
     basis = cfg.get("basis") or 100
     bset = potentials.bound_states(pot, levels, basis_size=basis)
     parities = potentials.parity_check(bset)

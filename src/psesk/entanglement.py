@@ -11,15 +11,13 @@ outside the cut map to -inf / +inf sentinels rather than exceptions.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import xlogy
 
-from .overlap import OverlapMatrix, clamp_unit_interval, ho_overlap_table, rotated_overlap
+from .overlap import OverlapMatrix, clamp_unit_interval, rotated_overlap
 from .states import SlaterState
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "entanglement_hamiltonian",
     "entanglement_entropy",
     "pses_sweep",
-    "worker_count",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -118,41 +115,13 @@ def entanglement_entropy(mu) -> float:
     return float(-np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m)))
 
 
-def worker_count() -> int:
-    """Worker cap from PSESK_THREADS (1 = serial, the default)."""
-    raw = os.environ.get("PSESK_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def pses_sweep(
-    state: SlaterState,
-    thetas: Sequence[float],
-    workers: int | None = None,
-) -> PSESDataset:
-    """Entanglement spectrum, entropy, and gap over a grid of cut angles.
-
-    Angles are independent; with workers > 1 they are evaluated on a thread
-    pool (the heavy steps are LAPACK calls that release the GIL).  Output
-    ordering follows the input grid either way.
-    """
+def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
+    """Entanglement spectrum, entropy, and gap over a grid of cut angles."""
     thetas = np.asarray(thetas, dtype=float)
-    if workers is None:
-        workers = worker_count()
-
-    def one(theta: float):
+    rows = []
+    for theta in thetas:
         mu = schmidt_values(rotated_overlap(state, theta))
-        eps = entanglement_energies(mu)
-        return eps, entanglement_entropy(mu)
-
-    if workers > 1:
-        ho_overlap_table(state.basis_size)  # build once before fanning out
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, thetas))
-    else:
-        rows = [one(t) for t in thetas]
+        rows.append((entanglement_energies(mu), entanglement_entropy(mu)))
 
     energies = np.array([r[0] for r in rows])
     entropy = np.array([r[1] for r in rows])

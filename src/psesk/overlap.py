@@ -2,16 +2,23 @@
 
 The Gramian of the occupied orbitals restricted to the half line x >= 0 is
 the object everything else derives from.  For oscillator eigenfunctions the
-entries have a closed form:
+entries T_mn = <phi_m | phi_n>_{x>=0} follow from Green's identity.  With
+H = (p^2 + x^2)/2 and H phi_n = (n + 1/2) phi_n,
 
-    <phi_m | phi_n>_{x>=0} = delta_mn / 2                      (m+n even)
-                           = s_nu / (2 pi) * sqrt(n!/m!) * (-1)^m 2^{nu/2}
-                             / nu! * Gamma(nu/2) * 2F1(-m, nu/2+1; nu+1; 2)
-                                                               (m+n odd)
+    (n - m) phi_m phi_n = phi_m H phi_n - phi_n H phi_m
+                        = -1/2 d/dx [phi_m phi_n' - phi_m' phi_n],
 
-with nu = n - m > 0 and s_nu = sin(nu pi/2) in {+1, -1}; entries with n < m
-follow from symmetry (real eigenfunctions).  Factorial ratios are combined
-in log space; the terminating 2F1 is exact (see specfun).
+and integrating over [0, inf), where the eigenfunctions decay, leaves the
+boundary Wronskian at the origin:
+
+    T_mn = [phi_m(0) phi_n'(0) - phi_m'(0) phi_n(0)] / (2 (n - m))   (m != n)
+    T_mm = 1/2                              (phi_m^2 is even and normalized).
+
+The values phi_n(0) come from the oscillator recurrence at x = 0 and the
+slopes from the ladder relation phi_n' = sqrt(n/2) phi_{n-1}
+- sqrt((n+1)/2) phi_{n+1}.  phi_n(0) vanishes for odd n and phi_n'(0) for
+even n, so an entry with m + n even is exactly 0 and one with m + n odd is a
+single product: nothing cancels, at any index.
 
 Rotating the cut by a phase-space angle theta multiplies basis state n by
 e^{i n theta}, so for a Slater state with coefficient rows A the cut Gramian
@@ -25,16 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .hobasis import ho_stack
-from .specfun import LogFactorialTable, hyp2f1_terminating
 from .states import SlaterState
 
 __all__ = [
-    "DimensionMismatch",
     "GramBoundError",
     "HOOverlapTable",
     "OverlapMatrix",
@@ -46,14 +50,7 @@ __all__ = [
     "clamp_unit_interval",
 ]
 
-# largest basis index the closed form is prepared for (table length 2*M_MAX + 2)
-M_MAX = 256
-
 GRAM_CLAMP_TOL = 1e-9
-
-
-class DimensionMismatch(Exception):
-    """State truncation does not fit the overlap table."""
 
 
 class GramBoundError(Exception):
@@ -83,35 +80,30 @@ class OverlapMatrix:
     parameter: float
 
 
-@lru_cache(maxsize=1)
-def _log_factorials() -> LogFactorialTable:
-    return LogFactorialTable.build(2 * M_MAX + 1)
-
-
 _master_table: np.ndarray | None = None
 
 
+def _boundary_values(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi_n(0) and phi_n'(0) for n = 0 .. top."""
+    phi = ho_stack(top + 1, 0.0)[:, 0]
+    n = np.arange(top + 1)
+    below = np.concatenate(([0.0], phi[:top]))
+    dphi = np.sqrt(n / 2.0) * below - np.sqrt((n + 1) / 2.0) * phi[1:]
+    return phi[: top + 1], dphi
+
+
+def _wronskian_overlap(phi: np.ndarray, dphi: np.ndarray, m, n):
+    """T_mn from the boundary values; integer or broadcast index arrays m, n."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (phi[m] * dphi[n] - dphi[m] * phi[n]) / (2.0 * (n - m))
+    return np.where(m == n, 0.5, off)
+
+
 def ho_halfspace_overlap(m: int, n: int) -> float:
-    """Closed-form <phi_m|phi_n> restricted to x >= 0."""
+    """<phi_m|phi_n> restricted to x >= 0 (the boundary-Wronskian formula)."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    if max(m, n) >= 2 * M_MAX:
-        raise ValueError(f"index beyond table capacity {2 * M_MAX}")
-    if (m + n) % 2 == 0:
-        return 0.5 if m == n else 0.0
-    if n < m:
-        m, n = n, m
-    nu = n - m
-    lf = _log_factorials()
-    sign = 1.0 if nu % 4 == 1 else -1.0  # sin(nu pi / 2) for odd nu
-    hyp = hyp2f1_terminating(m, nu / 2.0 + 1.0, float(nu + 1), 2.0)
-    log_pre = (
-        0.5 * (lf[n] - lf[m])
-        + 0.5 * nu * math.log(2.0)
-        - lf[nu]
-        + math.lgamma(nu / 2.0)
-    )
-    return sign / (2.0 * math.pi) * (-1.0) ** m * hyp * math.exp(log_pre)
+    return float(_wronskian_overlap(*_boundary_values(max(m, n)), m, n))
 
 
 def ho_overlap_table(basis_size: int) -> HOOverlapTable:
@@ -121,15 +113,9 @@ def ho_overlap_table(basis_size: int) -> HOOverlapTable:
     table is kept and grown on demand.
     """
     global _master_table
-    if basis_size > M_MAX:
-        raise ValueError(f"basis size {basis_size} exceeds capacity {M_MAX}")
     if _master_table is None or _master_table.shape[0] < basis_size:
-        t = np.zeros((basis_size, basis_size))
-        for m in range(basis_size):
-            t[m, m] = 0.5
-            for n in range(m + 1, basis_size):
-                if (m + n) % 2:
-                    t[m, n] = t[n, m] = ho_halfspace_overlap(m, n)
+        idx = np.arange(basis_size)
+        t = _wronskian_overlap(*_boundary_values(basis_size - 1), idx[:, None], idx[None, :])
         t.flags.writeable = False
         _master_table = t
     return HOOverlapTable(entries=_master_table[:basis_size, :basis_size])
@@ -178,10 +164,6 @@ def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> Ov
     ``side`` = "right" uses the half line x >= 0; "left" uses x <= 0, whose
     table is 1 - T by completeness of the full-line inner product.
     """
-    if state.basis_size > M_MAX:
-        raise DimensionMismatch(
-            f"state truncation {state.basis_size} exceeds table capacity {M_MAX}"
-        )
     table = ho_overlap_table(state.basis_size).entries
     if side == "left":
         table = np.eye(state.basis_size) - table

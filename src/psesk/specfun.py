@@ -1,50 +1,29 @@
-"""Special-function kernels used by the closed-form overlap and Wigner formulas.
+"""Special-function kernels: Hermite and Laguerre recurrences (the Wigner
+formulas and polynomial tests), a half-integer gamma and an exact
+terminating Gauss hypergeometric sum.
 
-The half-line overlap of oscillator eigenfunctions combines factorial ratios
-of indices up to a few hundred with a terminating Gauss hypergeometric sum at
-argument 2.  The factorial ratios are handled in log space by the callers
-(via :class:`LogFactorialTable`); the hypergeometric sum is evaluated in exact
-rational arithmetic because its terms grow like 3^m while the result stays
-O(1), which makes a floating-point sum useless beyond m ~ 25.
+``hyp2f1_terminating`` and ``gamma_special`` are no longer used by
+:mod:`psesk.overlap` (its table comes from the boundary Wronskian) or by any
+other module.  They stay only because the perfbench span recorder
+(``perfbench/spans.py``) traces them by name.
+``hyp2f1_terminating`` sums in exact rational arithmetic because at
+argument 2 its terms grow like 3^m while the result stays O(1), which makes
+a floating-point sum useless beyond m ~ 25.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "LogFactorialTable",
     "hermite_phys",
     "assoc_laguerre",
     "gamma_special",
     "hyp2f1_terminating",
 ]
-
-
-@dataclass(frozen=True)
-class LogFactorialTable:
-    """Table of ln(n!) values, values[n] = lgamma(n + 1).
-
-    Built once per size and immutable; safe to share between threads.
-    """
-
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, n_max: int) -> "LogFactorialTable":
-        vals = np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
-        vals.flags.writeable = False
-        return cls(values=vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> float:
-        return float(self.values[n])
 
 
 def hermite_phys(n: int, x):

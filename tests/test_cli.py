@@ -207,11 +207,42 @@ def test_solve_potential_custom_expression(tmp_path):
     assert [float(r[1]) for r in rows] == pytest.approx([0.5, 1.5, 2.5], abs=1e-8)
 
 
-def test_config_error_exit_codes(tmp_path):
-    assert main(["spectrum", "--ho-slater", "0,1", "--theta-points", "15",
-                 "--out", str(tmp_path)]) == 2
-    assert main(["spectrum", "--out", str(tmp_path)]) == 2
-    assert main(["spectrum", "--ho-slater", "2,1", "--out", str(tmp_path)]) == 2
+BAD_INPUTS = [
+    (["spectrum", "--ho-slater", "0,1", "--theta-points", "15"], None),
+    (["spectrum"], None),
+    (["spectrum", "--ho-slater", "2,1"], None),
+    (["spectrum", "--ho-slater", "0,1", "--basis", "100000"], None),
+    (["spectrum", "--ho-slater", "0,1", "--basis", "0"], None),
+    (["winding", "--ho-slater", "0,1", "--winding-grid", "0"], None),
+    (["entropy-surface", "--interpolated", "0,1", "--t-points", "0"], None),
+    (["solve-potential", "--potential", "sho", "--levels", "0"], None),
+    (["solve-potential", "--potential", "sho", "--particles", "0"], None),
+    (["wigner", "--ho-slater", "0", "--grid-half-width", "-1"], None),
+    (["wigner", "--ho-slater", "0", "--grid-points", "1"], None),
+    (["winding", "--ho-slater", "0,1"], {"basis": "x"}),
+    (["winding", "--ho-slater", "0,1"], {"winding_grid": 2.5}),
+    (["spectrum", "--ho-slater", "0,1"], {"theta_points": "32"}),
+    (["entropy-surface", "--interpolated", "0,1"], {"t_points": "5"}),
+    (["wigner", "--ho-slater", "0"], {"grid_half_width": "x"}),
+    (["wigner", "--ho-slater", "0"], {"grid_points": True}),
+]
+
+
+def test_config_error_exit_codes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for argv, config in BAD_INPUTS:
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), (argv, err)
+
+
+def test_winding_beyond_old_table_cap(tmp_path):
+    rc = main(["winding", "--ho-slater", "0,1", "--basis", "300", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "winding.json").read_text())["nu_E"] == 1
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):

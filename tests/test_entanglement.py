@@ -133,23 +133,6 @@ def test_sweep_gap_closes_at_critical_interpolation():
     assert data.entropy[0] == pytest.approx(2.0 * math.log(2.0), abs=1e-10)
 
 
-def test_sweep_workers_match_serial():
-    thetas = np.linspace(0, 2 * math.pi, 24, endpoint=False)
-    s = ho_slater([0, 2, 3])
-    serial = ent.pses_sweep(s, thetas, workers=1)
-    threaded = ent.pses_sweep(s, thetas, workers=4)
-    assert np.array_equal(serial.energies, threaded.energies)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("PSESK_THREADS", raising=False)
-    assert ent.worker_count() == 1
-    monkeypatch.setenv("PSESK_THREADS", "6")
-    assert ent.worker_count() == 6
-    monkeypatch.setenv("PSESK_THREADS", "junk")
-    assert ent.worker_count() == 1
-
-
 def test_entropy_bound_from_detected_closings():
     # one crossing detected -> max entropy reaches 2 ln 2 (evaluated at the
     # refined closing angle, where the two modes split evenly)

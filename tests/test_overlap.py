@@ -61,6 +61,21 @@ def test_oracle_simple_values():
     assert overlap.overlap_quadrature_oracle(3, 3) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_table_beyond_old_cap_matches_oracle():
+    t = overlap.ho_overlap_table(512).entries
+    rng = np.random.default_rng(17)
+    for _ in range(32):
+        top = int(rng.integers(256, 512))
+        low = int(rng.integers(0, top))
+        low += (low + top + 1) % 2  # step to the odd-sum neighbour
+        assert abs(t[low, top] - overlap.overlap_quadrature_oracle(low, top)) < 1e-12
+    idx = np.arange(512)
+    even_off = ((idx[:, None] + idx[None, :]) % 2 == 0) & (idx[:, None] != idx[None, :])
+    assert np.all(t[even_off] == 0.0)
+    evals = np.linalg.eigvalsh(t)
+    assert evals.min() > -1e-12 and evals.max() < 1.0 + 1e-12
+
+
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
 def test_closed_form_matches_oracle(m, n):
     assert overlap.ho_halfspace_overlap(m, n) == pytest.approx(
@@ -146,13 +161,6 @@ def test_translated_energies_shift_monotonically():
         for t in (-1.0, 0.0, 1.0)
     ]
     assert np.all(mus[0] >= mus[1]) and np.all(mus[1] >= mus[2])
-
-
-def test_rotated_rejects_oversized_truncation():
-    rng = np.random.default_rng(16)
-    s = random_slater(rng, 1, overlap.M_MAX + 1)
-    with pytest.raises(overlap.DimensionMismatch):
-        overlap.rotated_overlap(s, 0.1)
 
 
 def test_clamp_rejects_large_excursion():

@@ -9,20 +9,6 @@ from hypothesis import strategies as st
 from psesk import specfun
 
 
-def test_log_factorial_table_anchors():
-    table = specfun.LogFactorialTable.build(300)
-    assert table[0] == 0.0
-    assert table[1] == 0.0
-    assert len(table) == 301
-
-
-def test_log_factorial_table_ratio_is_log_n():
-    table = specfun.LogFactorialTable.build(300)
-    for n in range(1, 301):
-        step = table[n] - table[n - 1]
-        assert step == pytest.approx(math.log(n), rel=1e-14)
-
-
 def test_hermite_low_orders():
     assert specfun.hermite_phys(0, 0.7) == 1.0
     assert specfun.hermite_phys(1, 0.7) == pytest.approx(1.4, abs=1e-15)
