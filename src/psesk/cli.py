@@ -183,6 +183,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _particle_count(entry: dict, default: int) -> int:
+    n = int(entry.get("n", default))
+    if n < 1:
+        raise ConfigError("particle number must be at least 1")
+    return n
+
+
 def build_state(cfg: dict) -> tuple[SlaterState, dict]:
     """Resolve the state spec into a SlaterState plus descriptive metadata."""
     spec = cfg.get("state")
@@ -192,6 +199,8 @@ def build_state(cfg: dict) -> tuple[SlaterState, dict]:
     try:
         if "ho_slater" in spec:
             indices = list(spec["ho_slater"])
+            if basis is None and indices and max(indices) >= MAX_BASIS:
+                raise ConfigError(f"ho_slater index {max(indices)} needs a basis above {MAX_BASIS}")
             state = ho_slater(indices, basis_size=basis)
             return state, {"kind": "ho_slater", "indices": indices}
         if "interpolated" in spec:
@@ -201,9 +210,7 @@ def build_state(cfg: dict) -> tuple[SlaterState, dict]:
             return state, {"kind": "interpolated", "t": t, "phi": phi}
         if "potential_ground" in spec:
             entry = spec["potential_ground"]
-            n = int(entry.get("n", 1))
-            if n < 1:
-                raise ConfigError("particle number must be at least 1")
+            n = _particle_count(entry, 1)
             pot = potentials.potential(entry["kind"], entry.get("expression"))
             bset = potentials.bound_states(pot, n, basis_size=basis or 100)
             return bset.as_slater(), {
@@ -400,11 +407,9 @@ def cmd_solve_potential(cfg: dict) -> int:
         raise ConfigError("solve-potential requires a potential spec")
     try:
         pot = potentials.potential(entry["kind"], entry.get("expression"))
-        levels = int(entry.get("n", cfg["levels"]))
+        levels = _particle_count(entry, cfg["levels"])
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
-    if levels < 1:
-        raise ConfigError("particle number must be at least 1")
     basis = cfg.get("basis") or 100
     bset = potentials.bound_states(pot, levels, basis_size=basis)
     parities = potentials.parity_check(bset)

@@ -213,6 +213,9 @@ BAD_INPUTS = [
     (["spectrum", "--ho-slater", "2,1"], None),
     (["spectrum", "--ho-slater", "0,1", "--basis", "100000"], None),
     (["spectrum", "--ho-slater", "0,1", "--basis", "0"], None),
+    (["spectrum", "--ho-slater", "0,100000"], None),
+    (["wigner", "--ho-slater", "0,100000"], None),
+    (["spectrum"], {"state": {"ho_slater": [0, 100000]}}),
     (["winding", "--ho-slater", "0,1", "--winding-grid", "0"], None),
     (["entropy-surface", "--interpolated", "0,1", "--t-points", "0"], None),
     (["solve-potential", "--potential", "sho", "--levels", "0"], None),
