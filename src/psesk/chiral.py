@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import qr
 
-from .overlap import ho_overlap_table, rotated_overlap
+from .overlap import rotated_gramians
 from .states import SlaterState
 
 __all__ = [
@@ -146,28 +146,20 @@ def parity_sort(state: SlaterState, tol: float = PARITY_TOL) -> ParitySortedStat
     return ParitySortedState(coeffs=coeffs, parity=out_parity, n_even=n_even, n_odd=n_odd)
 
 
-def chiral_block(ps: ParitySortedState, theta: float) -> ChiralBlock:
-    """Extract the even-odd block of the rotated cut Gramian."""
+def _even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
     if ps.n_even == 0 or ps.n_odd == 0:
         raise EmptyBlock("both parity sectors must be occupied")
-    o = rotated_overlap(ps.as_state(), theta).entries
-    return ChiralBlock(m_theta=o[: ps.n_even, ps.n_even :], theta=float(theta))
+    return rotated_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], thetas)
+
+
+def chiral_block(ps: ParitySortedState, theta: float) -> ChiralBlock:
+    """Extract the even-odd block of the rotated cut Gramian."""
+    return ChiralBlock(m_theta=_even_odd_blocks(ps, [theta])[0], theta=float(theta))
 
 
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
-    """det m(theta) on a grid, sharing the phase-free part across angles."""
-    if ps.n_even == 0 or ps.n_odd == 0:
-        raise EmptyBlock("both parity sectors must be occupied")
-    table = ho_overlap_table(ps.coeffs.shape[1]).entries
-    a_even = ps.coeffs[: ps.n_even].conj()
-    a_odd = ps.coeffs[ps.n_even :]
-    narr = np.arange(ps.coeffs.shape[1])
-    dets = np.empty(len(thetas), dtype=complex)
-    for k, theta in enumerate(thetas):
-        ph = np.exp(1j * narr * theta)
-        block = (a_even * ph.conj()) @ table @ (a_odd * ph).T
-        dets[k] = np.linalg.det(block)
-    return dets
+    """det m(theta) on a grid: one det over the stacked N_e x N_o blocks."""
+    return np.linalg.det(_even_odd_blocks(ps, thetas))
 
 
 def _abs_det(ps: ParitySortedState, theta: float) -> float:
@@ -280,13 +272,10 @@ def detect_gap_closings(
     thetas = np.asarray(thetas, dtype=float)
     dets = np.abs(block_determinants(ps, thetas))
     n = len(thetas)
+    left, right = np.roll(dets, 1), np.roll(dets, -1)
+    minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
     closings: list[float] = []
-    for i in range(n):
-        left = dets[(i - 1) % n]
-        right = dets[(i + 1) % n]
-        is_min = dets[i] <= left and dets[i] <= right and (dets[i] < left or dets[i] < right)
-        if not is_min:
-            continue
+    for i in np.flatnonzero(minima):
         lo = thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0])
         hi = thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2])
         theta_star = _golden_minimize(lambda t: _abs_det(ps, t), lo, hi, resolution)

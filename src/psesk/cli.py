@@ -66,6 +66,19 @@ NUMERIC_KEYS = {
     "grid_half_width": (float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
 }
 
+# state kind: (check of its value, what the check asks for); JSON gives exact types
+STATE_KINDS = {
+    "ho_slater": (lambda v: type(v) is list and all(type(i) is int for i in v),
+                  "a list of integers"),
+    "interpolated": (lambda v: type(v) is dict and all(type(v.get(k)) in (int, float)
+                                                      for k in ("t", "phi")),
+                     "an object with numbers t and phi"),
+    "potential_ground": (lambda v: type(v) is dict and type(v.get("n", 1)) is int,
+                         "an object with an integer n"),
+    "coherent": (lambda v: type(v) is list and len(v) in (1, 2)
+                 and all(type(x) in (int, float) for x in v), "a list of one or two numbers"),
+}
+
 PLOT_CLIP = 30.0
 
 
@@ -135,15 +148,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         cfg.update(loaded)
 
-    for key in ("out", "format", "theta_points", "basis", "t_points", "levels",
-                "grid_points", "grid_half_width", "winding_grid"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in ("out", "format", *NUMERIC_KEYS):
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if getattr(args, "gnuplot", False):
         cfg["gnuplot"] = True
 
     state = cfg.get("state") or {}
+    if not isinstance(state, dict):
+        raise ConfigError(f"state must be a JSON object, got {state!r}")
+    for kind, (ok, what) in STATE_KINDS.items():
+        if kind in state and not ok(state[kind]):
+            raise ConfigError(f"state {kind} must be {what}, got {state[kind]!r}")
     if getattr(args, "ho_slater", None):
         try:
             state = {"ho_slater": [int(p) for p in args.ho_slater.replace(" ", "").split(",") if p]}
@@ -166,19 +183,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError("--particles applies to a potential_ground state")
         state["potential_ground"]["n"] = args.particles
     if getattr(args, "coherent", None):
-        parts = args.coherent.replace(" ", "").split(",")
-        vals = _parse_floats(args.coherent, len(parts), "--coherent")
+        vals = _parse_floats(args.coherent, 2 if "," in args.coherent else 1, "--coherent")
         state = {"coherent": vals if len(vals) == 2 else [vals[0], 0.0]}
     cfg["state"] = state or None
 
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
+    if type(cfg["out"]) is not str:
+        raise ConfigError(f"out must be a string, got {cfg['out']!r}")
+    if type(cfg["gnuplot"]) is not bool:
+        raise ConfigError(f"gnuplot must be true or false, got {cfg['gnuplot']!r}")
     for key, (kind, ok, what) in NUMERIC_KEYS.items():
         val = cfg[key]
         if key == "basis" and val is None:
             continue
         types = (int,) if kind is int else (int, float)
-        if isinstance(val, bool) or not isinstance(val, types) or not ok(val):
+        if type(val) not in types or not ok(val):
             raise ConfigError(f"{key} must be {what}, got {val!r}")
     return cfg
 
@@ -255,10 +275,8 @@ def cmd_spectrum(cfg: dict) -> int:
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     data = entanglement.pses_sweep(state, thetas)
 
-    rows = []
-    for i, theta in enumerate(data.thetas):
-        for level, eps in enumerate(data.energies[i]):
-            rows.append((theta, str(level), eps))
+    rows = [(theta, str(level), eps) for theta, row in zip(data.thetas, data.energies)
+            for level, eps in enumerate(row)]
     spectrum_file = write_table(out, "spectrum", cfg["format"], ["theta", "level", "epsilon"], rows)
     entropy_file = write_table(
         out, "entropy", cfg["format"], ["theta", "entropy"],
@@ -267,10 +285,8 @@ def cmd_spectrum(cfg: dict) -> int:
 
     files = [spectrum_file, entropy_file]
     if cfg["gnuplot"]:
-        lines = []
-        for i, theta in enumerate(data.thetas):
-            clipped = np.clip(data.energies[i], -PLOT_CLIP, PLOT_CLIP)
-            lines.append(" ".join([fmt_float(theta)] + [fmt_float(e) for e in clipped]))
+        clipped = np.clip(data.energies, -PLOT_CLIP, PLOT_CLIP)
+        lines = [" ".join(map(fmt_float, [t, *row])) for t, row in zip(data.thetas, clipped)]
         (out / "spectrum_matrix.dat").write_text("\n".join(lines) + "\n")
         files.append("spectrum_matrix.dat")
 
@@ -331,15 +347,11 @@ def cmd_entropy_surface(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t_grid = np.linspace(0.0, 1.0, int(cfg["t_points"]))
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
-    rows = []
-    best = (-1.0, 0.0, 0.0)
-    for t in t_grid:
-        data = entanglement.pses_sweep(interpolated_state(float(t), phi), thetas)
-        for theta, s in zip(thetas, data.entropy):
-            rows.append((t, theta, s))
-        i = int(np.argmax(data.entropy))
-        if data.entropy[i] > best[0]:
-            best = (float(data.entropy[i]), float(t), float(thetas[i]))
+    entropy = np.array([entanglement.pses_sweep(interpolated_state(float(t), phi), thetas).entropy
+                        for t in t_grid])
+    rows = [(t, theta, s) for t, row in zip(t_grid, entropy) for theta, s in zip(thetas, row)]
+    i, j = np.unravel_index(np.argmax(entropy), entropy.shape)
+    best = (float(entropy[i, j]), float(t_grid[i]), float(thetas[j]))
     table = write_table(out, "entropy_surface", cfg["format"], ["t", "theta", "entropy"], rows)
     sidecar = {
         "command": "entropy-surface",
@@ -357,7 +369,7 @@ def cmd_entropy_surface(cfg: dict) -> int:
 def _wigner_operator(cfg: dict):
     spec = cfg.get("state") or {}
     if "coherent" in spec:
-        w = complex(spec["coherent"][0], spec["coherent"][1] if len(spec["coherent"]) > 1 else 0.0)
+        w = complex(*spec["coherent"])
         return ("coherent", w), {"kind": "coherent", "w": [w.real, w.imag]}
     state, meta = build_state(cfg)
     rho = state.coeffs.T @ state.coeffs.conj()

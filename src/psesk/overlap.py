@@ -23,9 +23,11 @@ single product: nothing cancels, at any index.
 Rotating the cut by a phase-space angle theta multiplies basis state n by
 e^{i n theta}, so for a Slater state with coefficient rows A the cut Gramian
 is  O(theta)_{ab} = sum_{mn} conj(A_am) A_bn e^{i(n-m) theta} T_mn  with T
-the table above.  A cut translated to x >= t has no closed form and is done
-by panelled Gauss-Legendre quadrature in the reconstructed position
-representation.
+the table above.  One kernel, ``rotated_gramians``, forms it for every rotated
+cut: phases on the rows, then one stacked matmul against T per ANGLE_CHUNK
+angles, a chunk that bounds the (angles, N, M) temporaries on long grids.  A
+cut translated to x >= t has no closed form and is done by panelled
+Gauss-Legendre quadrature in the reconstructed position representation.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ __all__ = [
     "ho_halfspace_overlap",
     "ho_overlap_table",
     "overlap_quadrature_oracle",
+    "rotated_gramians",
     "rotated_overlap",
     "translated_overlap",
     "clamp_unit_interval",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
+ANGLE_CHUNK = 16
 
 
 class GramBoundError(Exception):
@@ -152,26 +156,29 @@ def overlap_quadrature_oracle(m: int, n: int, order: int | None = None) -> float
     return float(np.sum(weights * phi[m] * phi[n]))
 
 
-def _phase_conjugated_table(table: np.ndarray, theta: float) -> np.ndarray:
-    m = table.shape[0]
-    ph = np.exp(1j * np.arange(m) * theta)
-    return ph.conj()[:, None] * table * ph[None, :]
-
-
-def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> OverlapMatrix:
-    """Cut Gramian after rotating the cut by the phase-space angle theta.
+def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "right") -> np.ndarray:
+    """(K, N_L, N_R) stack of conj(L) e^{-i n theta} T e^{i n theta} R^T over K thetas.
 
     ``side`` = "right" uses the half line x >= 0; "left" uses x <= 0, whose
     table is 1 - T by completeness of the full-line inner product.
     """
-    table = ho_overlap_table(state.basis_size).entries
+    table = ho_overlap_table(left.shape[1]).entries
     if side == "left":
-        table = np.eye(state.basis_size) - table
+        table = np.eye(len(table)) - table
     elif side != "right":
         raise ValueError("side must be 'right' or 'left'")
-    a = state.coeffs
-    o = a.conj() @ _phase_conjugated_table(table, theta) @ a.T
-    o = 0.5 * (o + o.conj().T)
+    thetas = np.asarray(thetas, dtype=float)
+    n = np.arange(len(table))
+    out = np.empty((len(thetas), len(left), len(right)), dtype=complex)
+    for k in range(0, len(thetas), ANGLE_CHUNK):
+        ph = np.exp(1j * np.multiply.outer(thetas[k : k + ANGLE_CHUNK], n))[:, None, :]
+        out[k : k + ANGLE_CHUNK] = (left.conj() * ph.conj()) @ table @ (right * ph).swapaxes(1, 2)
+    return out
+
+
+def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> OverlapMatrix:
+    """Cut Gramian after rotating the cut by theta (``side`` as in rotated_gramians)."""
+    o = rotated_gramians(state.coeffs, state.coeffs, [theta], side)[0]
     return OverlapMatrix(entries=o, cut="rotation", parameter=float(theta))
 
 
@@ -179,15 +186,16 @@ def translated_overlap(state: SlaterState, offset: float) -> OverlapMatrix:
     """Cut Gramian for the translated position cut x >= offset.
 
     Quadrature in the position representation reconstructed from the
-    oscillator coefficients; the integration window ends at
-    X = sqrt(4 M) + 10 where every basis function is negligible.
+    oscillator coefficients; the integration window ends at X = sqrt(4 M) + 10,
+    where every basis function is negligible, and takes about 4 M points over
+    [0, X] with at least 24 per unit panel (the oracle's rule).
     """
     m = state.basis_size
     x_cut = math.sqrt(4.0 * m) + 10.0
     if offset >= x_cut:
         entries = np.zeros((state.n_particles, state.n_particles), dtype=complex)
         return OverlapMatrix(entries=entries, cut="translation", parameter=float(offset))
-    nodes, weights = _panelled_legendre(offset, x_cut, 24)
+    nodes, weights = _panelled_legendre(offset, x_cut, max(24, -(-4 * m // math.ceil(x_cut))))
     psi = state.coeffs @ ho_stack(m - 1, nodes).astype(complex)
     o = (psi.conj() * weights) @ psi.T
     o = 0.5 * (o + o.conj().T)

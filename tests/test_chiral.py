@@ -110,6 +110,15 @@ def test_block_antiperiodic_under_half_turn():
     assert np.max(np.abs(a + b)) < 1e-12
 
 
+def test_block_determinants_stack_equals_single_angle_calls():
+    # 257 angles end in a partial chunk; stacking must not change a single bit
+    rng = np.random.default_rng(33)
+    ps = chiral.parity_sort(random_symmetric_slater(rng, 3, 3, 40))
+    thetas = np.linspace(0.0, math.pi, 257)
+    single = [chiral.block_determinants(ps, [theta])[0] for theta in thetas]
+    assert np.array_equal(chiral.block_determinants(ps, thetas), single)
+
+
 def test_block_requires_both_sectors():
     ps = chiral.parity_sort(ho_slater([0, 2]))
     with pytest.raises(chiral.EmptyBlock):

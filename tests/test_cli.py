@@ -228,16 +228,28 @@ BAD_INPUTS = [
     (["entropy-surface", "--interpolated", "0,1"], {"t_points": "5"}),
     (["wigner", "--ho-slater", "0"], {"grid_half_width": "x"}),
     (["wigner", "--ho-slater", "0"], {"grid_points": True}),
+    (["spectrum"], {"state": "ho_slater"}),
+    (["spectrum"], {"state": {"ho_slater": 5}}),
+    (["spectrum"], {"state": {"ho_slater": ["a"]}}),
+    (["spectrum"], {"state": {"interpolated": 3}}),
+    (["spectrum"], {"state": {"potential_ground": {"kind": "sho", "n": [2]}}}),
+    (["entropy-surface"], {"state": {"interpolated": 3}}),
+    (["wigner"], {"state": {"coherent": "x"}}),
+    (["wigner", "--coherent", "1,2,3"], None),
+    (["spectrum", "--ho-slater", "0,1"], {"out": 7}),
+    (["spectrum", "--ho-slater", "0,1"], {"gnuplot": "no"}),
 ]
 
 
-def test_config_error_exit_codes(tmp_path, capsys):
+def test_config_error_exit_codes(tmp_path, capsys, monkeypatch):
+    # no --out, so that a bad "out" in the config is what the run sees
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     for argv, config in BAD_INPUTS:
         if config is not None:
             cfg.write_text(json.dumps(config))
             argv = argv + ["--config", str(cfg)]
-        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+        assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), (argv, err)
 

@@ -34,6 +34,21 @@ def test_schmidt_rejects_non_hermitian():
         ent.schmidt_values(np.array([[0.5, 0.1], [0.3, 0.5]]))
 
 
+def test_schmidt_stack_matches_slices_and_keeps_guards():
+    stack = np.array([two_level_overlap(t) for t in (0.1, 0.9, 2.3)])
+    mu = ent.schmidt_values(stack).mu
+    assert mu.shape == (3, 2)
+    for got, o in zip(mu, stack):
+        assert np.array_equal(got, ent.schmidt_values(o).mu)
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-6
+    with pytest.raises(ent.NonHermitian):
+        ent.schmidt_values(skewed)
+    beyond = np.array([np.eye(2), np.diag([1.0 + 1e-6, 0.5])], dtype=complex)
+    with pytest.raises(overlap.GramBoundError):
+        ent.schmidt_values(beyond)
+
+
 def test_energies_map_and_sentinels():
     eps = ent.entanglement_energies(np.array([1.0, MU_PLUS, 0.5, 0.0]))
     assert eps[0] == -math.inf

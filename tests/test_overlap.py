@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_slater
+from helpers import random_slater, random_unitary_rows
 from psesk import overlap
 from psesk.entanglement import entanglement_energies, schmidt_values
-from psesk.states import ho_slater
+from psesk.states import SlaterState, ho_slater
 
 
 def test_even_case_is_half_delta():
@@ -74,6 +74,20 @@ def test_table_beyond_old_cap_matches_oracle():
     assert np.all(t[even_off] == 0.0)
     evals = np.linalg.eigvalsh(t)
     assert evals.min() > -1e-12 and evals.max() < 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("m", [100, 400])
+def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
+    # rotating the cut by theta is rotating the orbitals by e^{i n theta} at a fixed cut,
+    # whose Gramian the position-space quadrature computes independently of the table
+    rng = np.random.default_rng(m)
+    a = random_unitary_rows(rng, 4, m)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, size=6)
+    stack = overlap.rotated_gramians(a, a, thetas)
+    assert stack.shape == (6, 4, 4)
+    for theta, o in zip(thetas, stack):
+        rotated = SlaterState(a * np.exp(1j * np.arange(m) * theta))
+        assert np.max(np.abs(o - overlap.translated_overlap(rotated, 0.0).entries)) < 1e-11
 
 
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])

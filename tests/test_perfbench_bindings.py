@@ -1,0 +1,27 @@
+"""The benchmark's span recorder looks up psesk functions by name.
+
+``Recorder.install`` resolves every name in ``perfbench/spans.py`` ``TRACED``
+with a bare ``getattr``, and the benchmark self-test patches
+``psesk.entanglement.rotated_overlap``; renaming or deleting one of them
+breaks every traced benchmark run, so it fails here first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_traced_names_resolve_on_their_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # standard library only
+    for layer, names in spans.TRACED.items():
+        module = importlib.import_module(f"psesk.{layer}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                assert hasattr(obj, part), f"psesk.{layer}.{name}"
+                obj = getattr(obj, part)
+    assert callable(importlib.import_module("psesk.entanglement").rotated_overlap)
