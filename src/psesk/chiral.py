@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qr
 
 from .overlap import rotated_gramians
 from .states import SlaterState
@@ -98,13 +97,13 @@ def inversion_matrix(state: SlaterState) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def _pivoted_orthonormal_rows(block: np.ndarray) -> np.ndarray:
+def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the row space of ``block``.
 
-    Column-pivoted QR of block^H with the R diagonal made real positive, so
-    degenerate parity eigenspaces come out reproducibly ordered and phased.
+    Householder QR of block^H with the R diagonal made real positive, so
+    degenerate parity eigenspaces come out reproducibly phased.
     """
-    q, r, _ = qr(block.conj().T, mode="economic", pivoting=True)
+    q, r = np.linalg.qr(block.conj().T)
     d = np.diag(r).copy()
     d[d == 0] = 1.0
     q = q * (np.abs(d) / d).conj()
@@ -117,6 +116,8 @@ def parity_sort(state: SlaterState, tol: float = PARITY_TOL) -> ParitySortedStat
     Raises NotInversionSymmetric when any eigenvalue of the inversion matrix
     is farther than ``tol`` from +-1 (the span mixes parities, e.g. bound
     states of an asymmetric well); callers then skip the chiral analysis.
+    Each sector is re-orthonormalized on its own basis parity only, so its
+    coefficients on the other parity are exactly zero.
     """
     inv = inversion_matrix(state)
     lam, vecs = np.linalg.eigh(inv)
@@ -127,23 +128,17 @@ def parity_sort(state: SlaterState, tol: float = PARITY_TOL) -> ParitySortedStat
     rotated = vecs.conj().T @ state.coeffs
     parity = np.where(lam > 0.0, 1, -1)
 
-    even = rotated[parity > 0]
-    odd = rotated[parity < 0]
-    # clean residual cross-parity leakage and re-orthonormalize deterministically
-    basis_parity = np.arange(state.basis_size) % 2
-    if even.size:
-        even = even.copy()
-        even[:, basis_parity == 1] = 0.0
-        even = _pivoted_orthonormal_rows(even)
-    if odd.size:
-        odd = odd.copy()
-        odd[:, basis_parity == 0] = 0.0
-        odd = _pivoted_orthonormal_rows(odd)
-
-    n_even, n_odd = len(even), len(odd)
-    coeffs = np.vstack([b for b in (even, odd) if b.size]) if n_even + n_odd else rotated
+    sectors = []
+    for sign, first_index in ((1, 0), (-1, 1)):
+        rows = rotated[parity == sign]
+        sector = np.zeros_like(rows)
+        if len(rows):
+            sector[:, first_index::2] = _orthonormal_rows(rows[:, first_index::2])
+        sectors.append(sector)
+    n_even, n_odd = (len(sector) for sector in sectors)
     out_parity = np.array([1] * n_even + [-1] * n_odd)
-    return ParitySortedState(coeffs=coeffs, parity=out_parity, n_even=n_even, n_odd=n_odd)
+    return ParitySortedState(coeffs=np.vstack(sectors), parity=out_parity,
+                             n_even=n_even, n_odd=n_odd)
 
 
 def _even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
@@ -160,10 +155,6 @@ def chiral_block(ps: ParitySortedState, theta: float) -> ChiralBlock:
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
     """det m(theta) on a grid: one det over the stacked N_e x N_o blocks."""
     return np.linalg.det(_even_odd_blocks(ps, thetas))
-
-
-def _abs_det(ps: ParitySortedState, theta: float) -> float:
-    return float(np.abs(block_determinants(ps, [theta])[0]))
 
 
 def winding_scan(
@@ -195,10 +186,8 @@ def winding_scan(
         if k >= grid_cap:
             # a zero between grid points masquerades as an unresolvable step
             j = int(np.argmax(np.abs(steps)))
-            theta_star = _golden_minimize(
-                lambda t: _abs_det(ps, t), thetas[j], thetas[j + 1], 1e-12
-            )
-            if _abs_det(ps, theta_star) < DET_FLOOR:
+            (theta_star,), (det_star,) = _golden_minima(ps, [(thetas[j], thetas[j + 1])], 1e-12)
+            if det_star < DET_FLOOR:
                 raise GapClosed(
                     f"|det m| < {DET_FLOOR:.0e} near theta = {theta_star:.6f}"
                 )
@@ -220,21 +209,42 @@ def flat_band_count(ps: ParitySortedState) -> int:
     return abs(ps.n_even - ps.n_odd)
 
 
-def _golden_minimize(f, lo: float, hi: float, resolution: float) -> float:
+def _golden_minima(
+    ps: ParitySortedState, brackets: Sequence[tuple[float, float]], resolution: float
+) -> tuple[list[float], np.ndarray]:
+    """Golden-section minima of |det m| in every (lo, hi) bracket, in lockstep.
+
+    Each pass probes the one new interior point of every bracket still wider
+    than ``resolution`` with a single block_determinants call; a bracket that
+    is narrow enough freezes, so each follows exactly the iterates of a
+    scalar golden-section search.  Returns (theta*, |det m(theta*)|) per
+    bracket, theta* being the final midpoint.
+    """
+    if not brackets:
+        return [], np.zeros(0)
     g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > resolution:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    # per bracket: [a, b, c, d, f(c), f(d)] with a < c < d < b
+    search = [[lo, hi, hi - g * (hi - lo), lo + g * (hi - lo)] for lo, hi in brackets]
+    f = np.abs(block_determinants(ps, [t for s in search for t in s[2:]]))
+    for k, s in enumerate(search):
+        s += [f[2 * k], f[2 * k + 1]]
+    active = [s for s in search if s[1] - s[0] > resolution]
+    while active:
+        slots = []
+        for s in active:
+            a, b, c, d, fc, fd = s
+            if fc < fd:
+                s[:] = a, d, d - g * (d - a), c, None, fc
+                slots.append(2)
+            else:
+                s[:] = c, b, d, c + g * (b - c), fd, None
+                slots.append(3)
+        f = np.abs(block_determinants(ps, [s[k] for s, k in zip(active, slots)]))
+        for s, k, value in zip(active, slots, f):
+            s[k + 2] = value
+        active = [s for s in active if s[1] - s[0] > resolution]
+    thetas = [0.5 * (s[0] + s[1]) for s in search]
+    return thetas, np.abs(block_determinants(ps, thetas))
 
 
 def minimum_block_gap(ps: ParitySortedState, n_theta: int = DEFAULT_GRID) -> tuple[float, float]:
@@ -246,10 +256,10 @@ def minimum_block_gap(ps: ParitySortedState, n_theta: int = DEFAULT_GRID) -> tup
     dets = np.abs(block_determinants(ps, thetas))
     i = int(np.argmin(dets))
     step = math.pi / n_theta
-    theta_star = _golden_minimize(
-        lambda t: _abs_det(ps, t), thetas[i] - step, thetas[i] + step, 1e-10
+    (theta_star,), (det_star,) = _golden_minima(
+        ps, [(thetas[i] - step, thetas[i] + step)], 1e-10
     )
-    return theta_star % math.pi, _abs_det(ps, theta_star)
+    return theta_star % math.pi, float(det_star)
 
 
 def detect_gap_closings(
@@ -274,14 +284,13 @@ def detect_gap_closings(
     n = len(thetas)
     left, right = np.roll(dets, 1), np.roll(dets, -1)
     minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
-    closings: list[float] = []
-    for i in np.flatnonzero(minima):
-        lo = thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0])
-        hi = thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2])
-        theta_star = _golden_minimize(lambda t: _abs_det(ps, t), lo, hi, resolution)
-        if _abs_det(ps, theta_star) < dip:
-            closings.append(theta_star % math.pi)
-    closings.sort()
+    brackets = [
+        (thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0]),
+         thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2]))
+        for i in np.flatnonzero(minima)
+    ]
+    refined, dets = _golden_minima(ps, brackets, resolution)
+    closings = sorted(t % math.pi for t, det in zip(refined, dets) if det < dip)
     merged: list[float] = []
     for c in closings:
         if not merged or (c - merged[-1]) > 1e-6:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
 from .overlap import OverlapMatrix, clamp_unit_interval, rotated_gramians, rotated_overlap  # noqa
@@ -106,10 +105,15 @@ def entanglement_hamiltonian(o) -> np.ndarray:
     return (vecs * eps) @ vecs.conj().T
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p ln p, with 0 ln 0 = 0."""
+    return p * np.log(np.where(p == 0.0, 1.0, p))
+
+
 def entanglement_entropy(mu):
     """Binary-entropy sum over the mode splitting probabilities (per row of a stack)."""
     m = mu.mu if isinstance(mu, SchmidtValues) else np.asarray(mu, dtype=float)
-    return -np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m), axis=-1)
+    return -np.sum(_xlogx(m) + _xlogx(1.0 - m), axis=-1)
 
 
 def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "TruncationError",
@@ -101,21 +100,43 @@ def ho_stack(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule via the Golub-Welsch tridiagonal eigenproblem.
+def _hermite_nodes(order: int) -> np.ndarray:
+    """Eigenvalues of the Golub-Welsch Jacobi matrix, ascending.
 
-    Nodes are the eigenvalues of the Jacobi matrix (zero diagonal,
-    off-diagonal sqrt(k/2)); weights are sqrt(pi) times the squared first
-    eigenvector components.  Integrates exp(-x^2) * p(x) exactly for
-    polynomials p up to degree 2*order - 1.
+    The Jacobi matrix (zero diagonal, off-diagonal sqrt(k/2)) couples only
+    even to odd indices, so its eigenvalues are +- the singular values of the
+    lower-bidiagonal even-odd block B[j, j] = sqrt(j + 1/2),
+    B[j + 1, j] = sqrt(j + 1), plus one zero when the order is odd.
     """
+    n_even, n_odd = (order + 1) // 2, order // 2
+    block = np.zeros((n_even, n_odd))
+    j = np.arange(n_odd)
+    block[j, j] = np.sqrt(j + 0.5)
+    j = j[j + 1 < n_even]
+    block[j + 1, j] = np.sqrt(j + 1.0)
+    s = np.linalg.svd(block, compute_uv=False) if n_odd else np.zeros(0)  # descending
+    return np.concatenate([-s, np.zeros(order % 2), s[::-1]])
+
+
+def _christoffel_sums(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_q and sum_{n<order} phi_n(x_q)^2 (zero where phi underflows)."""
     if order < 1:
         raise ValueError("order must be positive")
-    if order == 1:
-        return QuadratureRule(np.zeros(1), np.array([math.sqrt(math.pi)]), 1)
-    off = np.sqrt(np.arange(1, order) / 2.0)
-    nodes, vecs = eigh_tridiagonal(np.zeros(order), off)
-    weights = math.sqrt(math.pi) * vecs[0, :] ** 2
+    nodes = _hermite_nodes(order)
+    phi = ho_stack(order - 1, nodes)
+    return nodes, np.sum(phi * phi, axis=0)
+
+
+def gauss_hermite(order: int) -> QuadratureRule:
+    """Gauss-Hermite rule via the Golub-Welsch Jacobi-matrix eigenproblem.
+
+    Nodes are the Jacobi-matrix eigenvalues (see _hermite_nodes); weights
+    follow from the Christoffel identity w_q = exp(-x_q^2) / sum_n phi_n(x_q)^2
+    and read 0 where both factors underflow (|x| > ~38.6).  Integrates
+    exp(-x^2) * p(x) exactly for polynomials p up to degree 2*order - 1.
+    """
+    nodes, sums = _christoffel_sums(order)
+    weights = np.divide(np.exp(-nodes * nodes), sums, out=np.zeros(order), where=sums > 0.0)
     return QuadratureRule(nodes, weights, order)
 
 
@@ -126,11 +147,12 @@ def reweighted_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     Gaussian-type decay.  The naive product weight * exp(node^2) underflows
     at the outer nodes for order ~ 200 even though the product is O(1); the
     Christoffel identity  w_q e^{x_q^2} = 1 / sum_{n<order} phi_n(x_q)^2
-    is stable everywhere.
+    is stable wherever phi_0 does not underflow.  Past |x| ~ 38.6 (reached
+    from order 766 on) every phi_n underflows to 0 and w is +inf; callers
+    check.
     """
-    rule = gauss_hermite(order)
-    phi = ho_stack(order - 1, rule.nodes)
-    return rule.nodes, 1.0 / np.sum(phi * phi, axis=0)
+    nodes, sums = _christoffel_sums(order)
+    return nodes, np.divide(1.0, sums, out=np.full(order, np.inf), where=sums > 0.0)
 
 
 def expand_function(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .hobasis import DEFAULT_BASIS_SIZE, ho_stack, reweighted_rule
 from .states import SlaterState
@@ -38,6 +37,9 @@ BUILTIN_KINDS = ("sho", "anharmonic", "double_well", "poschl_teller", "rosen_mor
 # edge used both for growth screening and the continuum threshold
 X_EDGE = 25.0
 PARITY_SUPPORT_TOL = 1e-10
+# largest basis whose default quadrature order (2M + 32) keeps every node
+# inside |x| < 38.6, where phi_0 = pi^{-1/4} exp(-x^2/2) still exceeds 0
+MAX_GALERKIN_BASIS = 366
 
 
 class QuadratureOverflow(Exception):
@@ -217,11 +219,18 @@ def hamiltonian_matrix(
     if order < 2 * basis_size:
         raise ValueError("quadrature order must be >= 2 * basis_size")
     nodes, w = reweighted_rule(order)
+    if not np.all(np.isfinite(w)):
+        raise QuadratureOverflow(
+            f"oscillator functions underflow at the order-{order} node |x| = "
+            f"{np.max(np.abs(nodes)):.2f}; the default order holds up to basis {MAX_GALERKIN_BASIS}"
+        )
     _screen_growth(spec, nodes)
     phi = ho_stack(basis_size - 1, nodes)
     v = (phi * (w * np.asarray(spec.sampler(nodes), dtype=float))) @ phi.T
-    v = 0.5 * (v + v.T)
-    return kinetic_matrix(basis_size) + v
+    h = kinetic_matrix(basis_size) + 0.5 * (v + v.T)
+    if not np.all(np.isfinite(h)):
+        raise QuadratureOverflow("Galerkin matrix has non-finite entries")
+    return h
 
 
 @dataclass(frozen=True)
@@ -262,7 +271,7 @@ def bound_states(
     if order is None:
         order = 2 * basis_size + 32
     h = hamiltonian_matrix(spec, basis_size, order)
-    energies, vecs = eigh(h)
+    energies, vecs = np.linalg.eigh(h)
     threshold = _continuum_threshold(spec)
     n_bound = int(np.sum(energies < threshold)) if np.isfinite(threshold) else basis_size
     if count > n_bound:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import negation_asymmetry, random_symmetric_slater
-from psesk import chiral
+from helpers import negation_asymmetry, random_symmetric_slater, random_unitary_rows
+from psesk import chiral, potentials
 from psesk.entanglement import entanglement_energies, schmidt_values
 from psesk.overlap import ho_halfspace_overlap, rotated_overlap
 from psesk.states import SlaterState, ho_slater, interpolated_state
@@ -64,6 +64,18 @@ def test_parity_sort_mixed_rows_recovers_eigenstates():
     odd_leak = np.abs(ps.coeffs[1, 0]) ** 2 + np.abs(ps.coeffs[1, 2]) ** 2
     assert even_leak < 1e-16
     assert odd_leak < 1e-16
+
+
+def test_parity_sort_deterministic_with_exact_sectors():
+    rng = np.random.default_rng(37)
+    base = random_symmetric_slater(rng, 4, 3, 30)
+    mixed = SlaterState(random_unitary_rows(rng, 7, 7) @ base.coeffs)
+    ps = chiral.parity_sort(mixed)
+    again = chiral.parity_sort(mixed)
+    assert ps.coeffs.tobytes() == again.coeffs.tobytes()
+    assert np.max(np.abs(ps.coeffs @ ps.coeffs.conj().T - np.eye(7))) < 1e-12
+    assert not np.any(ps.coeffs[: ps.n_even, 1::2])
+    assert not np.any(ps.coeffs[ps.n_even :, 0::2])
 
 
 def test_parity_sort_rejects_asymmetric_span():
@@ -227,3 +239,75 @@ def test_winding_homotopy_invariance_under_small_perturbation():
     _, gap = chiral.minimum_block_gap(ps, n_theta=128)
     assert gap > 1e-4
     assert chiral.winding_number(ps) == nu_base
+
+
+def _scalar_golden(ps, lo, hi, resolution):
+    """One-bracket golden-section search, one single-angle det per probe."""
+
+    def f(theta):
+        return float(np.abs(chiral.block_determinants(ps, [theta])[0]))
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > resolution:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    theta = 0.5 * (a + b)
+    return theta, f(theta)
+
+
+def _grid_brackets(ps, n_grid=256):
+    thetas = np.linspace(0.0, math.pi, n_grid, endpoint=False)
+    dets = np.abs(chiral.block_determinants(ps, thetas))
+    left, right = np.roll(dets, 1), np.roll(dets, -1)
+    minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
+    step = thetas[1] - thetas[0]
+    return [(thetas[i - 1] if i > 0 else thetas[0] - step,
+             thetas[i + 1] if i + 1 < n_grid else thetas[-1] + step)
+            for i in np.flatnonzero(minima)]
+
+
+def _lockstep_states():
+    u = random_unitary_rows(np.random.default_rng(12), 12, 12)
+    pt = potentials.bound_states(potentials.potential("poschl_teller"), 6)
+    return {
+        "interpolated-critical": interpolated_state(T_CRIT, PHI),
+        "oscillator-0-11-mixed": SlaterState(u @ ho_slater(list(range(12)), basis_size=100).coeffs),
+        "poschl-teller-6": pt.as_slater(),
+    }
+
+
+@pytest.mark.parametrize("name", ["interpolated-critical", "oscillator-0-11-mixed",
+                                  "poschl-teller-6"])
+def test_lockstep_refiner_matches_scalar_golden_section(name, monkeypatch):
+    ps = chiral.parity_sort(_lockstep_states()[name])
+    brackets = _grid_brackets(ps)
+    reference = [_scalar_golden(ps, lo, hi, 1e-10) for lo, hi in brackets]
+    thetas, dets = chiral._golden_minima(ps, brackets, 1e-10)
+    assert thetas == [t for t, _ in reference]
+    assert dets.tolist() == [d for _, d in reference]
+
+    want = sorted(t % math.pi for t, d in reference if d < chiral.DIP_THRESHOLD)
+    calls = []
+    block_determinants = chiral.block_determinants
+
+    def counted(ps, thetas):
+        calls.append(len(thetas))
+        return block_determinants(ps, thetas)
+
+    monkeypatch.setattr(chiral, "block_determinants", counted)
+    got = chiral.detect_gap_closings(ps)
+    assert got == want  # no two reference closings lie within the merge distance
+    assert len(calls) <= 45
+    if name == "interpolated-critical":
+        assert len(got) == 1
+    if name == "oscillator-0-11-mixed":
+        assert len(brackets) > 24

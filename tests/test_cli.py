@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,25 @@ def test_numeric_error_exit_code(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 3
     assert "NotEnoughBoundStates" in capsys.readouterr().err
+
+
+UNDERFLOWING_BASIS_INPUTS = [
+    ["solve-potential", "--potential", "sho", "--levels", "3", "--basis", "400"],
+    ["spectrum", "--potential", "sho", "--particles", "2", "--basis", "400"],
+    ["winding", "--potential", "sho", "--particles", "2", "--basis", "400"],
+]
+
+
+def test_underflowing_galerkin_basis_exits_3(tmp_path, capsys):
+    # past basis 366 the outer quadrature nodes lie where every phi_n underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in UNDERFLOWING_BASIS_INPUTS:
+            assert main(argv + ["--out", str(tmp_path)]) == 3, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("QuadratureOverflow:"), (argv, err)
+        assert main(["solve-potential", "--potential", "sho", "--levels", "3",
+                     "--basis", "366", "--out", str(tmp_path)]) == 0
 
 
 def test_flags_override_config(tmp_path):

@@ -57,6 +57,16 @@ def test_gauss_hermite_moments(order):
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+def test_gauss_hermite_matches_numpy_hermgauss():
+    for order in range(1, 151):
+        rule = hobasis.gauss_hermite(order)
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-13, order
+        kept = weights > 1e-250
+        rel = np.abs(rule.weights[kept] - weights[kept]) / weights[kept]
+        assert np.max(rel) <= 1e-12, order
+
+
 @pytest.mark.parametrize("m", [20, 60, 120])
 def test_basis_orthonormality_under_quadrature(m):
     nodes, w = hobasis.reweighted_rule(2 * m)

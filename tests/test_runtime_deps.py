@@ -1,0 +1,22 @@
+"""The runtime needs numpy only; scipy is a test-time oracle at most."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, psesk.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_source_file_mentions_scipy():
+    hits = [str(path) for path in SRC.rglob("*.py") if "scipy" in path.read_text()]
+    assert hits == []
