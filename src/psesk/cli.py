@@ -5,16 +5,19 @@ frft-check.  Every run writes its tables (CSV by default, JSON with
 --format json) plus a JSON sidecar holding the fully resolved configuration.
 Float cells use shortest round-trip formatting; infinite entanglement
 energies serialize as "+inf"/"-inf".  Exit codes: 0 ok, 2 config error,
-3 numeric failure, 4 gap closed during winding.
+3 numeric failure or a result too large to allocate, 4 gap closed during
+winding; a failure prints one line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,49 +37,117 @@ NUMERIC_ERRORS = (
     chiral.EmptyBlock,
     phasespace.DegenerateAngle,
     phasespace.EdgeLeakage,
+    phasespace.FieldOverflow,
     potentials.QuadratureOverflow,
     potentials.NotEnoughBoundStates,
 )
 
-DEFAULTS = {
-    "out": ".",
-    "format": "csv",
-    "gnuplot": False,
-    "theta_points": 128,
-    "basis": None,
-    "t_points": 81,
-    "levels": 8,
-    "grid_points": 161,
-    "grid_half_width": 8.0,
-    "winding_grid": 256,
-    "state": None,
-}
+# the command names; COMMANDS maps them to their functions
+ALL = ("spectrum", "winding", "entropy-surface", "wigner", "solve-potential", "frft-check")
+STATEFUL = ALL[:-1]
 
-# the quadrature oracle confirms the overlap table through index ~1000
+# the overlap table is exact from boundary values at any index, but the
+# quadrature oracle (ho_stack) confirms it only up to index ~680, past which
+# exp(-x^2/2) underflows inside the oscillators' classical region
 MAX_BASIS = 1024
+# keeps every array dimension, and the product of two, inside numpy's index
+# range: a larger size request fails with MemoryError (exit 3), never ValueError
+MAX_POINTS = 2**24
 
-# key: (type, predicate, what the predicate asks for); bools are not ints here
-NUMERIC_KEYS = {
-    "theta_points": (int, lambda v: v >= 16 and v % 2 == 0, "an even integer >= 16"),
-    "basis": (int, lambda v: 1 <= v <= MAX_BASIS, f"an integer in [1, {MAX_BASIS}]"),
-    "t_points": (int, lambda v: v >= 1, "an integer >= 1"),
-    "levels": (int, lambda v: v >= 1, "an integer >= 1"),
-    "grid_points": (int, lambda v: v >= 2, "an integer >= 2"),
-    "winding_grid": (int, lambda v: v >= 1, "an integer >= 1"),
-    "grid_half_width": (float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
-}
+
+def _finite(v) -> bool:
+    # bools are not numbers here; a huge int would overflow float()
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _size(lo: int, even: bool = False):
+    return lambda v: type(v) is int and lo <= v <= MAX_POINTS and not (even and v % 2)
+
+
+POTENTIAL_KINDS = potentials.BUILTIN_KINDS + ("custom",)
 
 # state kind: (check of its value, what the check asks for); JSON gives exact types
 STATE_KINDS = {
     "ho_slater": (lambda v: type(v) is list and all(type(i) is int for i in v),
                   "a list of integers"),
-    "interpolated": (lambda v: type(v) is dict and all(type(v.get(k)) in (int, float)
-                                                      for k in ("t", "phi")),
-                     "an object with numbers t and phi"),
-    "potential_ground": (lambda v: type(v) is dict and type(v.get("n", 1)) is int,
-                         "an object with an integer n"),
-    "coherent": (lambda v: type(v) is list and len(v) in (1, 2)
-                 and all(type(x) in (int, float) for x in v), "a list of one or two numbers"),
+    "interpolated": (lambda v: type(v) is dict and v.keys() == {"t", "phi"}
+                     and all(map(_finite, v.values())),
+                     "an object with finite numbers t and phi"),
+    "potential_ground": (lambda v: type(v) is dict and v.keys() <= {"kind", "expression", "n"}
+                         and v.get("kind") in POTENTIAL_KINDS
+                         and type(v.get("expression", "")) is str
+                         and _size(1)(v.get("n", 1)),
+                         f"an object with a kind in {POTENTIAL_KINDS}, an optional string "
+                         f"expression and an integer n in [1, {MAX_POINTS}]"),
+    "coherent": (lambda v: type(v) is list and len(v) in (1, 2) and all(map(_finite, v)),
+                 "a list of one or two finite numbers"),
+}
+
+
+class Key(NamedTuple):
+    default: object
+    ok: Callable[[object], bool]
+    what: str  # what ``ok`` asks for
+    commands: tuple[str, ...]  # the commands that take the key as a flag
+    flag: dict  # argparse options of that flag
+
+
+# the one table of config keys: JSON config values and flag values alike
+INT = {"type": int}
+KEYS = {
+    "out": Key(".", lambda v: type(v) is str and "\0" not in v, "a directory path", ALL,
+               {"help": "output directory"}),
+    "theta_points": Key(128, _size(16, even=True), f"an even integer in [16, {MAX_POINTS}]",
+                        ALL, INT),
+    "basis": Key(None, lambda v: v is None or type(v) is int and 1 <= v <= MAX_BASIS,
+                 f"an integer in [1, {MAX_BASIS}]", ALL, INT),
+    "format": Key("csv", lambda v: v in ("csv", "json"), "'csv' or 'json'", ALL,
+                  {"choices": ("csv", "json")}),
+    "gnuplot": Key(False, lambda v: type(v) is bool, "true or false", ALL,
+                   {"action": "store_true"}),
+    "state": Key(None, lambda v: v is None or type(v) is dict and len(v) == 1
+                 and v.keys() <= STATE_KINDS.keys(),
+                 f"null or an object naming one of {', '.join(STATE_KINDS)}", (), {}),
+    "winding_grid": Key(256, _size(1), f"an integer in [1, {MAX_POINTS}]",
+                        ("spectrum", "winding"), INT),
+    "t_points": Key(81, _size(1), f"an integer in [1, {MAX_POINTS}]", ("entropy-surface",), INT),
+    "grid_points": Key(161, _size(2), f"an integer in [2, {MAX_POINTS}]", ("wigner",), INT),
+    "grid_half_width": Key(8.0, lambda v: _finite(v) and v > 0, "a finite number > 0",
+                           ("wigner",), {"type": float}),
+    "levels": Key(8, _size(1), f"an integer in [1, {MAX_POINTS}]", ("solve-potential",), INT),
+}
+
+
+def _numbers(kind: type, count: int | None = None):
+    """argparse type: comma-separated numbers of one kind."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(p) for p in text.replace(" ", "").split(",")]
+        except ValueError:
+            values = []
+        if not values or count not in (None, len(values)):
+            raise argparse.ArgumentTypeError(
+                f"expected {count or 'comma-separated'} {kind.__name__} values, got {text!r}")
+        return values
+    return parse
+
+
+# state flag: (the state kind it sets, its part of that kind's value, the
+# commands that take it, argparse options); a dict part is merged into the
+# same kind's object from the config, anything else replaces the state
+STATE_FLAGS = {
+    "ho_slater": ("ho_slater", lambda v: v, STATEFUL,
+                  {"type": _numbers(int), "help": "occupied oscillator levels, e.g. 0,1,2"}),
+    "interpolated": ("interpolated", lambda v: dict(zip(("t", "phi"), v)), STATEFUL,
+                     {"type": _numbers(float, 2),
+                      "help": "t,phi for the two-fermion interpolation"}),
+    "potential": ("potential_ground", lambda v: {"kind": v}, STATEFUL,
+                  {"choices": POTENTIAL_KINDS}),
+    "potential_expr": ("potential_ground", lambda v: {"kind": "custom", "expression": v},
+                       STATEFUL, {"help": "custom potential expression, e.g. 'x^2/2'"}),
+    "particles": ("potential_ground", lambda v: {"n": v}, STATEFUL, INT),
+    "coherent": ("coherent", lambda v: v if len(v) > 1 else [*v, 0.0], ("wigner",),
+                 {"type": _numbers(float), "help": "coherent-state center, re[,im]"}),
 }
 
 PLOT_CLIP = 30.0
@@ -96,6 +167,10 @@ def fmt_float(v) -> str:
     return repr(v)
 
 
+def _cell(cell) -> str:
+    return cell if isinstance(cell, str) else fmt_float(cell)
+
+
 def _json_value(v):
     if isinstance(v, float) and math.isinf(v):
         return "+inf" if v > 0 else "-inf"
@@ -111,9 +186,7 @@ def write_table(directory: Path, stem: str, fmt: str, header: list[str], rows) -
         (directory / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
         return name
     name = f"{stem}.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt_float(cell) for cell in row))
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
     (directory / name).write_text("\n".join(lines) + "\n")
     return name
 
@@ -124,124 +197,103 @@ def write_sidecar(directory: Path, stem: str, payload: dict) -> str:
     return name
 
 
+def write_outputs(cfg: dict, command: str, sidecar_stem: str, report: dict,
+                  tables=(), matrix=None) -> None:
+    """Write a command's tables, its gnuplot matrix if asked for, and the
+    sidecar holding the command, the resolved config and ``report``.
+
+    ``tables`` holds (stem, header, rows) triples; ``matrix`` the rows of
+    ``<command>_matrix.dat``, cells as in the CSV tables.
+    """
+    out = Path(cfg["out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        files = [write_table(out, stem, cfg["format"], header, rows)
+                 for stem, header, rows in tables]
+        if cfg["gnuplot"] and matrix is not None:
+            files.append(f"{command}_matrix.dat")
+            lines = (" ".join(map(_cell, row)) for row in matrix)
+            (out / files[-1]).write_text("\n".join(lines) + "\n")
+        sidecar = {"command": command, "config": cfg, **report}
+        if files:
+            sidecar["files"] = files
+        write_sidecar(out, sidecar_stem, sidecar)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {str(out)!r}: {exc.strerror or exc}") from exc
+
+
 # ------------------------------------------------------------- configuration
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != n:
-        raise ConfigError(f"{what} expects {n} comma-separated values")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+def _merge_state(state, flags: dict):
+    """The state after the state flags in ``flags`` (see STATE_FLAGS)."""
+    base = state if type(state) is dict else {}
+    given: dict = {}
+    for flag, (kind, part, *_) in STATE_FLAGS.items():
+        if flag in flags:
+            value = part(flags[flag])
+            old = given.get(kind, base.get(kind))
+            given[kind] = {**old, **value} if type(old) is type(value) is dict else value
+    return given or state
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config:
+    """Defaults, then the --config file, then the flags; every value is
+    checked against KEYS and the state against STATE_KINDS."""
+    flags = vars(args)
+    cfg = {key: spec.default for key, spec in KEYS.items()}
+    if flags.get("config"):
         try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
+            loaded = json.loads(Path(flags["config"]).read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config {flags['config']}: {exc}") from exc
+        if type(loaded) is not dict:
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
         cfg.update(loaded)
+    cfg.update((key, value) for key, value in flags.items() if key in KEYS)
+    cfg["state"] = _merge_state(cfg["state"], flags)
 
-    for key in ("out", "format", *NUMERIC_KEYS):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "gnuplot", False):
-        cfg["gnuplot"] = True
-
-    state = cfg.get("state") or {}
-    if not isinstance(state, dict):
-        raise ConfigError(f"state must be a JSON object, got {state!r}")
-    for kind, (ok, what) in STATE_KINDS.items():
-        if kind in state and not ok(state[kind]):
-            raise ConfigError(f"state {kind} must be {what}, got {state[kind]!r}")
-    if getattr(args, "ho_slater", None):
-        try:
-            state = {"ho_slater": [int(p) for p in args.ho_slater.replace(" ", "").split(",") if p]}
-        except ValueError as exc:
-            raise ConfigError(f"--ho-slater: {exc}") from exc
-    if getattr(args, "interpolated", None):
-        t, phi = _parse_floats(args.interpolated, 2, "--interpolated")
-        state = {"interpolated": {"t": t, "phi": phi}}
-    if getattr(args, "potential", None):
-        entry = state.get("potential_ground", {}) if "potential_ground" in state else {}
-        entry["kind"] = args.potential
-        state = {"potential_ground": entry}
-    if getattr(args, "potential_expr", None):
-        entry = state.get("potential_ground", {"kind": "custom"})
-        entry["kind"] = "custom"
-        entry["expression"] = args.potential_expr
-        state = {"potential_ground": entry}
-    if getattr(args, "particles", None) is not None:
-        if "potential_ground" not in state:
-            raise ConfigError("--particles applies to a potential_ground state")
-        state["potential_ground"]["n"] = args.particles
-    if getattr(args, "coherent", None):
-        vals = _parse_floats(args.coherent, 2 if "," in args.coherent else 1, "--coherent")
-        state = {"coherent": vals if len(vals) == 2 else [vals[0], 0.0]}
-    cfg["state"] = state or None
-
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError("format must be 'csv' or 'json'")
-    if type(cfg["out"]) is not str:
-        raise ConfigError(f"out must be a string, got {cfg['out']!r}")
-    if type(cfg["gnuplot"]) is not bool:
-        raise ConfigError(f"gnuplot must be true or false, got {cfg['gnuplot']!r}")
-    for key, (kind, ok, what) in NUMERIC_KEYS.items():
-        val = cfg[key]
-        if key == "basis" and val is None:
-            continue
-        types = (int,) if kind is int else (int, float)
-        if type(val) not in types or not ok(val):
-            raise ConfigError(f"{key} must be {what}, got {val!r}")
+    for key, spec in KEYS.items():
+        if not spec.ok(cfg[key]):
+            raise ConfigError(f"{key} must be {spec.what}, got {cfg[key]!r}")
+    for kind, value in (cfg["state"] or {}).items():
+        ok, what = STATE_KINDS[kind]
+        if not ok(value):
+            raise ConfigError(f"state {kind} must be {what}, got {value!r}")
     return cfg
-
-
-def _particle_count(entry: dict, default: int) -> int:
-    n = int(entry.get("n", default))
-    if n < 1:
-        raise ConfigError("particle number must be at least 1")
-    return n
 
 
 def build_state(cfg: dict) -> tuple[SlaterState, dict]:
     """Resolve the state spec into a SlaterState plus descriptive metadata."""
-    spec = cfg.get("state")
-    if not spec:
+    if not cfg.get("state"):
         raise ConfigError("no state specified (state key or a state flag)")
+    ((kind, spec),) = cfg["state"].items()
     basis = cfg.get("basis")
     try:
-        if "ho_slater" in spec:
-            indices = list(spec["ho_slater"])
-            if basis is None and indices and max(indices) >= MAX_BASIS:
-                raise ConfigError(f"ho_slater index {max(indices)} needs a basis above {MAX_BASIS}")
-            state = ho_slater(indices, basis_size=basis)
-            return state, {"kind": "ho_slater", "indices": indices}
-        if "interpolated" in spec:
-            t = float(spec["interpolated"]["t"])
-            phi = float(spec["interpolated"]["phi"])
+        if kind == "ho_slater":
+            if basis is None and spec and max(spec) >= MAX_BASIS:
+                raise ConfigError(f"ho_slater index {max(spec)} needs a basis above {MAX_BASIS}")
+            return ho_slater(spec, basis_size=basis), {"kind": kind, "indices": spec}
+        if kind == "interpolated":
+            t, phi = float(spec["t"]), float(spec["phi"])
             state = interpolated_state(t, phi, basis_size=basis or 3)
-            return state, {"kind": "interpolated", "t": t, "phi": phi}
-        if "potential_ground" in spec:
-            entry = spec["potential_ground"]
-            n = _particle_count(entry, 1)
-            pot = potentials.potential(entry["kind"], entry.get("expression"))
+            return state, {"kind": kind, "t": t, "phi": phi}
+        if kind == "potential_ground":
+            n = spec.get("n", 1)
+            pot = potentials.potential(spec["kind"], spec.get("expression"))
             bset = potentials.bound_states(pot, n, basis_size=basis or 100)
             return bset.as_slater(), {
-                "kind": "potential_ground",
-                "potential": entry["kind"],
+                "kind": kind,
+                "potential": spec["kind"],
                 "n": n,
                 "energies": [float(e) for e in bset.energies],
             }
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
-    raise ConfigError(f"unrecognized state spec {sorted(spec)}")
+    raise ConfigError(f"a {kind} state is for wigner only")
 
 
 def _chiral_metadata(state: SlaterState, winding_grid: int) -> dict:
@@ -269,105 +321,74 @@ def _chiral_metadata(state: SlaterState, winding_grid: int) -> dict:
 
 
 def cmd_spectrum(cfg: dict) -> int:
+    """entanglement spectrum over cut angles"""
     state, state_meta = build_state(cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     data = entanglement.pses_sweep(state, thetas)
-
     rows = [(theta, str(level), eps) for theta, row in zip(data.thetas, data.energies)
             for level, eps in enumerate(row)]
-    spectrum_file = write_table(out, "spectrum", cfg["format"], ["theta", "level", "epsilon"], rows)
-    entropy_file = write_table(
-        out, "entropy", cfg["format"], ["theta", "entropy"],
-        list(zip(data.thetas, data.entropy)),
-    )
-
-    files = [spectrum_file, entropy_file]
-    if cfg["gnuplot"]:
-        clipped = np.clip(data.energies, -PLOT_CLIP, PLOT_CLIP)
-        lines = [" ".join(map(fmt_float, [t, *row])) for t, row in zip(data.thetas, clipped)]
-        (out / "spectrum_matrix.dat").write_text("\n".join(lines) + "\n")
-        files.append("spectrum_matrix.dat")
-
-    meta = _chiral_metadata(state, cfg["winding_grid"])
-    sidecar = {
-        "command": "spectrum",
-        "config": _config_payload(cfg),
+    report = {
         "state": state_meta,
         "n_particles": state.n_particles,
         "basis_size": state.basis_size,
         "gap_min": _json_value(float(np.min(data.gap))),
-        "entropy_file": entropy_file,
-        "files": files,
-        **meta,
+        "entropy_file": f"entropy.{cfg['format']}",
+        **_chiral_metadata(state, cfg["winding_grid"]),
     }
-    write_sidecar(out, "spectrum_meta", sidecar)
+    write_outputs(cfg, "spectrum", "spectrum_meta", report, tables=[
+        ("spectrum", ["theta", "level", "epsilon"], rows),
+        ("entropy", ["theta", "entropy"], list(zip(data.thetas, data.entropy))),
+    ], matrix=np.column_stack([data.thetas, np.clip(data.energies, -PLOT_CLIP, PLOT_CLIP)]))
     return 0
 
 
 def cmd_winding(cfg: dict) -> int:
+    """chiral winding invariant"""
     state, state_meta = build_state(cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     ps = chiral.parity_sort(state)
-    payload = {
-        "command": "winding",
-        "config": _config_payload(cfg),
-        "state": state_meta,
-        "n_even": ps.n_even,
-        "n_odd": ps.n_odd,
-    }
+    report = {"state": state_meta, "n_even": ps.n_even, "n_odd": ps.n_odd}
     if ps.n_even != ps.n_odd:
-        payload.update(nu_E=None, flat_bands=chiral.flat_band_count(ps), closings=[])
-        write_sidecar(out, "winding", payload)
-        print(f"flat bands: {chiral.flat_band_count(ps)} (n_even={ps.n_even}, n_odd={ps.n_odd})")
+        flat = chiral.flat_band_count(ps)
+        write_outputs(cfg, "winding", "winding",
+                      {**report, "nu_E": None, "flat_bands": flat, "closings": []})
+        print(f"flat bands: {flat} (n_even={ps.n_even}, n_odd={ps.n_odd})")
         return 0
     try:
         nu, k_used, min_det = chiral.winding_scan(ps, grid_size=cfg["winding_grid"])
     except GapClosed:
-        closings = chiral.detect_gap_closings(ps)
-        payload.update(nu_E=None, K_used=None, min_abs_det=0.0,
-                       closings=[float(c) for c in closings])
-        write_sidecar(out, "winding", payload)
+        closings = [float(c) for c in chiral.detect_gap_closings(ps)]
+        write_outputs(cfg, "winding", "winding", {**report, "nu_E": None, "K_used": None,
+                                                  "min_abs_det": 0.0, "closings": closings})
         print("gap closed; winding undefined", file=sys.stderr)
         return 4
-    payload.update(nu_E=nu, K_used=k_used, min_abs_det=min_det, closings=[])
-    write_sidecar(out, "winding", payload)
+    write_outputs(cfg, "winding", "winding", {**report, "nu_E": nu, "K_used": k_used,
+                                              "min_abs_det": min_det, "closings": []})
     print(f"nu_E = {nu}")
     return 0
 
 
 def cmd_entropy_surface(cfg: dict) -> int:
-    spec = cfg.get("state") or {}
+    """entropy over (t, theta)"""
+    spec = cfg["state"] or {}
     if "interpolated" not in spec:
         raise ConfigError("entropy-surface requires an interpolated state spec")
     phi = float(spec["interpolated"]["phi"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    t_grid = np.linspace(0.0, 1.0, int(cfg["t_points"]))
+    t_grid = np.linspace(0.0, 1.0, cfg["t_points"])
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     entropy = np.array([entanglement.pses_sweep(interpolated_state(float(t), phi), thetas).entropy
                         for t in t_grid])
     rows = [(t, theta, s) for t, row in zip(t_grid, entropy) for theta, s in zip(thetas, row)]
     i, j = np.unravel_index(np.argmax(entropy), entropy.shape)
     best = (float(entropy[i, j]), float(t_grid[i]), float(thetas[j]))
-    table = write_table(out, "entropy_surface", cfg["format"], ["t", "theta", "entropy"], rows)
-    sidecar = {
-        "command": "entropy-surface",
-        "config": _config_payload(cfg),
-        "phi": phi,
-        "max_entropy": best[0],
-        "argmax": {"t": best[1], "theta": best[2]},
-        "files": [table],
-    }
-    write_sidecar(out, "entropy_surface_meta", sidecar)
+    report = {"phi": phi, "max_entropy": best[0], "argmax": {"t": best[1], "theta": best[2]}}
+    write_outputs(cfg, "entropy-surface", "entropy_surface_meta", report,
+                  tables=[("entropy_surface", ["t", "theta", "entropy"], rows)])
     print(f"max entropy {best[0]:.6f} at t={best[1]:.4f}, theta={best[2]:.4f}")
     return 0
 
 
 def _wigner_operator(cfg: dict):
-    spec = cfg.get("state") or {}
+    spec = cfg["state"] or {}
     if "coherent" in spec:
         w = complex(*spec["coherent"])
         return ("coherent", w), {"kind": "coherent", "w": [w.real, w.imag]}
@@ -377,86 +398,57 @@ def _wigner_operator(cfg: dict):
 
 
 def cmd_wigner(cfg: dict) -> int:
+    """Wigner field of a state or 1-RDM"""
     (mode, op), state_meta = _wigner_operator(cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     half = float(cfg["grid_half_width"])
-    pts = int(cfg["grid_points"])
-    axis = np.linspace(-half, half, pts)
+    axis = np.linspace(-half, half, cfg["grid_points"])
     if mode == "coherent":
         field = phasespace.coherent_wigner(op, axis, axis)
     else:
         field = phasespace.wigner_of_state(op, axis, axis)
-    rows = []
-    for i, xv in enumerate(field.x):
-        for j, pv in enumerate(field.p):
-            val = field.values[i, j]
-            rows.append((xv, pv, float(val.real), float(val.imag)))
-    table = write_table(out, "wigner", cfg["format"], ["x", "p", "w_re", "w_im"], rows)
-    files = [table]
-    if cfg["gnuplot"]:
-        lines = [" ".join([str(len(field.x))] + [fmt_float(v) for v in field.x])]
-        for j, pv in enumerate(field.p):
-            lines.append(" ".join([fmt_float(pv)] + [fmt_float(field.values[i, j].real)
-                                                     for i in range(len(field.x))]))
-        (out / "wigner_matrix.dat").write_text("\n".join(lines) + "\n")
-        files.append("wigner_matrix.dat")
-    sidecar = {
-        "command": "wigner",
-        "config": _config_payload(cfg),
-        "state": state_meta,
-        "is_diagonal": field.is_diagonal,
-        "files": files,
-    }
-    write_sidecar(out, "wigner_meta", sidecar)
+    rows = [(xv, pv, float(w.real), float(w.imag))
+            for xv, row in zip(field.x, field.values) for pv, w in zip(field.p, row)]
+    matrix = itertools.chain([[str(len(field.x)), *field.x]],
+                             ([pv, *col] for pv, col in zip(field.p, field.values.real.T)))
+    write_outputs(cfg, "wigner", "wigner_meta",
+                  {"state": state_meta, "is_diagonal": field.is_diagonal},
+                  tables=[("wigner", ["x", "p", "w_re", "w_im"], rows)], matrix=matrix)
     return 0
 
 
 def cmd_solve_potential(cfg: dict) -> int:
-    spec = cfg.get("state") or {}
-    entry = spec.get("potential_ground")
+    """bound states of a 1D well"""
+    entry = (cfg["state"] or {}).get("potential_ground")
     if not entry:
         raise ConfigError("solve-potential requires a potential spec")
     try:
         pot = potentials.potential(entry["kind"], entry.get("expression"))
-        levels = _particle_count(entry, cfg["levels"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
-    basis = cfg.get("basis") or 100
-    bset = potentials.bound_states(pot, levels, basis_size=basis)
+    levels = entry.get("n", cfg["levels"])
+    bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or 100)
     parities = potentials.parity_check(bset)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (str(i), e, "asym" if par is None else f"{par:+d}")
-        for i, (e, par) in enumerate(zip(bset.energies, parities))
-    ]
-    table = write_table(out, "bound_states", cfg["format"], ["n", "energy", "parity"], rows)
-    coeff_header = ["n"]
-    for m in range(bset.basis_size):
-        coeff_header += [f"re_{m}", f"im_{m}"]
-    coeff_rows = []
-    for i, row in enumerate(bset.states):
-        cells = [str(i)]
-        for v in row:
-            cells += [float(np.real(v)), float(np.imag(v))]
-        coeff_rows.append(tuple(cells))
-    coeff_table = write_table(out, "coefficients", cfg["format"], coeff_header, coeff_rows)
-    sidecar = {
-        "command": "solve-potential",
-        "config": _config_payload(cfg),
+    rows = [(str(i), e, "asym" if par is None else f"{par:+d}")
+            for i, (e, par) in enumerate(zip(bset.energies, parities))]
+    coeff_header = ["n", *(f"{part}_{m}" for m in range(bset.basis_size) for part in ("re", "im"))]
+    coeff_rows = [(str(i), *(float(part) for v in row for part in (v.real, v.imag)))
+                  for i, row in enumerate(bset.states)]
+    report = {
         "potential": entry["kind"],
         "levels": levels,
         "basis_size": bset.basis_size,
         "quadrature_order": bset.quadrature_order,
         "energies": [float(e) for e in bset.energies],
-        "files": [table, coeff_table],
     }
-    write_sidecar(out, "solve_potential_meta", sidecar)
+    write_outputs(cfg, "solve-potential", "solve_potential_meta", report, tables=[
+        ("bound_states", ["n", "energy", "parity"], rows),
+        ("coefficients", coeff_header, coeff_rows),
+    ])
     return 0
 
 
 def cmd_frft_check(cfg: dict) -> int:
+    """rotation-kernel oracle suite"""
     rng = np.random.default_rng(20240601)
     checks: list[tuple[str, float, float]] = []
 
@@ -516,63 +508,30 @@ def cmd_frft_check(cfg: dict) -> int:
     return 0 if ok else 3
 
 
-def _config_payload(cfg: dict) -> dict:
-    payload = {k: cfg[k] for k in sorted(DEFAULTS) if k != "state"}
-    payload["state"] = cfg.get("state")
-    return payload
-
-
 # ---------------------------------------------------------------- dispatcher
 
 
-def _add_common(parser: argparse.ArgumentParser, state_flags: bool = True) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--theta-points", type=int, dest="theta_points")
-    parser.add_argument("--basis", type=int)
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--gnuplot", action="store_true")
-    if state_flags:
-        parser.add_argument("--ho-slater", dest="ho_slater",
-                            help="occupied oscillator levels, e.g. 0,1,2")
-        parser.add_argument("--interpolated", help="t,phi for the two-fermion interpolation")
-        parser.add_argument("--potential", choices=potentials.BUILTIN_KINDS + ("custom",))
-        parser.add_argument("--potential-expr", dest="potential_expr",
-                            help="custom potential expression, e.g. 'x^2/2'")
-        parser.add_argument("--particles", type=int)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command; its flags come from KEYS and STATE_FLAGS.
+
+    Flags default to absent, so the namespace holds only the flags given.
+    """
+    parser = _Parser(
         prog="psesk",
         description="Phase-space entanglement spectra of 1D free-fermion states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="entanglement spectrum over cut angles")
-    _add_common(p)
-    p.add_argument("--winding-grid", type=int, dest="winding_grid")
-
-    p = sub.add_parser("winding", help="chiral winding invariant")
-    _add_common(p)
-    p.add_argument("--winding-grid", type=int, dest="winding_grid")
-
-    p = sub.add_parser("entropy-surface", help="entropy over (t, theta)")
-    _add_common(p)
-    p.add_argument("--t-points", type=int, dest="t_points")
-
-    p = sub.add_parser("wigner", help="Wigner field of a state or 1-RDM")
-    _add_common(p)
-    p.add_argument("--coherent", help="coherent-state center, re[,im]")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--grid-half-width", type=float, dest="grid_half_width")
-
-    p = sub.add_parser("solve-potential", help="bound states of a 1D well")
-    _add_common(p)
-    p.add_argument("--levels", type=int)
-
-    p = sub.add_parser("frft-check", help="rotation-kernel oracle suite")
-    _add_common(p, state_flags=False)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for key, (*_, commands, options) in [*KEYS.items(), *STATE_FLAGS.items()]:
+            if name in commands:
+                p.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 
@@ -586,20 +545,24 @@ COMMANDS = {
 }
 
 
+def _fail(code: int, label: str, exc) -> int:
+    print(" ".join(f"{label}: {exc}".splitlines()), file=sys.stderr)  # one line
+    return code
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, "config error", exc)
     except GapClosed as exc:
-        print(f"GapClosed: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, "GapClosed", exc)
     except NUMERIC_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, type(exc).__name__, exc)
+    except MemoryError as exc:
+        return _fail(3, "MemoryError", str(exc) or "result too large to allocate")
 
 
 def entry_point() -> None:

@@ -185,9 +185,14 @@ def expand_function(
     nodes, w = reweighted_rule(order)
     fv = np.asarray(f(nodes), dtype=complex)
     phi = ho_stack(basis_size - 1, nodes)
-    coeffs = phi @ (w * fv)
-    total = float(np.sum(w * np.abs(fv) ** 2))
+    with np.errstate(invalid="ignore"):  # a non-finite projection raises below
+        coeffs = phi @ (w * fv)
+        total = float(np.sum(w * np.abs(fv) ** 2))
     captured = float(np.sum(np.abs(coeffs) ** 2))
+    if not math.isfinite(total + captured):
+        raise TruncationError(
+            f"projection is not finite at basis size {basis_size} (quadrature order {order})"
+        )
     tail = (total - captured) / total if total > 0 else 0.0
     if tail > tail_tol:
         raise TruncationError(

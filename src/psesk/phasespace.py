@@ -36,6 +36,7 @@ from .specfun import assoc_laguerre
 __all__ = [
     "DegenerateAngle",
     "EdgeLeakage",
+    "FieldOverflow",
     "WignerField",
     "default_grid",
     "frft_kernel",
@@ -62,6 +63,10 @@ class DegenerateAngle(Exception):
 
 class EdgeLeakage(Exception):
     """Samples do not decay at the grid edges; quadrature would alias."""
+
+
+class FieldOverflow(Exception):
+    """The Laguerre terms overflow where exp(-2|z|^2) underflows (far grid points)."""
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,7 @@ def _operator_matrix(op) -> np.ndarray:
     raise ValueError("expected coefficients or a square operator matrix")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite field raises below
 def wigner_of_state(
     op,
     x: Optional[np.ndarray] = None,
@@ -259,6 +265,11 @@ def wigner_of_state(
             if nu > 0:
                 values += np.conj(block * acc_up)
         power = power * two_zbar
+    if not np.all(np.isfinite(values)):
+        reach = max(np.max(np.abs(x)), np.max(np.abs(p)))
+        raise FieldOverflow(
+            f"Wigner field of a basis-{size} operator is not finite on a grid reaching {reach:.3g}"
+        )
     return WignerField(x=x, p=p, values=values, is_diagonal=hermitian)
 
 

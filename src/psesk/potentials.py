@@ -88,6 +88,8 @@ def potential(kind: str, expression: Optional[str] = None) -> PotentialSpec:
     return PotentialSpec(kind=kind, sampler=_builtin_sampler(kind))
 
 
+# bounds the parser's recursion and the depth of the compiled sampler
+MAX_EXPRESSION_TOKENS = 256
 _TOKEN = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|sech|tanh|exp|x|[()+\-*/^])")
 _FUNCS = {"sech": lambda v: 1.0 / np.cosh(v), "tanh": np.tanh, "exp": np.exp}
 
@@ -95,7 +97,8 @@ _FUNCS = {"sech": lambda v: 1.0 / np.cosh(v), "tanh": np.tanh, "exp": np.exp}
 def parse_potential_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression over +, -, *, /, ^, sech, tanh, exp, x, literals.
 
-    Standard precedence, right-associative ^; returns a vectorized sampler.
+    Standard precedence, right-associative ^; returns a vectorized sampler
+    that evaluates without floating-point warnings (callers check finiteness).
     """
     tokens = []
     pos = 0
@@ -107,6 +110,8 @@ def parse_potential_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
             break
         tokens.append(m.group(1))
         pos = m.end()
+    if len(tokens) > MAX_EXPRESSION_TOKENS:
+        raise ValueError(f"expression has more than {MAX_EXPRESSION_TOKENS} tokens")
     tokens.append(None)  # sentinel
 
     cursor = [0]
@@ -184,15 +189,14 @@ def parse_potential_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     fn = parse_expr()
     if peek() is not None:
         raise ValueError(f"trailing input {peek()!r} in {text!r}")
-    return fn
+    return np.errstate(all="ignore")(fn)
 
 
 def kinetic_matrix(basis_size: int) -> np.ndarray:
     """<phi_m| p^2/2 |phi_n>: pentadiagonal from p^2 = -(a - a^dag)^2 / 2."""
-    n = np.arange(basis_size)
-    t = np.diag((2.0 * n + 1.0) / 4.0)
-    off = -np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 4.0
-    t += np.diag(off, 2) + np.diag(off, -2)
+    t = np.diag((2.0 * np.arange(basis_size) + 1.0) / 4.0)
+    k = np.arange(basis_size - 2)  # empty below basis size 3
+    t[k, k + 2] = t[k + 2, k] = -np.sqrt((k + 1.0) * (k + 2.0)) / 4.0
     return t
 
 

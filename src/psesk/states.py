@@ -23,7 +23,7 @@ class SlaterState:
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         gram = c @ c.conj().T
         dev = np.max(np.abs(gram - np.eye(c.shape[0])))
-        if dev > ORTHONORMALITY_TOL:
+        if not dev <= ORTHONORMALITY_TOL:  # a NaN deviation fails too
             raise ValueError(f"rows are not orthonormal (deviation {dev:.2e})")
         object.__setattr__(self, "coeffs", c)
 

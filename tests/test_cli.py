@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from psesk.cli import main
+from psesk.cli import KEYS, STATE_FLAGS, build_parser, main
 
 
 def read_csv(path):
@@ -239,6 +243,23 @@ BAD_INPUTS = [
     (["wigner", "--coherent", "1,2,3"], None),
     (["spectrum", "--ho-slater", "0,1"], {"out": 7}),
     (["spectrum", "--ho-slater", "0,1"], {"gnuplot": "no"}),
+    (["spectrum", "--interpolated", "0.3,nan"], None),
+    (["spectrum", "--interpolated", "inf,1"], None),
+    (["spectrum", "--interpolated", "0.3"], None),
+    (["wigner", "--coherent", "nan"], None),
+    (["spectrum"], {"state": {"potential_ground": {"kind": "custom", "expression": 7}}}),
+    (["spectrum"], {"state": {"interpolated": {"t": 10**400, "phi": 1.0}}}),
+    (["spectrum", "--theta-points", "x"], None),
+    (["spectrum", "--bogus"], None),
+    (["spectrum", "--potential", "foo"], None),
+    ([], None),
+    (["spectrum", "--ho-slater", "0,1"], {"thetapoints": 64}),
+    (["spectrum"], {"state": {"ho_slater": [0, 1], "interpolated": {"t": 0.3, "phi": 1.0}}}),
+    (["spectrum", "--ho-slater", "0,1", "--interpolated", "0.3,1"], None),
+    (["spectrum", "--ho-slater", "0,1", "--theta-points", str(2**24 + 2)], None),
+    (["spectrum", "--ho-slater", "0,1"], {"out": "cfg.json"}),
+    (["spectrum", "--ho-slater", "0,1"], {"out": "a\0b"}),
+    (["solve-potential", "--potential-expr", "x" + "+x" * 2000], None),
 ]
 
 
@@ -261,11 +282,38 @@ def test_winding_beyond_old_table_cap(tmp_path):
     assert json.loads((tmp_path / "winding.json").read_text())["nu_E"] == 1
 
 
+NUMERIC_FAILURES = [
+    (["solve-potential", "--potential", "poschl_teller", "--levels", "12"], "NotEnoughBoundStates"),
+    (["solve-potential", "--potential-expr", "1/0"], "QuadratureOverflow"),
+    # the Laguerre terms overflow where exp(-2|z|^2) underflows
+    (["wigner", "--ho-slater", "300", "--grid-half-width", "20", "--grid-points", "5"],
+     "FieldOverflow"),
+]
+
+
 def test_numeric_error_exit_code(tmp_path, capsys):
-    rc = main(["solve-potential", "--potential", "poschl_teller", "--levels", "12",
-               "--out", str(tmp_path)])
-    assert rc == 3
-    assert "NotEnoughBoundStates" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, error in NUMERIC_FAILURES:
+            assert main(argv + ["--out", str(tmp_path)]) == 3, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"{error}:"), (argv, err)
+
+
+def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from psesk import entanglement, phasespace
+
+    def no_memory(message):
+        def kernel(*args, **kwargs):
+            raise MemoryError(*message)
+        return kernel
+
+    monkeypatch.setattr(entanglement, "pses_sweep", no_memory(["Unable to allocate 8 TiB"]))
+    monkeypatch.setattr(phasespace, "wigner_of_state", no_memory([]))
+    for argv, line in ((["spectrum", "--ho-slater", "0,1"], "Unable to allocate 8 TiB"),
+                       (["wigner", "--ho-slater", "0"], "result too large to allocate")):
+        assert main(argv + ["--out", str(tmp_path)]) == 3, argv
+        assert capsys.readouterr().err.splitlines() == [f"MemoryError: {line}"], argv
 
 
 UNDERFLOWING_BASIS_INPUTS = [
@@ -313,3 +361,125 @@ def test_frft_check_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+# ------------------------------------------------------------ boundary fuzz
+
+# frft-check takes no state and runs a fixed 0.6 s oracle suite
+FUZZ_COMMANDS = ["spectrum", "winding", "entropy-surface", "wigner", "solve-potential"]
+# small valid sizes keep a run that succeeds to milliseconds
+SMALL = {"theta_points": 16, "grid_points": 9, "t_points": 2, "basis": 12, "levels": 2,
+         "winding_grid": 16}
+# valid flag values; --out values stay inside the working directory
+FLAG_VALUES = {
+    "--out": ["o", "o/p"], "--theta-points": ["16", "64"], "--basis": ["4", "12", "40"],
+    "--format": ["csv", "json"], "--gnuplot": [], "--winding-grid": ["1", "64"],
+    "--t-points": ["1", "3"], "--grid-points": ["2", "41"], "--grid-half-width": ["2.5", "6"],
+    "--levels": ["1", "3"], "--ho-slater": ["0", "0,1", "1,2,3,4"],
+    "--interpolated": ["0.3,1", "0.61,2.0944"], "--potential": ["sho", "double_well", "rosen_morse"],
+    "--potential-expr": ["x^2/2", "exp(x^2)", "1/0"], "--particles": ["1", "3"],
+    "--coherent": ["1", "0,1.5"],
+}
+# finite values, and the non-finite or oversized ones that must be rejected
+NUMBER = st.one_of(st.floats(0, 1), st.sampled_from([math.nan, math.inf, 10**400, True]))
+CONFIG_VALUES = {
+    "out": st.sampled_from(["", "o", "o/p"]), "format": st.sampled_from(["csv", "json"]),
+    "gnuplot": st.booleans(), "theta_points": st.sampled_from([16, 32, 64]),
+    "basis": st.integers(1, 40), "t_points": st.integers(1, 3), "levels": st.integers(1, 4),
+    "grid_points": st.integers(2, 41),
+    "grid_half_width": st.one_of(st.floats(0.5, 8), st.sampled_from([1e200, 10**400])),
+    "winding_grid": st.sampled_from([1, 16, 64]),
+    "state": st.one_of(
+        st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True).map(
+            lambda v: {"ho_slater": sorted(v)}),
+        st.builds(lambda t, phi: {"interpolated": {"t": t, "phi": phi}}, NUMBER, NUMBER),
+        st.builds(lambda kind, n: {"potential_ground": {"kind": kind, "n": n}},
+                  st.sampled_from(["sho", "double_well", "poschl_teller", "rosen_morse"]),
+                  st.integers(1, 4)),
+        st.sampled_from(["x^2/2", "1/0", "exp(x^2)"]).map(
+            lambda e: {"potential_ground": {"kind": "custom", "expression": e}}),
+        st.lists(NUMBER, min_size=1, max_size=2).map(lambda w: {"coherent": w}),
+    ),
+}
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**24 + 2, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.characters(exclude_characters="/.\\"), max_size=3),  # an out value stays in cwd
+    st.lists(st.one_of(st.integers(-1, 3), st.floats()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# one bad input per run, or none: a config value, a state part, or a flag
+CORRUPTION = st.one_of(
+    st.none(),
+    st.tuples(st.just("config"), st.sampled_from([*KEYS, "thetapoints", "Basis"]), JUNK),
+    st.tuples(st.just("state"), st.sampled_from(["ho_slater", "interpolated", "potential_ground",
+                                                 "coherent", "squeezed"]), JUNK),
+    st.tuples(st.just("flag"), st.sampled_from([*FLAG_VALUES, "--bogus", "-x", "--theta"]),
+              st.one_of(st.sampled_from(["nan", "inf,1", "0.3,nan", "-1", "1e400", "0,,1", "x^", ""]),
+                        st.text(alphabet="0123456789,-enaix", max_size=3))),
+)
+
+
+def command_flags(command):
+    table = [*KEYS.items(), *STATE_FLAGS.items()]
+    return ["--" + key.replace("_", "-") for key, (*_, commands, _) in table if command in commands]
+
+
+def flag_with_value(command):
+    flag = st.sampled_from(command_flags(command))
+    return flag.flatmap(lambda f: st.sampled_from([[f, v] for v in FLAG_VALUES[f]] or [[f]]))
+
+
+CASES = st.tuples(
+    st.sampled_from(FUZZ_COMMANDS).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(flag_with_value(c), max_size=3))),
+    st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+    CORRUPTION,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(CASES)
+def test_cli_boundary_fuzz(capsys, monkeypatch, case):
+    (command, flags), config, corruption = case
+    argv = [command, *(token for flag in flags for token in flag)]
+    config = {**SMALL, **config}
+    if corruption is not None:
+        where, key, value = corruption
+        if where == "config":
+            config[key] = value
+        elif where == "state":
+            config["state"] = {**(config.get("state") or {}), key: value}
+        else:
+            argv += [key, value]
+    with tempfile.TemporaryDirectory() as work:
+        monkeypatch.chdir(work)
+        Path(work, "cfg.json").write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--config", "cfg.json"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in (0, 2, 3, 4), (argv, config, rc)
+        if rc != 0:
+            assert len(err) == 1 and not caught, (argv, config, err, [str(w.message) for w in caught])
+        else:  # no meaningless result: every written number is finite or a +-inf energy
+            outputs = [p for p in Path(work).rglob("*") if p.is_file() and p.name != "cfg.json"]
+            assert all("nan" not in p.read_text().lower() for p in outputs), (argv, config)
+
+
+def test_command_flag_sets():
+    common = {"--config", "--out", "--theta-points", "--basis", "--format", "--gnuplot"}
+    state = {"--ho-slater", "--interpolated", "--potential", "--potential-expr", "--particles"}
+    want = {
+        "spectrum": common | state | {"--winding-grid"},
+        "winding": common | state | {"--winding-grid"},
+        "entropy-surface": common | state | {"--t-points"},
+        "wigner": common | state | {"--coherent", "--grid-points", "--grid-half-width"},
+        "solve-potential": common | state | {"--levels"},
+        "frft-check": common,
+    }
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    got = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+           for name, sub in subparsers.items()}
+    assert got == want

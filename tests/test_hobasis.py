@@ -121,6 +121,14 @@ def test_expand_reports_truncation_failure():
         hobasis.expand_function(wide, basis_size=4)
 
 
+def test_expand_raises_on_non_finite_projection():
+    # from order 766 on the outer reweighted nodes carry w = +inf
+    ground = lambda x: np.exp(-x * x / 2.0) * math.pi ** -0.25
+    assert abs(hobasis.expand_function(ground, basis_size=366).coeffs[0] - 1.0) < 1e-12
+    with pytest.raises(hobasis.TruncationError, match="not finite"):
+        hobasis.expand_function(ground, basis_size=400)
+
+
 def test_expand_rejects_low_order():
     with pytest.raises(ValueError):
         hobasis.expand_function(lambda x: np.exp(-x * x / 2), basis_size=10, order=10)

@@ -14,6 +14,9 @@ def test_kinetic_corner_element():
     assert t[0, 0] == pytest.approx(0.25)
     assert t[0, 2] == pytest.approx(-math.sqrt(2.0) / 4.0)
     assert np.allclose(t, t.T)
+    # bases below 3 have no off-diagonal band
+    for m in (1, 2):
+        assert np.array_equal(pot.kinetic_matrix(m), t[:m, :m])
 
 
 def test_sho_hamiltonian_is_diagonal_level_ladder():

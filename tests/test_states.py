@@ -27,6 +27,9 @@ def test_orthonormality_enforced():
     bad = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         SlaterState(bad)
+    # a NaN deviation is not within tolerance
+    with pytest.raises(ValueError):
+        SlaterState(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
 def test_interpolated_endpoints():
