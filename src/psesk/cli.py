@@ -37,7 +37,6 @@ NUMERIC_ERRORS = (
     chiral.EmptyBlock,
     phasespace.DegenerateAngle,
     phasespace.EdgeLeakage,
-    phasespace.FieldOverflow,
     potentials.QuadratureOverflow,
     potentials.NotEnoughBoundStates,
 )
@@ -46,9 +45,8 @@ NUMERIC_ERRORS = (
 ALL = ("spectrum", "winding", "entropy-surface", "wigner", "solve-potential", "frft-check")
 STATEFUL = ALL[:-1]
 
-# the overlap table is exact from boundary values at any index, but the
-# quadrature oracle (ho_stack) confirms it only up to index ~680, past which
-# exp(-x^2/2) underflows inside the oscillators' classical region
+# the overlap table, ho_stack (so the quadrature oracle, translated cuts and
+# Wigner fields) and the Galerkin solve are all exact up to this basis
 MAX_BASIS = 1024
 # keeps every array dimension, and the product of two, inside numpy's index
 # range: a larger size request fails with MemoryError (exit 3), never ValueError
@@ -178,16 +176,18 @@ def _json_value(v):
 
 
 def write_table(directory: Path, stem: str, fmt: str, header: list[str], rows) -> str:
-    if fmt == "json":
-        name = f"{stem}.json"
-        payload = [
-            {key: _json_value(cell) for key, cell in zip(header, row)} for row in rows
-        ]
-        (directory / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
-        return name
-    name = f"{stem}.csv"
-    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
-    (directory / name).write_text("\n".join(lines) + "\n")
+    """Stream ``rows`` to ``<stem>.csv`` or ``<stem>.json`` one row at a time."""
+    name = f"{stem}.{fmt}"
+    with (directory / name).open("w") as f:
+        if fmt == "json":
+            f.write("[")
+            for k, row in enumerate(rows):
+                item = {key: _json_value(cell) for key, cell in zip(header, row)}
+                f.write((", " if k else "") + json.dumps(item, sort_keys=True))
+            f.write("]\n")
+        else:
+            f.write(",".join(header) + "\n")
+            f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     return name
 
 
@@ -212,8 +212,8 @@ def write_outputs(cfg: dict, command: str, sidecar_stem: str, report: dict,
                  for stem, header, rows in tables]
         if cfg["gnuplot"] and matrix is not None:
             files.append(f"{command}_matrix.dat")
-            lines = (" ".join(map(_cell, row)) for row in matrix)
-            (out / files[-1]).write_text("\n".join(lines) + "\n")
+            with (out / files[-1]).open("w") as f:
+                f.writelines(" ".join(map(_cell, row)) + "\n" for row in matrix)
         sidecar = {"command": command, "config": cfg, **report}
         if files:
             sidecar["files"] = files

@@ -5,9 +5,9 @@ Unit conventions: hbar = m = omega = 1, so the oscillator Hamiltonian is
 
     phi_n(x) = pi^{-1/4} (2^n n!)^{-1/2} H_n(x) exp(-x^2/2).
 
-phi_n is evaluated by a normalized recurrence (the Gaussian and the
-normalization ride inside the recurrence), which stays finite for n ~ 100
-at |x| ~ 20 where H_n alone overflows.
+phi_n is evaluated by one scaled recurrence (ho_stack) that neither
+overflows where H_n does nor underflows where exp(-x^2/2) does (|x| > 37.7),
+so every phi_n up to the CLI's basis limit of 1024 is accurate at every x.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 DEFAULT_BASIS_SIZE = 100
+RESCALE = 1e150  # ho_stack divides its recurrence by this where it passes it
+FAR_MARGIN = 90.0  # past sqrt(2 n + 1) + FAR_MARGIN, phi_n(x) is below any double
 
 
 class TruncationError(Exception):
@@ -78,25 +80,37 @@ def ho_wavefunction(n: int, x):
     """Normalized oscillator eigenfunction phi_n(x); scalar or array x."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    f_prev = math.pi ** -0.25 * np.exp(-x * x / 2.0)
-    if n == 0:
-        return f_prev if f_prev.ndim else float(f_prev)
-    f = math.sqrt(2.0) * x * f_prev
-    for k in range(2, n + 1):
-        f_prev, f = f, math.sqrt(2.0 / k) * x * f - math.sqrt((k - 1.0) / k) * f_prev
-    return f if f.ndim else float(f)
+    row = ho_stack(n, x)[n]
+    return row if np.ndim(x) else float(row[0])
 
 
-def ho_stack(n_max: int, x: np.ndarray) -> np.ndarray:
-    """All of phi_0 .. phi_{n_max} at the points x, shape (n_max+1, len(x))."""
+def ho_stack(n_max: int, x) -> np.ndarray:
+    """All of phi_0 .. phi_{n_max} at the points x, shape (n_max+1, *x.shape).
+
+    The recurrence runs on phi_k exp(x^2/2) from pi^{-1/4}.  Every 16 steps,
+    points past RESCALE are divided by it and their log scale raised; each
+    finished block of rows is then multiplied by exp(log scale - x^2/2).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1, len(x)))
-    out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
+    far = np.abs(x) > math.sqrt(2.0 * n_max + 1.0) + FAR_MARGIN
+    x = np.where(far, 0.0, x)
+    out = np.empty((n_max + 1, *x.shape))
+    log_scale = -0.5 * x * x  # out[start:] holds phi_k * exp(-log_scale)
+    start = 0
+    out[0] = math.pi ** -0.25
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
     for k in range(2, n_max + 1):
         out[k] = math.sqrt(2.0 / k) * x * out[k - 1] - math.sqrt((k - 1.0) / k) * out[k - 2]
+        if k % 16 == 0:
+            big = np.maximum(np.abs(out[k - 1]), np.abs(out[k])) > RESCALE
+            if np.any(big):
+                out[start : k - 1] *= np.exp(log_scale)
+                out[k - 1 : k + 1, big] /= RESCALE
+                log_scale[big] += math.log(RESCALE)
+                start = k - 1
+    out[start:] *= np.exp(log_scale)
+    out[:, far] = 0.0
     return out
 
 
@@ -118,26 +132,16 @@ def _hermite_nodes(order: int) -> np.ndarray:
     return np.concatenate([-s, np.zeros(order % 2), s[::-1]])
 
 
-def _christoffel_sums(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_q and sum_{n<order} phi_n(x_q)^2 (zero where phi underflows)."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    nodes = _hermite_nodes(order)
-    phi = ho_stack(order - 1, nodes)
-    return nodes, np.sum(phi * phi, axis=0)
-
-
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule via the Golub-Welsch Jacobi-matrix eigenproblem.
 
     Nodes are the Jacobi-matrix eigenvalues (see _hermite_nodes); weights
     follow from the Christoffel identity w_q = exp(-x_q^2) / sum_n phi_n(x_q)^2
-    and read 0 where both factors underflow (|x| > ~38.6).  Integrates
+    and read 0 where exp(-x_q^2) underflows (|x| > ~27.3).  Integrates
     exp(-x^2) * p(x) exactly for polynomials p up to degree 2*order - 1.
     """
-    nodes, sums = _christoffel_sums(order)
-    weights = np.divide(np.exp(-nodes * nodes), sums, out=np.zeros(order), where=sums > 0.0)
-    return QuadratureRule(nodes, weights, order)
+    nodes, w = reweighted_rule(order)
+    return QuadratureRule(nodes, np.exp(-nodes * nodes) * w, order)
 
 
 def reweighted_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +151,14 @@ def reweighted_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     Gaussian-type decay.  The naive product weight * exp(node^2) underflows
     at the outer nodes for order ~ 200 even though the product is O(1); the
     Christoffel identity  w_q e^{x_q^2} = 1 / sum_{n<order} phi_n(x_q)^2
-    is stable wherever phi_0 does not underflow.  Past |x| ~ 38.6 (reached
-    from order 766 on) every phi_n underflows to 0 and w is +inf; callers
-    check.
+    gives it directly, finite at every node because ho_stack carries the
+    Gaussian inside its scaled recurrence.
     """
-    nodes, sums = _christoffel_sums(order)
-    return nodes, np.divide(1.0, sums, out=np.full(order, np.inf), where=sums > 0.0)
+    if order < 1:
+        raise ValueError("order must be positive")
+    nodes = _hermite_nodes(order)
+    phi = ho_stack(order - 1, nodes)
+    return nodes, 1.0 / np.sum(phi * phi, axis=0)
 
 
 def expand_function(

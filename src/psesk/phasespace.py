@@ -11,13 +11,18 @@ integral kernel
 multiple of pi and carries the phase convention pi/4 - theta/2 on (0, pi).
 It exists as the brute-force oracle and for states supplied as raw samples.
 
-Wigner functions of basis-state pairs have the closed form (z = (x+ip)/sqrt2)
+Wigner fields come from the position-space kernel K(a, b) = <a|rho|b>
+(wigner_of_state; the "fft" route of QuTiP's wigner, Johansson, Nation &
+Nori, CPC 184, 1234 (2013)): W(x, p) = 2 int du e^{-2ip(u - x)} K(u, 2x - u),
+summed on one lattice that holds every mirror point 2x - u.  The closed
+form for basis-state pairs (z = (x+ip)/sqrt2) is the oracle:
 
     W_mn(x, p) = 2 (-1)^m sqrt(m!/n!) (2 conj(z))^{n-m}
                  * exp(-2|z|^2) L_m^{n-m}(4 |z|^2),     n >= m,
 
 the conjugate power being fixed by rotation covariance W -> W o g^{-1}
-(equivalently by the wavefunction-integral form below, which is the oracle):
+(equivalently by the wavefunction-integral form, whose brute-force
+quadrature wigner_pure is the second oracle):
 
     W(x, p) = integral dx' e^{-i p x'} psi*(x - x'/2) psi(x + x'/2).
 """
@@ -36,7 +41,6 @@ from .specfun import assoc_laguerre
 __all__ = [
     "DegenerateAngle",
     "EdgeLeakage",
-    "FieldOverflow",
     "WignerField",
     "default_grid",
     "frft_kernel",
@@ -55,6 +59,7 @@ ANGLE_EPS = 1e-6
 EDGE_DECAY = 1e-10
 GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 161
+ROW_BLOCK = 256  # lattice rows of the position kernel built per matmul
 
 
 class DegenerateAngle(Exception):
@@ -63,10 +68,6 @@ class DegenerateAngle(Exception):
 
 class EdgeLeakage(Exception):
     """Samples do not decay at the grid edges; quadrature would alias."""
-
-
-class FieldOverflow(Exception):
-    """The Laguerre terms overflow where exp(-2|z|^2) underflows (far grid points)."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,12 @@ def default_grid() -> tuple[np.ndarray, np.ndarray]:
     """The default square phase-space grid, [-8, 8] at 161 points per axis."""
     axis = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS)
     return axis, axis.copy()
+
+
+def _axes(x, p) -> tuple[np.ndarray, np.ndarray]:
+    """x and p as 1-D float arrays; either one defaults to the default grid's axis."""
+    axis = default_grid()[0]
+    return tuple(np.atleast_1d(np.asarray(axis if v is None else v, dtype=float)) for v in (x, p))
 
 
 def _angle_defect(theta: float) -> float:
@@ -203,7 +210,39 @@ def _operator_matrix(op) -> np.ndarray:
     raise ValueError("expected coefficients or a square operator matrix")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite field raises below
+def _grid_step(x: np.ndarray) -> float:
+    """Step of an ascending uniform grid of finite points (1 for one point)."""
+    if x.ndim == 1 and len(x) and np.all(np.isfinite(x)):
+        dx = (x[-1] - x[0]) / max(len(x) - 1, 1) or 1.0
+        off_grid = np.max(np.abs(x - x[0] - dx * np.arange(len(x))))
+        if dx > 0 and off_grid <= 1e-12 * np.max(np.abs(x)):
+            return dx
+    raise ValueError("x must be one point or an ascending uniform grid")
+
+
+def _lattice_field(rho, used, xs, step, ps, h, reach) -> np.ndarray:
+    """W at rows xs (one point, or uniform with this step) and columns ps.
+
+    Sums G[i, a] = K(u_a, 2 x_i - u_a) over a lattice u_a of step <= h that
+    covers [-reach, reach].
+    """
+    m = math.ceil(2.0 * step / h) if len(xs) > 1 else 1  # 2 x_i - u_a stays on the lattice
+    h = 2.0 * step / m if len(xs) > 1 else h
+    a = np.arange(-math.floor((reach + xs[0]) / h), math.floor((reach - xs[0]) / h) + 1)
+    u = xs[0] + a * h
+    phi = ho_stack(used[-1], u)[used]
+    left = phi.T @ rho
+    i = np.arange(len(xs))[:, None]
+    kernel = np.zeros((len(xs), len(u)), dtype=left.dtype)
+    for lo in range(0, len(u), ROW_BLOCK):
+        j = np.arange(lo, min(lo + ROW_BLOCK, len(u)))
+        mirror = i * m - 2 * int(a[0]) - j  # lattice index of 2 x_i - u_j
+        inside = (mirror >= 0) & (mirror < len(u))
+        block = left[j] @ phi
+        kernel[:, j] = np.where(inside, block[j - lo, np.clip(mirror, 0, len(u) - 1)], 0.0)
+    return (2.0 * h) * np.exp(2j * np.outer(xs, ps)) * (kernel @ np.exp(-2j * np.outer(u, ps)))
+
+
 def wigner_of_state(
     op,
     x: Optional[np.ndarray] = None,
@@ -214,62 +253,31 @@ def wigner_of_state(
     ``op`` may be an HOExpansion, a 1-D coefficient vector (pure state), or
     a square matrix rho in the oscillator basis (e.g. a one-particle density
     matrix, or |psi><phi| for a cross field).  Hermitian input yields a real
-    field and sets is_diagonal.
+    field and sets is_diagonal.  ``x`` must be ascending and uniform (or one
+    point); ``p`` may be any points.
+
+    The kernel's lattice sum is exact for a step h <= pi / (max|p| + reach):
+    past reach = sqrt(2 M + 1) + 9, M the highest index in use plus one, the
+    phi_n and the field vanish.  Rows finer than h / 2 form interleaved subgrids.
     """
     rho = _operator_matrix(op)
-    if x is None or p is None:
-        gx, gp = default_grid()
-        x = gx if x is None else np.asarray(x, dtype=float)
-        p = gp if p is None else np.asarray(p, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    x, p = _axes(x, p)
+    dx = _grid_step(x)
     hermitian = bool(np.max(np.abs(rho - rho.conj().T)) <= 1e-12)
-    size = rho.shape[0]
-    xg = x[:, None]
-    pg = p[None, :]
-    r2 = 0.5 * (xg * xg + pg * pg)
-    arg = 4.0 * r2
-    gauss = np.exp(-2.0 * r2)
-    two_zbar = math.sqrt(2.0) * (xg - 1j * pg)
-    log_fact = np.array([_log_fact(k) for k in range(size)])
-
-    # W = sum_{mn} rho_mn W_nm, grouped by the index offset nu = n - m; one
-    # Laguerre recurrence sweep per offset covers every m on that diagonal.
-    values = np.zeros((len(x), len(p)), dtype=complex)
-    power = np.ones_like(two_zbar)  # (2 conj z)^nu
-    for nu in range(size):
-        lower = np.asarray(np.diagonal(rho, -nu))  # rho[m+nu, m]
-        upper = np.conj(np.asarray(np.diagonal(rho, nu)))  # conj(rho[m, m+nu])
-        if np.any(lower) or np.any(upper):
-            pref = 2.0 * (-1.0) ** np.arange(size - nu) * np.exp(
-                0.5 * (log_fact[: size - nu] - log_fact[nu:])
-            )
-            acc_low = np.zeros_like(values)
-            acc_up = np.zeros_like(values)
-            l_prev = np.ones_like(arg)
-            l_cur = 1.0 + nu - arg
-            for m in range(size - nu):
-                l_m = l_prev if m == 0 else l_cur
-                if m >= 2:
-                    l_prev, l_cur = l_cur, (
-                        (2.0 * (m - 1) + 1.0 + nu - arg) * l_cur
-                        - (m - 1 + nu) * l_prev
-                    ) / m
-                    l_m = l_cur
-                if lower[m] != 0.0:
-                    acc_low += (pref[m] * lower[m]) * l_m
-                if nu > 0 and upper[m] != 0.0:
-                    acc_up += (pref[m] * upper[m]) * l_m
-            block = power * gauss
-            values += block * acc_low
-            if nu > 0:
-                values += np.conj(block * acc_up)
-        power = power * two_zbar
-    if not np.all(np.isfinite(values)):
-        reach = max(np.max(np.abs(x)), np.max(np.abs(p)))
-        raise FieldOverflow(
-            f"Wigner field of a basis-{size} operator is not finite on a grid reaching {reach:.3g}"
-        )
+    values = np.zeros((len(x), len(p)), dtype=float if hermitian else complex)
+    used = np.flatnonzero(np.any(rho != 0, axis=0) | np.any(rho != 0, axis=1))
+    reach = math.sqrt(2.0 * used[-1] + 3.0) + 9.0 if len(used) else -math.inf
+    rows = np.flatnonzero(np.abs(x) <= reach)
+    cols = np.flatnonzero(np.abs(p) <= reach)
+    if len(rows) and len(cols):
+        rho = rho[np.ix_(used, used)]
+        rho = rho if np.any(rho.imag) else rho.real
+        h = math.pi / (np.max(np.abs(p[cols])) + reach)
+        q = max(1, int(min(0.5 * h, len(rows) * dx) / dx))
+        for r in range(q):
+            sub = rows[r::q]
+            field = _lattice_field(rho, used, x[sub], q * dx, p[cols], h, reach)
+            values[np.ix_(sub, cols)] = field.real if hermitian else field
     return WignerField(x=x, p=p, values=values, is_diagonal=hermitian)
 
 
@@ -294,12 +302,7 @@ def wigner_pure(
     for arr in (samples, bra):
         if max(abs(arr[0]), abs(arr[-1])) > EDGE_DECAY:
             raise EdgeLeakage("samples exceed 1e-10 at the grid edges")
-    if x is None or p is None:
-        gx, gp = default_grid()
-        x = gx if x is None else np.asarray(x, dtype=float)
-        p = gp if p is None else np.asarray(p, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    x, p = _axes(x, p)
     dx = sample_x[1] - sample_x[0]
     idx = np.rint((x - sample_x[0]) / dx).astype(int)
     if np.max(np.abs(sample_x[np.clip(idx, 0, len(sample_x) - 1)] - x)) > 1e-9:
@@ -328,12 +331,7 @@ def coherent_wigner(
     p: Optional[np.ndarray] = None,
 ) -> WignerField:
     """Wigner field of the coherent state centered at z = w: 2 e^{-2|z-w|^2}."""
-    if x is None or p is None:
-        gx, gp = default_grid()
-        x = gx if x is None else np.asarray(x, dtype=float)
-        p = gp if p is None else np.asarray(p, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    x, p = _axes(x, p)
     z = (x[:, None] + 1j * p[None, :]) / math.sqrt(2.0)
     values = 2.0 * np.exp(-2.0 * np.abs(z - w) ** 2)
     return WignerField(x=x, p=p, values=values.astype(complex), is_diagonal=True)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psesk.cli import KEYS, STATE_FLAGS, build_parser, main
+from psesk.phasespace import wigner_mn
 
 
 def read_csv(path):
@@ -285,9 +286,6 @@ def test_winding_beyond_old_table_cap(tmp_path):
 NUMERIC_FAILURES = [
     (["solve-potential", "--potential", "poschl_teller", "--levels", "12"], "NotEnoughBoundStates"),
     (["solve-potential", "--potential-expr", "1/0"], "QuadratureOverflow"),
-    # the Laguerre terms overflow where exp(-2|z|^2) underflows
-    (["wigner", "--ho-slater", "300", "--grid-half-width", "20", "--grid-points", "5"],
-     "FieldOverflow"),
 ]
 
 
@@ -316,23 +314,29 @@ def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.splitlines() == [f"MemoryError: {line}"], argv
 
 
-UNDERFLOWING_BASIS_INPUTS = [
-    ["solve-potential", "--potential", "sho", "--levels", "3", "--basis", "400"],
-    ["spectrum", "--potential", "sho", "--particles", "2", "--basis", "400"],
-    ["winding", "--potential", "sho", "--particles", "2", "--basis", "400"],
-]
+def test_wide_grid_high_index_wigner_is_finite(tmp_path):
+    argv = ["wigner", "--ho-slater", "300", "--grid-half-width", "20", "--grid-points", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "wigner.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and np.all(table[:, 3] == 0.0)
+    with np.errstate(all="ignore"):  # far out the closed form overflows
+        closed = wigner_mn(300, 300, table[:, 0], table[:, 1])
+    finite = np.isfinite(closed)
+    assert np.max(np.abs(table[finite, 2] - closed[finite])) < 1e-12
 
 
-def test_underflowing_galerkin_basis_exits_3(tmp_path, capsys):
-    # past basis 366 the outer quadrature nodes lie where every phi_n underflows
+def test_galerkin_basis_up_to_max_basis(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for argv in UNDERFLOWING_BASIS_INPUTS:
-            assert main(argv + ["--out", str(tmp_path)]) == 3, argv
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("QuadratureOverflow:"), (argv, err)
-        assert main(["solve-potential", "--potential", "sho", "--levels", "3",
-                     "--basis", "366", "--out", str(tmp_path)]) == 0
+        for basis in ("400", "1024"):
+            out = tmp_path / basis
+            assert main(["solve-potential", "--potential", "sho", "--levels", "3",
+                         "--basis", basis, "--out", str(out)]) == 0
+            energies = json.loads((out / "solve_potential_meta.json").read_text())["energies"]
+            assert energies == pytest.approx([0.5, 1.5, 2.5], abs=1e-8)
+        assert main(["winding", "--potential", "sho", "--particles", "2", "--basis", "400",
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "winding.json").read_text())["nu_E"] == 1
 
 
 def test_flags_override_config(tmp_path):
@@ -374,7 +378,7 @@ SMALL = {"theta_points": 16, "grid_points": 9, "t_points": 2, "basis": 12, "leve
 FLAG_VALUES = {
     "--out": ["o", "o/p"], "--theta-points": ["16", "64"], "--basis": ["4", "12", "40"],
     "--format": ["csv", "json"], "--gnuplot": [], "--winding-grid": ["1", "64"],
-    "--t-points": ["1", "3"], "--grid-points": ["2", "41"], "--grid-half-width": ["2.5", "6"],
+    "--t-points": ["1", "3"], "--grid-points": ["2", "41"], "--grid-half-width": ["2.5", "6", "40"],
     "--levels": ["1", "3"], "--ho-slater": ["0", "0,1", "1,2,3,4"],
     "--interpolated": ["0.3,1", "0.61,2.0944"], "--potential": ["sho", "double_well", "rosen_morse"],
     "--potential-expr": ["x^2/2", "exp(x^2)", "1/0"], "--particles": ["1", "3"],

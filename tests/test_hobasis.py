@@ -29,6 +29,28 @@ def test_wavefunction_no_overflow_at_large_index():
     assert np.isfinite(val)
 
 
+def test_wavefunction_is_a_row_of_the_stack():
+    x = np.linspace(-50.0, 50.0, 101)
+    assert np.array_equal(hobasis.ho_wavefunction(700, x), hobasis.ho_stack(700, x)[700])
+    assert hobasis.ho_wavefunction(700, 40.0) == hobasis.ho_stack(700, [40.0])[700, 0]
+    # far past the last turning point every phi_n is 0, not an overflow
+    assert hobasis.ho_wavefunction(700, 1e12) == 0.0
+    assert not np.any(hobasis.ho_stack(40, [-1e300, 1e20, 1e9]))
+
+
+def test_half_line_norms_up_to_max_basis():
+    # phi_n^2 is even, so each half line holds 1/2; past |x| ~ 37.7 the Gaussian
+    # alone underflows, which the scaled recurrence must not inherit
+    top = 1023
+    x_cut = math.ceil(math.sqrt(4.0 * (top + 1)) + 10.0)
+    gx, gw = np.polynomial.legendre.leggauss(64)
+    nodes = (np.arange(x_cut)[:, None] + 0.5 * (gx + 1.0)).ravel()
+    weights = np.tile(0.5 * gw, x_cut)
+    phi = hobasis.ho_stack(top, nodes)
+    assert np.all(np.isfinite(phi))
+    assert np.max(np.abs(phi**2 @ weights - 0.5)) < 1e-12
+
+
 def test_gauss_hermite_small_rules():
     r1 = hobasis.gauss_hermite(1)
     assert r1.nodes == pytest.approx([0.0])
@@ -122,11 +144,11 @@ def test_expand_reports_truncation_failure():
 
 
 def test_expand_raises_on_non_finite_projection():
-    # from order 766 on the outer reweighted nodes carry w = +inf
+    # every reweighted weight is finite, also from quadrature order 766 on
     ground = lambda x: np.exp(-x * x / 2.0) * math.pi ** -0.25
-    assert abs(hobasis.expand_function(ground, basis_size=366).coeffs[0] - 1.0) < 1e-12
+    assert abs(hobasis.expand_function(ground, basis_size=400).coeffs[0] - 1.0) < 1e-12
     with pytest.raises(hobasis.TruncationError, match="not finite"):
-        hobasis.expand_function(ground, basis_size=400)
+        hobasis.expand_function(lambda x: np.where(x > 30.0, np.inf, ground(x)), basis_size=400)
 
 
 def test_expand_rejects_low_order():

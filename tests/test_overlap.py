@@ -76,6 +76,19 @@ def test_table_beyond_old_cap_matches_oracle():
     assert evals.min() > -1e-12 and evals.max() < 1.0 + 1e-12
 
 
+def test_oracle_matches_table_at_top_of_basis():
+    t = overlap.ho_overlap_table(1024).entries
+    assert abs(overlap.overlap_quadrature_oracle(1022, 1023) - t[1022, 1023]) < 1e-12
+
+
+def test_translated_at_origin_matches_rotated_gramians_at_max_basis():
+    rng = np.random.default_rng(1024)
+    a = random_unitary_rows(rng, 3, 1024)
+    o_t = overlap.translated_overlap(SlaterState(a), 0.0).entries
+    o_r = overlap.rotated_gramians(a, a, [0.0])[0]
+    assert np.max(np.abs(o_t - o_r)) < 1e-11
+
+
 @pytest.mark.parametrize("m", [100, 400])
 def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
     # rotating the cut by theta is rotating the orbitals by e^{i n theta} at a fixed cut,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_unitary_rows
 from psesk import phasespace as ph
-from psesk.hobasis import HOExpansion, ho_stack, ho_wavefunction
+from psesk.hobasis import HOExpansion, ho_stack
 
 
 def unit_expansion(n, size):
@@ -193,6 +194,56 @@ def test_wigner_against_bruteforce_oracle():
     samples = c @ ho_stack(14, fine)
     oracle = ph.wigner_pure(samples, fine, x, p)
     assert np.max(np.abs(closed.values - oracle.values)) < 1e-4
+
+
+@pytest.mark.parametrize("m,n", [(37, 80), (99, 99), (0, 299), (1023, 1023)])
+def test_wigner_matches_closed_form_at_high_indices(m, n):
+    rho = np.zeros((max(m, n) + 1,) * 2)
+    rho[n, m] = 1.0  # |phi_n><phi_m|
+    for half in (8.0, 20.0, 40.0):  # +-40 passes reach for the lower indices: W is 0 there
+        x = np.linspace(-half, half, 5)
+        field = ph.wigner_of_state(rho, x, x)
+        assert np.all(np.isfinite(field.values))
+        with np.errstate(all="ignore"):  # far out the closed form overflows
+            closed = ph.wigner_mn(m, n, x[:, None], x[None, :])
+        finite = np.isfinite(closed)
+        assert np.max(np.abs(field.values - closed)[finite]) < 1e-12, (m, n, half)
+
+
+def test_fine_rows_on_interleaved_subgrids():
+    # rows finer than half a lattice step are split into interleaved subgrids
+    rng = np.random.default_rng(46)
+    c = rng.normal(size=30) + 1j * rng.normal(size=30)
+    c /= np.linalg.norm(c)
+    x = np.linspace(-0.5, 0.5, 101)
+    p = np.linspace(-3.0, 3.0, 7)
+    field = ph.wigner_of_state(c, x, p)
+    closed = sum(c[m] * np.conj(c[n]) * ph.wigner_mn(n, m, x[:, None], p[None, :])
+                 for m in range(30) for n in range(30))
+    assert np.max(np.abs(field.values - closed)) < 1e-12
+
+
+def test_density_matrix_field_on_non_square_axes():
+    rng = np.random.default_rng(45)
+    orbitals = random_unitary_rows(rng, 3, 12)
+    rho = orbitals.T @ orbitals.conj()  # the 1-RDM of their Slater determinant
+    x = np.linspace(-6.0, 6.0, 25)
+    p = np.sort(rng.uniform(-7.0, 7.0, size=11))
+    field = ph.wigner_of_state(rho, x, p)
+    assert field.is_diagonal and field.values.shape == (25, 11)
+    fine = fine_grid(half=12.0)
+    oracle = sum(ph.wigner_pure(c @ ho_stack(11, fine), fine, x, p).values for c in orbitals)
+    assert np.max(np.abs(field.values - oracle)) < 1e-4
+
+
+def test_wigner_rejects_non_uniform_or_descending_x():
+    c = np.array([1.0, 0.5]) / math.sqrt(1.25)
+    p = np.linspace(-2.0, 2.0, 5)
+    for x in (np.array([-1.0, 0.0, 0.5]), np.linspace(2.0, -2.0, 9), np.zeros(2), np.zeros(0)):
+        with pytest.raises(ValueError):
+            ph.wigner_of_state(c, x, p)
+    one = ph.wigner_of_state(unit_expansion(0, 1), np.array([0.3]), p)
+    assert np.max(np.abs(one.values - ph.wigner_mn(0, 0, 0.3, p))) < 1e-13
 
 
 def test_wigner_rotation_covariance():
