@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .overlap import rotated_gramians
+from .overlap import (GramianHarmonics, evaluate_gramians, gramian_harmonics,
+                      harmonic_rows, rotated_gramians)
 from .states import SlaterState
 
 __all__ = [
@@ -45,6 +47,8 @@ __all__ = [
 PARITY_TOL = 1e-8
 DET_FLOOR = 1e-10
 DIP_THRESHOLD = 1e-6
+# roundoff ripple of a constant |det m|, per block row, in units of eps * max|det m|
+RIPPLE_ULPS = 8
 DEFAULT_GRID = 256
 GRID_CAP = 16384
 
@@ -76,6 +80,18 @@ class ParitySortedState:
 
     def as_state(self) -> SlaterState:
         return SlaterState(self.coeffs)
+
+    @cached_property
+    def harmonics(self) -> GramianHarmonics | None:
+        """Harmonics of the even-odd Gramian block, built on first use.
+
+        None when one build would exceed the overlap module's workspace
+        budget; the block is then rebuilt in row blocks on every call.
+        """
+        even, odd = self.coeffs[: self.n_even], self.coeffs[self.n_even :]
+        if harmonic_rows(len(odd), self.coeffs.shape[1]) < len(even):
+            return None
+        return gramian_harmonics(even, odd)
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,9 @@ def parity_sort(state: SlaterState, tol: float = PARITY_TOL) -> ParitySortedStat
 def _even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
     if ps.n_even == 0 or ps.n_odd == 0:
         raise EmptyBlock("both parity sectors must be occupied")
-    return rotated_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], thetas)
+    if ps.harmonics is None:
+        return rotated_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], thetas)
+    return evaluate_gramians(ps.harmonics, thetas)
 
 
 def chiral_block(ps: ParitySortedState, theta: float) -> ChiralBlock:
@@ -274,8 +292,10 @@ def detect_gap_closings(
     the grid is treated circularly; every strict local minimum is refined to
     ``resolution`` by golden section and kept if the refined value is below
     the threshold.  A zero never lands on a grid point, which is why the
-    grid values alone cannot be compared against ``dip``.  Returns an empty
-    list for gapped states.
+    grid values alone cannot be compared against ``dip``.  A minimum above
+    ``dip`` that lies within roundoff of both neighbours (RIPPLE_ULPS * N_e
+    ulps of max |det m|) is a ripple of a flat |det m| and is not refined.
+    Returns an empty list for gapped states.
     """
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
@@ -284,6 +304,8 @@ def detect_gap_closings(
     n = len(thetas)
     left, right = np.roll(dets, 1), np.roll(dets, -1)
     minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
+    ripple = RIPPLE_ULPS * ps.n_even * np.finfo(float).eps * np.max(dets, initial=0.0)
+    minima &= (dets < dip) | (left - dets > ripple) | (right - dets > ripple)
     brackets = [
         (thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0]),
          thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2]))

@@ -21,12 +21,40 @@ even n, so an entry with m + n even is exactly 0 and one with m + n odd is a
 single product: nothing cancels, at any index.
 
 Rotating the cut by a phase-space angle theta multiplies basis state n by
-e^{i n theta}, so for a Slater state with coefficient rows A the cut Gramian
-is  O(theta)_{ab} = sum_{mn} conj(A_am) A_bn e^{i(n-m) theta} T_mn  with T
-the table above.  One kernel, ``rotated_gramians``, forms it for every rotated
-cut: phases on the rows, then one stacked matmul against T per ANGLE_CHUNK
-angles, a chunk that bounds the (angles, N, M) temporaries on long grids.  A
-cut translated to x >= t has no closed form and is done by panelled
+e^{i n theta}, so for coefficient rows L and R the cut Gramian is
+
+    O(theta)_{ab} = sum_{mn} conj(L_am) R_bn e^{i(n-m) theta} T_mn.
+
+The table has displacement rank 2: (n - m) T_mn = [a_m b_n - b_m a_n] / 2
+with a = phi(0) and b = phi'(0).  The diagonal T_mm = 1/2 gives a constant
+term, and since a vanishes at odd and b at even indices, every other term
+has an odd lag k = n - m.  Grouping by lag,
+
+    O(theta) = 1/2 conj(L) R^T + sum_{k odd, |k| < M} C_k e^{i k theta},
+    C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k),
+
+where (u * y)_k = sum_m u_m y_{m+k} is the cross-correlation of the
+boundary-weighted rows.  Differentiating shows what C_k are:
+dO/dtheta = (i/2)[conj(F_L) G_R^T - conj(G_L) F_R^T], with F(theta) =
+sum_n R_n a_n e^{i n theta} (likewise for L) and G(theta) the same with b,
+the values and slopes of the rotated orbitals on the cut line.  The Gramian changes only
+by a rank-2 current through the cut's boundary, and the C_k are its Fourier
+coefficients divided by i k.  The left cut x <= 0 has table 1 - T, so its
+Gramian is conj(L) R^T - O(theta).
+
+``gramian_harmonics`` computes every C_k at once: FFTs of length P >= 2M - 1
+of the four boundary-weighted row sets, a product per (a, b) pair and one
+inverse FFT per pair, O((N_L + N_R) P log P + N_L N_R P log P) per build.
+``evaluate_gramians`` sums the series, O(N_L N_R M) per angle, where the
+dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs O(N_L M^2).
+``rotated_gramians`` composes the two; callers that revisit one pair of row
+sets (the winding and gap-closing searches) keep the harmonics instead.
+Left rows are taken in blocks whose FFT workspace fits HARMONIC_BYTES and
+angles in blocks of ANGLE_BLOCK, so memory stays bounded on long grids and
+wide states.  Each angle's value is its own vector-matrix product, so it
+does not depend on which other angles share a call.
+
+A cut translated to x >= t has no closed form and is done by panelled
 Gauss-Legendre quadrature in the reconstructed position representation.
 """
 
@@ -42,6 +70,7 @@ from .states import SlaterState
 
 __all__ = [
     "GramBoundError",
+    "GramianHarmonics",
     "HOOverlapTable",
     "OverlapMatrix",
     "ho_halfspace_overlap",
@@ -51,10 +80,15 @@ __all__ = [
     "rotated_overlap",
     "translated_overlap",
     "clamp_unit_interval",
+    "evaluate_gramians",
+    "gramian_harmonics",
+    "harmonic_rows",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
-ANGLE_CHUNK = 16
+HARMONIC_BYTES = 1 << 26
+ANGLE_BLOCK = 64
+COLUMN_BYTES = 1 << 19
 
 
 class GramBoundError(Exception):
@@ -63,9 +97,15 @@ class GramBoundError(Exception):
 
 @dataclass(frozen=True)
 class HOOverlapTable:
-    """Symmetric M x M table of half-line overlaps of phi_m and phi_n."""
+    """Symmetric M x M table of half-line overlaps of phi_m and phi_n.
+
+    ``phi0`` and ``dphi0`` hold phi_n(0) and phi_n'(0), the two boundary
+    vectors the table is built from.
+    """
 
     entries: np.ndarray
+    phi0: np.ndarray
+    dphi0: np.ndarray
 
     @property
     def basis_size(self) -> int:
@@ -84,7 +124,21 @@ class OverlapMatrix:
     parameter: float
 
 
-_master_table: np.ndarray | None = None
+@dataclass(frozen=True)
+class GramianHarmonics:
+    """O(theta) = half + sum_k coeffs[k] e^{i orders[k] theta} for one pair of row sets.
+
+    ``half`` is 1/2 conj(L) R^T (N_L x N_R), ``orders`` the odd lags
+    -top .. top ascending (top the largest odd number below M), and
+    ``coeffs`` the matching C_k, one flattened N_L * N_R row per lag.
+    """
+
+    half: np.ndarray
+    orders: np.ndarray
+    coeffs: np.ndarray
+
+
+_master_table: HOOverlapTable | None = None
 
 
 def _boundary_values(top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,18 +165,22 @@ def ho_halfspace_overlap(m: int, n: int) -> float:
 
 
 def ho_overlap_table(basis_size: int) -> HOOverlapTable:
-    """The M x M half-line overlap table (a view into a growing cache).
+    """The M x M half-line overlap table (views into a growing cache).
 
     Smaller tables are leading submatrices of larger ones, so one master
     table is kept and grown on demand.
     """
     global _master_table
-    if _master_table is None or _master_table.shape[0] < basis_size:
+    if _master_table is None or _master_table.basis_size < basis_size:
         idx = np.arange(basis_size)
-        t = _wronskian_overlap(*_boundary_values(basis_size - 1), idx[:, None], idx[None, :])
-        t.flags.writeable = False
-        _master_table = t
-    return HOOverlapTable(entries=_master_table[:basis_size, :basis_size])
+        phi, dphi = _boundary_values(basis_size - 1)
+        t = _wronskian_overlap(phi, dphi, idx[:, None], idx[None, :])
+        for array in (t, phi, dphi):
+            array.flags.writeable = False
+        _master_table = HOOverlapTable(entries=t, phi0=phi, dphi0=dphi)
+    return HOOverlapTable(entries=_master_table.entries[:basis_size, :basis_size],
+                          phi0=_master_table.phi0[:basis_size],
+                          dphi0=_master_table.dphi0[:basis_size])
 
 
 def _panelled_legendre(lo: float, hi: float, points_per_panel: int):
@@ -156,23 +214,94 @@ def overlap_quadrature_oracle(m: int, n: int, order: int | None = None) -> float
     return float(np.sum(weights * phi[m] * phi[n]))
 
 
+def _fft_length(basis_size: int) -> int:
+    """Power of two P >= 2M - 1, so lags -(M - 1) .. M - 1 do not alias mod P."""
+    return 1 << max(0, 2 * basis_size - 2).bit_length()
+
+
+def harmonic_rows(n_right: int, basis_size: int) -> int:
+    """Left rows per gramian_harmonics call whose workspace fits HARMONIC_BYTES.
+
+    Per left row the build holds three N_R x P complex arrays (the product
+    spectrum, its inverse FFT and the gathered lags); at least one row.
+    """
+    return max(1, HARMONIC_BYTES // (48 * max(1, n_right) * _fft_length(basis_size)))
+
+
+def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
+    """Every Fourier coefficient of the right-cut Gramian of rows (L, R) over theta.
+
+    C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k) for odd k, the
+    correlations taken for all lags by FFTs of length P >= 2M - 1.
+    """
+    m = left.shape[1]
+    table = ho_overlap_table(m)
+    a, b = table.phi0, table.dphi0
+    p = _fft_length(m)
+    orders = np.arange(1 - m, m)
+    orders = orders[orders % 2 == 1]
+    la, lb = (np.fft.fft(left * g, p).conj()[:, None, :] for g in (a, b))
+    ra, rb = (np.fft.fft(right * g, p)[None, :, :] for g in (a, b))
+    lags = np.fft.ifft(la * rb - lb * ra)[:, :, orders % p] / (2.0 * orders)
+    coeffs = np.moveaxis(lags, 2, 0).reshape(len(orders), len(left) * len(right))
+    half = 0.5 * (left.conj() @ right.T)
+    return GramianHarmonics(half=half, orders=orders, coeffs=np.ascontiguousarray(coeffs))
+
+
+def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
+    """(K, count) table of e^{i(2j+1)theta}, j < count, from about 2 sqrt(count) exps.
+
+    With j = q s + r it is e^{i(2r+1)theta} e^{2iqs theta}: each entry is one
+    product of two exps, within a few ulps, computed from its own angle only.
+    """
+    s = max(1, math.isqrt(count))
+    q = -(-count // s)
+    fine = np.exp(np.multiply.outer(thetas, 1j * (2 * np.arange(s) + 1)))
+    coarse = np.exp(np.multiply.outer(thetas, 2j * s * np.arange(q)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(thetas), q * s)[:, :count]
+
+
+def evaluate_gramians(h: GramianHarmonics, thetas, side: str = "right") -> np.ndarray:
+    """(K, N_L, N_R) stack of the Gramians O(theta) summed from their harmonics.
+
+    ``side`` = "right" uses the half line x >= 0; "left" uses x <= 0, whose
+    Gramian is conj(L) R^T - O(theta).
+    """
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    thetas = np.asarray(thetas, dtype=float)
+    n_l, n_r = h.half.shape
+    out = np.empty((len(thetas), n_l, n_r), dtype=complex)
+    flat = out.reshape(len(thetas), 1, n_l * n_r)
+    cols = max(1, COLUMN_BYTES // (16 * max(1, len(h.orders))))
+    for k in range(0, len(thetas), ANGLE_BLOCK):
+        pos = _odd_phases(thetas[k : k + ANGLE_BLOCK], len(h.orders) // 2)
+        e = np.concatenate((pos[:, ::-1].conj(), pos), axis=1)[:, None, :]  # lags -top .. top
+        # one vector-matrix product per angle (a single gemm over the block
+        # would make an angle's bits depend on its neighbours), on column
+        # blocks of the harmonics that stay in cache across the block's angles
+        for j in range(0, n_l * n_r, cols):
+            np.matmul(e, h.coeffs[:, j : j + cols], out=flat[k : k + ANGLE_BLOCK, :, j : j + cols])
+    if side == "right":
+        out += h.half
+    else:
+        np.subtract(h.half, out, out=out)
+    return out
+
+
 def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "right") -> np.ndarray:
     """(K, N_L, N_R) stack of conj(L) e^{-i n theta} T e^{i n theta} R^T over K thetas.
 
-    ``side`` = "right" uses the half line x >= 0; "left" uses x <= 0, whose
-    table is 1 - T by completeness of the full-line inner product.
+    ``side`` as in evaluate_gramians; the harmonics are built for blocks of
+    harmonic_rows left rows and evaluated at every theta.
     """
-    table = ho_overlap_table(left.shape[1]).entries
-    if side == "left":
-        table = np.eye(len(table)) - table
-    elif side != "right":
-        raise ValueError("side must be 'right' or 'left'")
-    thetas = np.asarray(thetas, dtype=float)
-    n = np.arange(len(table))
+    rows = harmonic_rows(len(right), left.shape[1])
+    if rows >= len(left):
+        return evaluate_gramians(gramian_harmonics(left, right), thetas, side)
     out = np.empty((len(thetas), len(left), len(right)), dtype=complex)
-    for k in range(0, len(thetas), ANGLE_CHUNK):
-        ph = np.exp(1j * np.multiply.outer(thetas[k : k + ANGLE_CHUNK], n))[:, None, :]
-        out[k : k + ANGLE_CHUNK] = (left.conj() * ph.conj()) @ table @ (right * ph).swapaxes(1, 2)
+    for k in range(0, len(left), rows):
+        out[:, k : k + rows] = evaluate_gramians(
+            gramian_harmonics(left[k : k + rows], right), thetas, side)
     return out
 
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import negation_asymmetry, random_symmetric_slater, random_unitary_rows
-from psesk import chiral, potentials
+from psesk import chiral, overlap, potentials
 from psesk.entanglement import entanglement_energies, schmidt_values
 from psesk.overlap import ho_halfspace_overlap, rotated_overlap
 from psesk.states import SlaterState, ho_slater, interpolated_state
@@ -123,7 +124,7 @@ def test_block_antiperiodic_under_half_turn():
 
 
 def test_block_determinants_stack_equals_single_angle_calls():
-    # 257 angles end in a partial chunk; stacking must not change a single bit
+    # 257 angles end in a partial block; stacking must not change a single bit
     rng = np.random.default_rng(33)
     ps = chiral.parity_sort(random_symmetric_slater(rng, 3, 3, 40))
     thetas = np.linspace(0.0, math.pi, 257)
@@ -311,3 +312,61 @@ def test_lockstep_refiner_matches_scalar_golden_section(name, monkeypatch):
         assert len(got) == 1
     if name == "oscillator-0-11-mixed":
         assert len(brackets) > 24
+
+
+def test_winding_and_closings_build_the_harmonics_once(monkeypatch):
+    calls = []
+    build = chiral.gramian_harmonics
+
+    def counted(left, right):
+        calls.append(len(left))
+        return build(left, right)
+
+    monkeypatch.setattr(chiral, "gramian_harmonics", counted)
+    ps = chiral.parity_sort(_lockstep_states()["oscillator-0-11-mixed"])
+    assert chiral.winding_scan(ps)[0] == 6
+    assert chiral.detect_gap_closings(ps) == []
+    assert calls == [6]
+
+
+def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
+    state = _lockstep_states()["poschl-teller-6"]
+    thetas = np.linspace(0.0, math.pi, 33)
+    kept = chiral.parity_sort(state)
+    want = chiral.block_determinants(kept, thetas)
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    ps = chiral.parity_sort(state)
+    assert ps.harmonics is None
+    assert np.max(np.abs(chiral.block_determinants(ps, thetas) - want)) < 1e-13
+    assert chiral.winding_number(ps) == chiral.winding_number(kept)
+
+
+def test_flat_determinant_ripples_are_not_refined(monkeypatch):
+    # pure oscillator levels: |det m| is constant, its grid minima are roundoff
+    ps = chiral.parity_sort(_lockstep_states()["oscillator-0-11-mixed"])
+    assert len(_grid_brackets(ps)) > 24
+    calls = []
+    block_determinants = chiral.block_determinants
+
+    def counted(ps, thetas):
+        calls.append(len(thetas))
+        return block_determinants(ps, thetas)
+
+    monkeypatch.setattr(chiral, "block_determinants", counted)
+    assert chiral.detect_gap_closings(ps) == []
+    assert calls == [chiral.DEFAULT_GRID]
+
+
+def test_block_determinants_memory_on_a_long_grid():
+    rng = np.random.default_rng(38)
+    ps = chiral.parity_sort(random_symmetric_slater(rng, 6, 6, 100))
+    thetas = np.linspace(0.0, math.pi, 16385)
+    overlap.ho_overlap_table(100)
+    tracemalloc.start()
+    try:
+        chiral.block_determinants(ps, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (16385, 6, 6) stack alone is 9.0 MiB; harmonics and phase blocks stay small
+    assert peak <= 1.1 * 9.6 * 2**20

@@ -103,6 +103,60 @@ def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
         assert np.max(np.abs(o - overlap.translated_overlap(rotated, 0.0).entries)) < 1e-11
 
 
+def _dense_gramians(left, right, thetas, side="right"):
+    """conj(L) e^{-i n theta} T e^{i n theta} R^T as explicit products with the table."""
+    table = overlap.ho_overlap_table(left.shape[1]).entries
+    if side == "left":
+        table = np.eye(len(table)) - table
+    out = np.empty((len(thetas), len(left), len(right)), dtype=complex)
+    for i, theta in enumerate(thetas):
+        ph = np.exp(1j * theta * np.arange(len(table)))
+        out[i] = (left.conj() * ph.conj()) @ table @ (right * ph).T
+    return out
+
+
+def _unit_rows(rng, n, m):
+    rows = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("m", [1, 2, 3, 100, 400, 1024])
+def test_boundary_current_kernel_matches_dense_product(m, side):
+    rng = np.random.default_rng(m)
+    for n_l, n_r in ((3, 2), (1, 4), (0, 3), (2, 0)):
+        left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
+        for k in (0, 1, 7):
+            thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=k)
+            got = overlap.rotated_gramians(left, right, thetas, side)
+            assert got.shape == (k, n_l, n_r)
+            want = _dense_gramians(left, right, thetas, side)
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-13
+
+
+def test_even_odd_block_matches_dense_product_at_m_1000():
+    rng = np.random.default_rng(1000)
+    even = np.zeros((4, 1000), dtype=complex)
+    even[:, 0::2] = _unit_rows(rng, 4, 500)
+    odd = np.zeros((3, 1000), dtype=complex)
+    odd[:, 1::2] = _unit_rows(rng, 3, 500)
+    thetas = rng.uniform(0.0, math.pi, size=7)
+    got = overlap.evaluate_gramians(overlap.gramian_harmonics(even, odd), thetas)
+    assert np.max(np.abs(got - _dense_gramians(even, odd, thetas))) < 1e-13
+
+
+def test_left_row_blocks_match_dense_product(monkeypatch):
+    rng = np.random.default_rng(60)
+    left, right = _unit_rows(rng, 5, 60), _unit_rows(rng, 3, 60)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    assert overlap.harmonic_rows(3, 60) == 1
+    for side in ("right", "left"):
+        got = overlap.rotated_gramians(left, right, thetas, side)
+        assert np.max(np.abs(got - _dense_gramians(left, right, thetas, side))) < 1e-13
+    assert overlap.rotated_gramians(left, right, []).shape == (0, 5, 3)
+
+
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
 def test_closed_form_matches_oracle(m, n):
     assert overlap.ho_halfspace_overlap(m, n) == pytest.approx(

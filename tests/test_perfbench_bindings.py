@@ -3,7 +3,10 @@
 ``Recorder.install`` resolves every name in ``perfbench/spans.py`` ``TRACED``
 with a bare ``getattr``, and the benchmark self-test patches
 ``psesk.entanglement.rotated_overlap``; renaming or deleting one of them
-breaks every traced benchmark run, so it fails here first.
+breaks every traced benchmark run, so it fails here first.  The benchmark
+also tells a table build from a cached call by the identity of
+``overlap._master_table``, and its self-test expects one ``ho_overlap_table``
+call per ``rotated_overlap``.
 """
 
 import importlib
@@ -25,3 +28,20 @@ def test_traced_names_resolve_on_their_layers():
                 assert hasattr(obj, part), f"psesk.{layer}.{name}"
                 obj = getattr(obj, part)
     assert callable(importlib.import_module("psesk.entanglement").rotated_overlap)
+
+
+def test_rotated_overlap_reads_the_table_once(monkeypatch):
+    from psesk import overlap
+    from psesk.states import ho_slater
+
+    assert hasattr(overlap, "_master_table")
+    calls = []
+    table = overlap.ho_overlap_table
+
+    def counted(basis_size):
+        calls.append(basis_size)
+        return table(basis_size)
+
+    monkeypatch.setattr(overlap, "ho_overlap_table", counted)
+    overlap.rotated_overlap(ho_slater([0, 1], basis_size=4), 0.3)
+    assert calls == [4]
