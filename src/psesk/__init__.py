@@ -27,7 +27,6 @@ from .entanglement import (
 from .hobasis import HOExpansion, expand_function, gauss_hermite, ho_wavefunction
 from .overlap import (
     HOOverlapTable,
-    OverlapMatrix,
     ho_halfspace_overlap,
     ho_overlap_table,
     rotated_overlap,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HOExpansion",
     "HOOverlapTable",
-    "OverlapMatrix",
     "PSESDataset",
     "ParitySortedState",
     "PotentialSpec",

@@ -32,7 +32,6 @@ __all__ = [
     "GridTooCoarse",
     "EmptyBlock",
     "ParitySortedState",
-    "ChiralBlock",
     "inversion_matrix",
     "parity_sort",
     "chiral_block",
@@ -51,6 +50,8 @@ DIP_THRESHOLD = 1e-6
 RIPPLE_ULPS = 8
 DEFAULT_GRID = 256
 GRID_CAP = 16384
+# golden-section brackets of |det m| minima are refined to this width
+RESOLUTION = 1e-10
 
 
 class NotInversionSymmetric(Exception):
@@ -94,14 +95,6 @@ class ParitySortedState:
         return gramian_harmonics(even, odd)
 
 
-@dataclass(frozen=True)
-class ChiralBlock:
-    """The N_e x N_o block of the cut Gramian between parity sectors."""
-
-    m_theta: np.ndarray
-    theta: float
-
-
 def inversion_matrix(state: SlaterState) -> np.ndarray:
     """Matrix elements of the inversion operator between occupied orbitals.
 
@@ -126,20 +119,20 @@ def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
     return q.conj().T
 
 
-def parity_sort(state: SlaterState, tol: float = PARITY_TOL) -> ParitySortedState:
+def parity_sort(state: SlaterState) -> ParitySortedState:
     """Rotate the orbitals into inversion eigenstates and sort even first.
 
     Raises NotInversionSymmetric when any eigenvalue of the inversion matrix
-    is farther than ``tol`` from +-1 (the span mixes parities, e.g. bound
+    is farther than PARITY_TOL from +-1 (the span mixes parities, e.g. bound
     states of an asymmetric well); callers then skip the chiral analysis.
     Each sector is re-orthonormalized on its own basis parity only, so its
     coefficients on the other parity are exactly zero.
     """
     inv = inversion_matrix(state)
     lam, vecs = np.linalg.eigh(inv)
-    if np.max(np.abs(np.abs(lam) - 1.0)) > tol:
+    if np.max(np.abs(np.abs(lam) - 1.0)) > PARITY_TOL:
         raise NotInversionSymmetric(
-            f"inversion eigenvalues {np.sort(lam)} are not within {tol:.0e} of +-1"
+            f"inversion eigenvalues {np.sort(lam)} are not within {PARITY_TOL:.0e} of +-1"
         )
     rotated = vecs.conj().T @ state.coeffs
     parity = np.where(lam > 0.0, 1, -1)
@@ -165,9 +158,9 @@ def _even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarr
     return evaluate_gramians(ps.harmonics, thetas)
 
 
-def chiral_block(ps: ParitySortedState, theta: float) -> ChiralBlock:
-    """Extract the even-odd block of the rotated cut Gramian."""
-    return ChiralBlock(m_theta=_even_odd_blocks(ps, [theta])[0], theta=float(theta))
+def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
+    """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian."""
+    return _even_odd_blocks(ps, [theta])[0]
 
 
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
@@ -175,15 +168,11 @@ def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.nda
     return np.linalg.det(_even_odd_blocks(ps, thetas))
 
 
-def winding_scan(
-    ps: ParitySortedState,
-    grid_size: int = DEFAULT_GRID,
-    grid_cap: int = GRID_CAP,
-) -> tuple[int, int, float]:
+def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
     """(winding, grid size used, min |det m| seen) over theta in [0, pi].
 
     Phase-unwraps det m on a uniform grid; any wrapped step >= pi/2 doubles
-    the grid (up to ``grid_cap``).  The total is an exact multiple of pi
+    the grid (up to GRID_CAP).  The total is an exact multiple of pi
     because m(pi) = -m(0), so rounding to an integer is safe once the steps
     are small.
     """
@@ -201,7 +190,7 @@ def winding_scan(
         steps = np.angle(dets[1:] / dets[:-1])
         if np.max(np.abs(steps)) < math.pi / 2.0:
             return int(round(float(np.sum(steps)) / math.pi)), k, min_det
-        if k >= grid_cap:
+        if k >= GRID_CAP:
             # a zero between grid points masquerades as an unresolvable step
             j = int(np.argmax(np.abs(steps)))
             (theta_star,), (det_star,) = _golden_minima(ps, [(thetas[j], thetas[j + 1])], 1e-12)
@@ -213,13 +202,9 @@ def winding_scan(
         k *= 2
 
 
-def winding_number(
-    ps: ParitySortedState,
-    grid_size: int = DEFAULT_GRID,
-    grid_cap: int = GRID_CAP,
-) -> int:
+def winding_number(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> int:
     """Winding of det m(theta) over theta in [0, pi] (see winding_scan)."""
-    return winding_scan(ps, grid_size, grid_cap)[0]
+    return winding_scan(ps, grid_size)[0]
 
 
 def flat_band_count(ps: ParitySortedState) -> int:
@@ -275,44 +260,37 @@ def minimum_block_gap(ps: ParitySortedState, n_theta: int = DEFAULT_GRID) -> tup
     i = int(np.argmin(dets))
     step = math.pi / n_theta
     (theta_star,), (det_star,) = _golden_minima(
-        ps, [(thetas[i] - step, thetas[i] + step)], 1e-10
+        ps, [(thetas[i] - step, thetas[i] + step)], RESOLUTION
     )
     return theta_star % math.pi, float(det_star)
 
 
-def detect_gap_closings(
-    ps: ParitySortedState,
-    thetas: Sequence[float] | None = None,
-    dip: float = DIP_THRESHOLD,
-    resolution: float = 1e-10,
-) -> list[float]:
-    """Angles in [0, pi) where |det m| dips below ``dip``.
+def detect_gap_closings(ps: ParitySortedState) -> list[float]:
+    """Angles in [0, pi) where |det m| dips below DIP_THRESHOLD.
 
     |det m| is pi-periodic (m picks up a global sign under a half turn), so
-    the grid is treated circularly; every strict local minimum is refined to
-    ``resolution`` by golden section and kept if the refined value is below
-    the threshold.  A zero never lands on a grid point, which is why the
-    grid values alone cannot be compared against ``dip``.  A minimum above
-    ``dip`` that lies within roundoff of both neighbours (RIPPLE_ULPS * N_e
-    ulps of max |det m|) is a ripple of a flat |det m| and is not refined.
-    Returns an empty list for gapped states.
+    a grid of DEFAULT_GRID angles over [0, pi) is treated circularly; every
+    strict local minimum is refined to RESOLUTION by golden section and kept
+    if the refined value is below the threshold.  A zero never lands on a
+    grid point, which is why the grid values alone cannot be compared
+    against the threshold.  A minimum above it that lies within roundoff of
+    both neighbours (RIPPLE_ULPS * N_e ulps of max |det m|) is a ripple of a
+    flat |det m| and is not refined.  Returns an empty list for gapped states.
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
     dets = np.abs(block_determinants(ps, thetas))
     n = len(thetas)
     left, right = np.roll(dets, 1), np.roll(dets, -1)
     minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
     ripple = RIPPLE_ULPS * ps.n_even * np.finfo(float).eps * np.max(dets, initial=0.0)
-    minima &= (dets < dip) | (left - dets > ripple) | (right - dets > ripple)
+    minima &= (dets < DIP_THRESHOLD) | (left - dets > ripple) | (right - dets > ripple)
     brackets = [
         (thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0]),
          thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2]))
         for i in np.flatnonzero(minima)
     ]
-    refined, dets = _golden_minima(ps, brackets, resolution)
-    closings = sorted(t % math.pi for t, det in zip(refined, dets) if det < dip)
+    refined, dets = _golden_minima(ps, brackets, RESOLUTION)
+    closings = sorted(t % math.pi for t, det in zip(refined, dets) if det < DIP_THRESHOLD)
     merged: list[float] = []
     for c in closings:
         if not merged or (c - merged[-1]) > 1e-6:

@@ -379,7 +379,9 @@ def cmd_entropy_surface(cfg: dict) -> int:
                         for t in t_grid])
     rows = [(t, theta, s) for t, row in zip(t_grid, entropy) for theta, s in zip(thetas, row)]
     i, j = np.unravel_index(np.argmax(entropy), entropy.shape)
-    best = (float(entropy[i, j]), float(t_grid[i]), float(thetas[j]))
+    # S(theta + pi) = S(theta) (the subsystems swap), so the maximum ties
+    # between theta and theta + pi; report the one in [0, pi)
+    best = (float(entropy[i, j]), float(t_grid[i]), float(thetas[j % (len(thetas) // 2)]))
     report = {"phi": phi, "max_entropy": best[0], "argmax": {"t": best[1], "theta": best[2]}}
     write_outputs(cfg, "entropy-surface", "entropy_surface_meta", report,
                   tables=[("entropy_surface", ["t", "theta", "entropy"], rows)])

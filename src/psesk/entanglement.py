@@ -7,6 +7,9 @@ matrix is a tensor product of 2x2 blocks and everything reduces to the
 mu_a.  Energies are epsilon_a = -ln(mu_a / (1 - mu_a)), reported relative
 (the additive constant tr ln(1 - O) is dropped); modes fully inside or
 outside the cut map to -inf / +inf sentinels rather than exceptions.
+The functions take and return plain arrays: a Gramian (N x N, or for
+``schmidt_values`` a (K, N, N) stack of one per angle) or Schmidt values mu
+along the last axis.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from typing import Sequence
 import numpy as np
 
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
-from .overlap import OverlapMatrix, clamp_unit_interval, rotated_gramians, rotated_overlap  # noqa
+from .overlap import clamp_unit_interval, rotated_gramians, rotated_overlap  # noqa
 from .states import SlaterState
 
 __all__ = [
     "NonHermitian",
     "SingularOverlap",
-    "SchmidtValues",
     "PSESDataset",
     "schmidt_values",
     "entanglement_energies",
@@ -45,13 +47,6 @@ class SingularOverlap(Exception):
 
 
 @dataclass(frozen=True)
-class SchmidtValues:
-    """Gramian eigenvalues in [0, 1], sorted descending (along the last axis)."""
-
-    mu: np.ndarray
-
-
-@dataclass(frozen=True)
 class PSESDataset:
     """Entanglement data over a grid of rotation angles.
 
@@ -66,18 +61,17 @@ class PSESDataset:
 
 
 def _hermitian(o) -> np.ndarray:
-    """The matrix (or stack) of o, checked Hermitian, then symmetrised."""
-    mat = o.entries if isinstance(o, OverlapMatrix) else np.asarray(o, dtype=complex)
+    """The matrix (or stack) o, checked Hermitian, then symmetrised."""
+    mat = np.asarray(o, dtype=complex)
     herm = mat.conj().swapaxes(-1, -2)
     if np.max(np.abs(mat - herm), initial=0.0) > HERMITICITY_TOL:
         raise NonHermitian("overlap matrix is not Hermitian")
     return 0.5 * (mat + herm)
 
 
-def schmidt_values(o) -> SchmidtValues:
-    """Eigenvalues of the cut Gramian (each of a (K, N, N) stack), in [0, 1], descending."""
-    mu = clamp_unit_interval(np.linalg.eigvalsh(_hermitian(o)))
-    return SchmidtValues(mu=mu[..., ::-1])
+def schmidt_values(o) -> np.ndarray:
+    """Eigenvalues mu of the cut Gramian (each of a (K, N, N) stack), in [0, 1], descending."""
+    return clamp_unit_interval(np.linalg.eigvalsh(_hermitian(o)))[..., ::-1]
 
 
 def entanglement_energies(mu) -> np.ndarray:
@@ -85,7 +79,7 @@ def entanglement_energies(mu) -> np.ndarray:
 
     Descending mu yields ascending energies.
     """
-    m = mu.mu if isinstance(mu, SchmidtValues) else np.asarray(mu, dtype=float)
+    m = np.asarray(mu, dtype=float)
     out = np.empty_like(m)
     with np.errstate(divide="ignore"):
         interior = (m > 0.0) & (m < 1.0)
@@ -112,7 +106,7 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
 
 def entanglement_entropy(mu):
     """Binary-entropy sum over the mode splitting probabilities (per row of a stack)."""
-    m = mu.mu if isinstance(mu, SchmidtValues) else np.asarray(mu, dtype=float)
+    m = np.asarray(mu, dtype=float)
     return -np.sum(_xlogx(m) + _xlogx(1.0 - m), axis=-1)
 
 

@@ -28,10 +28,12 @@ __all__ = [
     "reweighted_rule",
     "expand_function",
     "basis_parity",
+    "quadrature_order",
     "DEFAULT_BASIS_SIZE",
 ]
 
 DEFAULT_BASIS_SIZE = 100
+TAIL_TOL = 1e-6  # largest tail mass expand_function accepts
 RESCALE = 1e150  # ho_stack divides its recurrence by this where it passes it
 FAR_MARGIN = 90.0  # past sqrt(2 n + 1) + FAR_MARGIN, phi_n(x) is below any double
 
@@ -161,18 +163,22 @@ def reweighted_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 1.0 / np.sum(phi * phi, axis=0)
 
 
-def expand_function(
-    f: Callable[[np.ndarray], np.ndarray],
-    basis_size: int,
-    order: Optional[int] = None,
-    tail_tol: float = 1e-6,
-) -> HOExpansion:
+def quadrature_order(basis_size: int) -> int:
+    """Gauss-Hermite order for projecting onto M basis functions: 2 M + 32.
+
+    Products phi_m phi_n of the basis need at least 2 M; the 32 spare
+    points resolve the sampled function beyond them.
+    """
+    return 2 * basis_size + 32
+
+
+def expand_function(f: Callable[[np.ndarray], np.ndarray], basis_size: int) -> HOExpansion:
     """Project a sampled function onto the truncated oscillator basis.
 
-    alpha_n = integral phi_n(x) f(x) dx, by Gauss-Hermite quadrature with the
-    exp(+x^2) reweighting.  The tail mass 1 - sum |alpha_n|^2 (relative to
-    the function's quadrature norm) is reported on the result and must stay
-    below ``tail_tol``.
+    alpha_n = integral phi_n(x) f(x) dx, by Gauss-Hermite quadrature of
+    quadrature_order(basis_size) with the exp(+x^2) reweighting.  The tail
+    mass 1 - sum |alpha_n|^2 (relative to the function's quadrature norm) is
+    reported on the result and must stay below TAIL_TOL.
 
     Parameters
     ----------
@@ -180,14 +186,8 @@ def expand_function(
         Vectorized sampler returning complex values.
     basis_size : int
         Number of retained coefficients M.
-    order : int, optional
-        Quadrature order; defaults to 2 * basis_size + 32 and must be at
-        least 2 * basis_size for the projection to be consistent.
     """
-    if order is None:
-        order = 2 * basis_size + 32
-    if order < 2 * basis_size:
-        raise ValueError("quadrature order must be >= 2 * basis_size")
+    order = quadrature_order(basis_size)
     nodes, w = reweighted_rule(order)
     fv = np.asarray(f(nodes), dtype=complex)
     phi = ho_stack(basis_size - 1, nodes)
@@ -200,9 +200,9 @@ def expand_function(
             f"projection is not finite at basis size {basis_size} (quadrature order {order})"
         )
     tail = (total - captured) / total if total > 0 else 0.0
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
-            f"tail mass {tail:.3e} exceeds {tail_tol:.1e} at basis size {basis_size}"
+            f"tail mass {tail:.3e} exceeds {TAIL_TOL:.1e} at basis size {basis_size}"
         )
     return HOExpansion(coeffs=coeffs, tail=tail)
 

@@ -18,7 +18,9 @@ The values phi_n(0) come from the oscillator recurrence at x = 0 and the
 slopes from the ladder relation phi_n' = sqrt(n/2) phi_{n-1}
 - sqrt((n+1)/2) phi_{n+1}.  phi_n(0) vanishes for odd n and phi_n'(0) for
 even n, so an entry with m + n even is exactly 0 and one with m + n odd is a
-single product: nothing cancels, at any index.
+single product: nothing cancels, at any index.  The table is therefore held
+as its two boundary vectors (``HOOverlapTable.phi0``, ``dphi0``); the dense
+M x M array is formed only on request (``entries``), for tests and oracles.
 
 Rotating the cut by a phase-space angle theta multiplies basis state n by
 e^{i n theta}, so for coefficient rows L and R the cut Gramian is
@@ -56,6 +58,8 @@ does not depend on which other angles share a call.
 
 A cut translated to x >= t has no closed form and is done by panelled
 Gauss-Legendre quadrature in the reconstructed position representation.
+``rotated_overlap`` and ``translated_overlap`` return the N x N Gramian of a
+state as a plain array.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ __all__ = [
     "GramBoundError",
     "GramianHarmonics",
     "HOOverlapTable",
-    "OverlapMatrix",
     "ho_halfspace_overlap",
     "ho_overlap_table",
     "overlap_quadrature_oracle",
@@ -97,31 +100,21 @@ class GramBoundError(Exception):
 
 @dataclass(frozen=True)
 class HOOverlapTable:
-    """Symmetric M x M table of half-line overlaps of phi_m and phi_n.
+    """The half-line overlap table of phi_0 .. phi_{M-1}, held as the two
+    boundary vectors phi_n(0) and phi_n'(0) it is built from."""
 
-    ``phi0`` and ``dphi0`` hold phi_n(0) and phi_n'(0), the two boundary
-    vectors the table is built from.
-    """
-
-    entries: np.ndarray
     phi0: np.ndarray
     dphi0: np.ndarray
 
     @property
     def basis_size(self) -> int:
-        return self.entries.shape[0]
+        return len(self.phi0)
 
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Cut Gramian of a Slater state: Hermitian, spectrum in [0, 1].
-
-    ``cut`` is "rotation" or "translation"; ``parameter`` the angle/offset.
-    """
-
-    entries: np.ndarray
-    cut: str
-    parameter: float
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense symmetric M x M table T_mn, formed on request."""
+        idx = np.arange(self.basis_size)
+        return _wronskian_overlap(self.phi0, self.dphi0, idx[:, None], idx[None, :])
 
 
 @dataclass(frozen=True)
@@ -167,19 +160,16 @@ def ho_halfspace_overlap(m: int, n: int) -> float:
 def ho_overlap_table(basis_size: int) -> HOOverlapTable:
     """The M x M half-line overlap table (views into a growing cache).
 
-    Smaller tables are leading submatrices of larger ones, so one master
-    table is kept and grown on demand.
+    Smaller tables are leading parts of larger ones, so one master table is
+    kept and replaced by a larger one on demand.
     """
     global _master_table
     if _master_table is None or _master_table.basis_size < basis_size:
-        idx = np.arange(basis_size)
         phi, dphi = _boundary_values(basis_size - 1)
-        t = _wronskian_overlap(phi, dphi, idx[:, None], idx[None, :])
-        for array in (t, phi, dphi):
+        for array in (phi, dphi):
             array.flags.writeable = False
-        _master_table = HOOverlapTable(entries=t, phi0=phi, dphi0=dphi)
-    return HOOverlapTable(entries=_master_table.entries[:basis_size, :basis_size],
-                          phi0=_master_table.phi0[:basis_size],
+        _master_table = HOOverlapTable(phi0=phi, dphi0=dphi)
+    return HOOverlapTable(phi0=_master_table.phi0[:basis_size],
                           dphi0=_master_table.dphi0[:basis_size])
 
 
@@ -195,20 +185,18 @@ def _panelled_legendre(lo: float, hi: float, points_per_panel: int):
     return nodes, weights
 
 
-def overlap_quadrature_oracle(m: int, n: int, order: int | None = None) -> float:
+def overlap_quadrature_oracle(m: int, n: int) -> float:
     """Brute-force half-line overlap by panelled Gauss-Legendre quadrature.
 
     Independent of the closed form; integrates phi_m phi_n over [0, X] with
-    X = sqrt(4 M) + 10, M = max(m, n) + 1, in unit panels.  ``order`` is the
-    total point budget spread over the panels (at least 24 per panel so the
-    fastest oscillation, wavelength ~ 2 pi / sqrt(2 max(m,n)), is resolved).
+    X = sqrt(4 M) + 10, M = max(m, n) + 1, in unit panels.  A budget of
+    2 (m + n) points is spread over the panels, at least 24 per panel so the
+    fastest oscillation, wavelength ~ 2 pi / sqrt(2 max(m,n)), is resolved.
     """
     top = max(m, n)
     x_cut = math.sqrt(4.0 * (top + 1)) + 10.0
     n_panels = int(math.ceil(x_cut))
-    if order is None:
-        order = 2 * (m + n)
-    per_panel = max(24, -(-order // n_panels))
+    per_panel = max(24, -(-2 * (m + n) // n_panels))
     nodes, weights = _panelled_legendre(0.0, x_cut, per_panel)
     phi = ho_stack(top, nodes)
     return float(np.sum(weights * phi[m] * phi[n]))
@@ -305,14 +293,13 @@ def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "r
     return out
 
 
-def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> OverlapMatrix:
-    """Cut Gramian after rotating the cut by theta (``side`` as in rotated_gramians)."""
-    o = rotated_gramians(state.coeffs, state.coeffs, [theta], side)[0]
-    return OverlapMatrix(entries=o, cut="rotation", parameter=float(theta))
+def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> np.ndarray:
+    """N x N cut Gramian after rotating the cut by theta (``side`` as in rotated_gramians)."""
+    return rotated_gramians(state.coeffs, state.coeffs, [theta], side)[0]
 
 
-def translated_overlap(state: SlaterState, offset: float) -> OverlapMatrix:
-    """Cut Gramian for the translated position cut x >= offset.
+def translated_overlap(state: SlaterState, offset: float) -> np.ndarray:
+    """N x N cut Gramian for the translated position cut x >= offset.
 
     Quadrature in the position representation reconstructed from the
     oscillator coefficients; the integration window ends at X = sqrt(4 M) + 10,
@@ -322,21 +309,18 @@ def translated_overlap(state: SlaterState, offset: float) -> OverlapMatrix:
     m = state.basis_size
     x_cut = math.sqrt(4.0 * m) + 10.0
     if offset >= x_cut:
-        entries = np.zeros((state.n_particles, state.n_particles), dtype=complex)
-        return OverlapMatrix(entries=entries, cut="translation", parameter=float(offset))
+        return np.zeros((state.n_particles, state.n_particles), dtype=complex)
     nodes, weights = _panelled_legendre(offset, x_cut, max(24, -(-4 * m // math.ceil(x_cut))))
     psi = state.coeffs @ ho_stack(m - 1, nodes).astype(complex)
     o = (psi.conj() * weights) @ psi.T
-    o = 0.5 * (o + o.conj().T)
-    return OverlapMatrix(entries=o, cut="translation", parameter=float(offset))
+    return 0.5 * (o + o.conj().T)
 
 
-def clamp_unit_interval(values: np.ndarray, tol: float = GRAM_CLAMP_TOL) -> np.ndarray:
-    """Clamp Gramian eigenvalues to [0, 1]; excursions beyond tol are bugs."""
+def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
+    """Clamp Gramian eigenvalues to [0, 1]; excursions beyond GRAM_CLAMP_TOL are bugs."""
     values = np.asarray(values, dtype=float)
     low, high = values.min(initial=0.0), values.max(initial=1.0)
-    if low < -tol or high > 1.0 + tol:
-        raise GramBoundError(
-            f"overlap spectrum [{low:.3e}, {high:.3e}] escapes [0,1] beyond {tol:.0e}"
-        )
+    if low < -GRAM_CLAMP_TOL or high > 1.0 + GRAM_CLAMP_TOL:
+        raise GramBoundError(f"overlap spectrum [{low:.3e}, {high:.3e}] escapes [0,1] "
+                             f"beyond {GRAM_CLAMP_TOL:.0e}")
     return np.clip(values, 0.0, 1.0)

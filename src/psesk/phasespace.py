@@ -60,6 +60,7 @@ EDGE_DECAY = 1e-10
 GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 161
 ROW_BLOCK = 256  # lattice rows of the position kernel built per matmul
+COMPOSE_ORDER = 96  # Gauss-Hermite points of compose_kernels_quadrature
 
 
 class DegenerateAngle(Exception):
@@ -146,16 +147,14 @@ def frft_direct(values: np.ndarray, x: np.ndarray, theta: float) -> np.ndarray:
     return frft_kernel(theta, x[:, None], x[None, :]) @ (values * w)
 
 
-def compose_kernels_quadrature(
-    theta1: float, theta2: float, x: float, y: float, order: int = 96
-) -> complex:
+def compose_kernels_quadrature(theta1: float, theta2: float, x: float, y: float) -> complex:
     """Quadrature of integral dz U_theta1(x, z) U_theta2(z, y).
 
     The integrand is a pure chirp in z whose tails never decay on the real
     line, so the path is rotated through the stationary point
     z_s = (x csc theta1 + y csc theta2) / (cot theta1 + cot theta2) by
     e^{-i sign(c) pi/4}; along that line the modulus decays as a Gaussian
-    and Gauss-Hermite quadrature converges at machine precision.  The path
+    and Gauss-Hermite quadrature of COMPOSE_ORDER converges at machine precision.  The path
     choice cannot bias the value (the integrand is entire), only the rate.
     """
     from .hobasis import reweighted_rule
@@ -166,7 +165,7 @@ def compose_kernels_quadrature(
     b = x / math.sin(theta1) + y / math.sin(theta2)
     z_star = b / c
     rho = np.exp(-1j * np.sign(c) * math.pi / 4.0) * math.sqrt(2.0 / abs(c))
-    u, w = reweighted_rule(order)
+    u, w = reweighted_rule(COMPOSE_ORDER)
     z = z_star + rho * u
     vals = frft_kernel(theta1, x, z) * frft_kernel(theta2, z, y)
     return complex(rho * np.sum(w * vals))

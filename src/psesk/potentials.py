@@ -9,14 +9,13 @@ sech^2 / tanh wells.  Eigenvectors feed straight into SlaterState.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .hobasis import DEFAULT_BASIS_SIZE, ho_stack, reweighted_rule
+from .hobasis import DEFAULT_BASIS_SIZE, ho_stack, quadrature_order, reweighted_rule
 from .states import SlaterState
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "parity_check",
     "kinetic_matrix",
 ]
-
-BUILTIN_KINDS = ("sho", "anharmonic", "double_well", "poschl_teller", "rosen_morse")
 
 # edge used both for growth screening and the continuum threshold
 X_EDGE = 25.0
@@ -49,25 +46,20 @@ class NotEnoughBoundStates(Exception):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A 1D potential: a named kind, its parameters, and a sampler."""
+    """A 1D potential: a named kind and its sampler."""
 
     kind: str
-    params: dict = field(default_factory=dict)
-    sampler: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
+    sampler: Callable[[np.ndarray], np.ndarray]
 
 
-def _builtin_sampler(kind: str) -> Callable[[np.ndarray], np.ndarray]:
-    if kind == "sho":
-        return lambda x: 0.5 * x * x
-    if kind == "anharmonic":
-        return lambda x: 0.5 * x * x + 0.25 * x**4
-    if kind == "double_well":
-        return lambda x: -2.0 * x * x + 0.25 * x**4
-    if kind == "poschl_teller":
-        return lambda x: -45.0 / np.cosh(x) ** 2
-    if kind == "rosen_morse":
-        return lambda x: -45.0 / np.cosh(x) ** 2 - 2.0 * np.tanh(x)
-    raise ValueError(f"unknown potential kind {kind!r}")
+_BUILTIN_SAMPLERS = {
+    "sho": lambda x: 0.5 * x * x,
+    "anharmonic": lambda x: 0.5 * x * x + 0.25 * x**4,
+    "double_well": lambda x: -2.0 * x * x + 0.25 * x**4,
+    "poschl_teller": lambda x: -45.0 / np.cosh(x) ** 2,
+    "rosen_morse": lambda x: -45.0 / np.cosh(x) ** 2 - 2.0 * np.tanh(x),
+}
+BUILTIN_KINDS = tuple(_BUILTIN_SAMPLERS)
 
 
 def potential(kind: str, expression: Optional[str] = None) -> PotentialSpec:
@@ -75,14 +67,10 @@ def potential(kind: str, expression: Optional[str] = None) -> PotentialSpec:
     if kind == "custom":
         if not expression:
             raise ValueError("custom potential requires an expression")
-        return PotentialSpec(
-            kind="custom",
-            params={"expression": expression},
-            sampler=parse_potential_expression(expression),
-        )
-    if kind not in BUILTIN_KINDS:
+        return PotentialSpec(kind="custom", sampler=parse_potential_expression(expression))
+    if kind not in _BUILTIN_SAMPLERS:
         raise ValueError(f"unknown potential kind {kind!r}")
-    return PotentialSpec(kind=kind, sampler=_builtin_sampler(kind))
+    return PotentialSpec(kind=kind, sampler=_BUILTIN_SAMPLERS[kind])
 
 
 # bounds the parser's recursion and the depth of the compiled sampler
@@ -209,17 +197,10 @@ def _screen_growth(spec: PotentialSpec, nodes: np.ndarray) -> None:
             raise QuadratureOverflow("potential grows at least as fast as exp(x^2)")
 
 
-def hamiltonian_matrix(
-    spec: PotentialSpec,
-    basis_size: int = DEFAULT_BASIS_SIZE,
-    order: Optional[int] = None,
-) -> np.ndarray:
-    """Galerkin matrix of p^2/2 + V in the truncated oscillator basis."""
-    if order is None:
-        order = 2 * basis_size + 32
-    if order < 2 * basis_size:
-        raise ValueError("quadrature order must be >= 2 * basis_size")
-    nodes, w = reweighted_rule(order)
+def hamiltonian_matrix(spec: PotentialSpec, basis_size: int = DEFAULT_BASIS_SIZE) -> np.ndarray:
+    """Galerkin matrix of p^2/2 + V in the truncated oscillator basis, V by
+    Gauss-Hermite quadrature of quadrature_order(basis_size)."""
+    nodes, w = reweighted_rule(quadrature_order(basis_size))
     _screen_growth(spec, nodes)
     phi = ho_stack(basis_size - 1, nodes)
     v = (phi * (w * np.asarray(spec.sampler(nodes), dtype=float))) @ phi.T
@@ -238,9 +219,9 @@ class BoundStateSet:
     basis_size: int
     quadrature_order: int
 
-    def as_slater(self, count: Optional[int] = None) -> SlaterState:
-        n = len(self.energies) if count is None else count
-        return SlaterState(self.states[:n].astype(complex))
+    def as_slater(self) -> SlaterState:
+        """The Slater state filling every level of the set."""
+        return SlaterState(self.states.astype(complex))
 
 
 def _continuum_threshold(spec: PotentialSpec) -> float:
@@ -252,7 +233,6 @@ def bound_states(
     spec: PotentialSpec,
     count: int,
     basis_size: int = DEFAULT_BASIS_SIZE,
-    order: Optional[int] = None,
     convergence_tol: Optional[float] = None,
 ) -> BoundStateSet:
     """Lowest ``count`` bound eigenpairs of the well.
@@ -264,9 +244,7 @@ def bound_states(
     requested level moves by more than that between basis sizes
     basis_size - 20 and basis_size.
     """
-    if order is None:
-        order = 2 * basis_size + 32
-    h = hamiltonian_matrix(spec, basis_size, order)
+    h = hamiltonian_matrix(spec, basis_size)
     energies, vecs = np.linalg.eigh(h)
     threshold = _continuum_threshold(spec)
     n_bound = int(np.sum(energies < threshold)) if np.isfinite(threshold) else basis_size
@@ -275,7 +253,7 @@ def bound_states(
             f"requested {count} levels but only {n_bound} lie below the continuum at {threshold:.3g}"
         )
     if convergence_tol is not None:
-        smaller = bound_states(spec, count, basis_size - 20, None, None)
+        smaller = bound_states(spec, count, basis_size - 20)
         drift = np.max(np.abs(energies[:count] - smaller.energies))
         if drift > convergence_tol:
             raise NotEnoughBoundStates(
@@ -290,24 +268,24 @@ def bound_states(
         energies=energies[:count].copy(),
         states=rows,
         basis_size=basis_size,
-        quadrature_order=order,
+        quadrature_order=quadrature_order(basis_size),
     )
 
 
-def parity_check(bset: BoundStateSet, tol: float = PARITY_SUPPORT_TOL) -> list[Optional[int]]:
+def parity_check(bset: BoundStateSet) -> list[Optional[int]]:
     """Per-state inversion parity: +1, -1, or None for asymmetric states.
 
     A state is a parity eigenstate when its coefficient weight on the
-    opposite-parity basis indices is below ``tol``.
+    opposite-parity basis indices is below PARITY_SUPPORT_TOL.
     """
     odd_index = np.arange(bset.basis_size) % 2 == 1
     out: list[Optional[int]] = []
     for row in bset.states:
         w_odd = float(np.sum(np.abs(row[odd_index]) ** 2))
         w_even = float(np.sum(np.abs(row[~odd_index]) ** 2))
-        if w_odd <= tol:
+        if w_odd <= PARITY_SUPPORT_TOL:
             out.append(1)
-        elif w_even <= tol:
+        elif w_even <= PARITY_SUPPORT_TOL:
             out.append(-1)
         else:
             out.append(None)

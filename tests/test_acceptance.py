@@ -58,8 +58,8 @@ def test_criterion_02_gram_bound_and_complementarity():
         m = int(rng.integers(max(n, 2), 61))
         state = random_slater(rng, n, m)
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        right = overlap.rotated_overlap(state, theta).entries
-        left = overlap.rotated_overlap(state, theta, side="left").entries
+        right = overlap.rotated_overlap(state, theta)
+        left = overlap.rotated_overlap(state, theta, side="left")
         evals = np.linalg.eigvalsh(right)
         ok &= evals.min() >= -1e-9 and evals.max() <= 1.0 + 1e-9
         ok &= bool(np.max(np.abs(right + left - np.eye(n))) <= 1e-9)

@@ -90,15 +90,15 @@ def test_chiral_block_scalar_pair():
     ps = chiral.parity_sort(ho_slater([0, 1]))
     for theta in (0.0, 0.6, 2.5):
         blk = chiral.chiral_block(ps, theta)
-        assert blk.m_theta.shape == (1, 1)
-        assert blk.m_theta[0, 0] == pytest.approx(O01 * np.exp(1j * theta), abs=1e-12)
+        assert blk.shape == (1, 1)
+        assert blk[0, 0] == pytest.approx(O01 * np.exp(1j * theta), abs=1e-12)
 
 
 def test_chiral_block_interpolated_family_formula():
     t = 0.37
     ps = chiral.parity_sort(interpolated_state(t, PHI))
     for theta in (0.2, 1.9):
-        got = chiral.chiral_block(ps, theta).m_theta[0, 0]
+        got = chiral.chiral_block(ps, theta)[0, 0]
         want = O01 * math.cos(math.pi * t / 2) * np.exp(1j * theta) + O21 * math.sin(
             math.pi * t / 2
         ) * np.exp(1j * (PHI - theta))
@@ -118,8 +118,8 @@ def test_block_antiperiodic_under_half_turn():
     rng = np.random.default_rng(32)
     ps = chiral.parity_sort(random_symmetric_slater(rng, 2, 2, 12))
     theta = 0.81
-    a = chiral.chiral_block(ps, theta).m_theta
-    b = chiral.chiral_block(ps, theta + math.pi).m_theta
+    a = chiral.chiral_block(ps, theta)
+    b = chiral.chiral_block(ps, theta + math.pi)
     assert np.max(np.abs(a + b)) < 1e-12
 
 
@@ -205,7 +205,7 @@ def test_anticommutation_with_parity_grading():
     ps = chiral.parity_sort(random_symmetric_slater(rng, 3, 2, 14))
     grading = np.diag([1.0] * ps.n_even + [-1.0] * ps.n_odd)
     for theta in (0.0, 0.9, 2.2):
-        o = rotated_overlap(ps.as_state(), theta).entries
+        o = rotated_overlap(ps.as_state(), theta)
         m_big = 2.0 * o - np.eye(ps.n_even + ps.n_odd)
         anti = m_big @ grading + grading @ m_big
         assert np.max(np.abs(anti)) < 1e-10

@@ -151,6 +151,22 @@ def test_entropy_surface_argmax(tmp_path):
     meta = json.loads((tmp_path / "entropy_surface_meta.json").read_text())
     assert meta["max_entropy"] <= 2 * math.log(2) + 1e-9
     assert meta["argmax"]["t"] == pytest.approx(0.6, abs=0.05)
+    # S is pi-periodic in theta, so the reported maximiser is the one in [0, pi)
+    assert 0.0 <= meta["argmax"]["theta"] < math.pi
+    at_argmax = {(r[0], r[1]): float(r[2]) for r in rows}[
+        (repr(meta["argmax"]["t"]), repr(meta["argmax"]["theta"]))]
+    assert at_argmax == pytest.approx(meta["max_entropy"], abs=1e-12)
+
+
+def test_entropy_surface_argmax_is_stable_on_the_script_grid(tmp_path):
+    # scripts/entropy_polar.py's grid: the maxima at theta and theta + pi tie
+    # to roundoff, so a plain argmax over [0, 2 pi) may pick either copy
+    rc = main(["entropy-surface", "--interpolated", f"0,{2 * math.pi / 3}",
+               "--t-points", "201", "--theta-points", "256", "--out", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "entropy_surface_meta.json").read_text())
+    assert 0.0 <= meta["argmax"]["theta"] < math.pi
+    assert meta["argmax"]["theta"] == pytest.approx(5 * math.pi / 6, abs=0.02)
 
 
 def test_wigner_ground_state_peak(tmp_path):

@@ -20,12 +20,12 @@ def two_level_overlap(theta):
 
 
 def test_schmidt_scalar_and_identity():
-    assert ent.schmidt_values(np.array([[0.5]])).mu == pytest.approx([0.5])
-    assert ent.schmidt_values(np.eye(3)).mu == pytest.approx([1.0, 1.0, 1.0])
+    assert ent.schmidt_values(np.array([[0.5]])) == pytest.approx([0.5])
+    assert ent.schmidt_values(np.eye(3)) == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_schmidt_two_level_closed_form():
-    mu = ent.schmidt_values(two_level_overlap(0.77)).mu
+    mu = ent.schmidt_values(two_level_overlap(0.77))
     assert mu == pytest.approx([0.5 + O01, 0.5 - O01], rel=1e-12)
 
 
@@ -36,10 +36,10 @@ def test_schmidt_rejects_non_hermitian():
 
 def test_schmidt_stack_matches_slices_and_keeps_guards():
     stack = np.array([two_level_overlap(t) for t in (0.1, 0.9, 2.3)])
-    mu = ent.schmidt_values(stack).mu
+    mu = ent.schmidt_values(stack)
     assert mu.shape == (3, 2)
     for got, o in zip(mu, stack):
-        assert np.array_equal(got, ent.schmidt_values(o).mu)
+        assert np.array_equal(got, ent.schmidt_values(o))
     skewed = stack.copy()
     skewed[1, 0, 1] += 1e-6
     with pytest.raises(ent.NonHermitian):

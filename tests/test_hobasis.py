@@ -151,11 +151,6 @@ def test_expand_raises_on_non_finite_projection():
         hobasis.expand_function(lambda x: np.where(x > 30.0, np.inf, ground(x)), basis_size=400)
 
 
-def test_expand_rejects_low_order():
-    with pytest.raises(ValueError):
-        hobasis.expand_function(lambda x: np.exp(-x * x / 2), basis_size=10, order=10)
-
-
 def test_basis_parity():
     assert hobasis.basis_parity(0) == 1
     assert hobasis.basis_parity(1) == -1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ def test_table_spectrum_within_unit_interval():
     assert evals.max() < 1.0 + 1e-10
 
 
+def test_table_is_held_as_its_two_boundary_vectors(monkeypatch):
+    monkeypatch.setattr(overlap, "_master_table", None)  # a fresh process's empty cache
+    tracemalloc.start()
+    try:
+        table = overlap.ho_overlap_table(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # phi(0) and phi'(0) are 16 KiB; the dense table would be 8 MiB
+    assert peak < 2**20
+    assert table.basis_size == 1024 and table.entries.shape == (1024, 1024)
+
+
 def test_oracle_simple_values():
     assert overlap.overlap_quadrature_oracle(0, 0) == pytest.approx(0.5, abs=1e-10)
     assert overlap.overlap_quadrature_oracle(0, 1) == pytest.approx(
@@ -84,7 +98,7 @@ def test_oracle_matches_table_at_top_of_basis():
 def test_translated_at_origin_matches_rotated_gramians_at_max_basis():
     rng = np.random.default_rng(1024)
     a = random_unitary_rows(rng, 3, 1024)
-    o_t = overlap.translated_overlap(SlaterState(a), 0.0).entries
+    o_t = overlap.translated_overlap(SlaterState(a), 0.0)
     o_r = overlap.rotated_gramians(a, a, [0.0])[0]
     assert np.max(np.abs(o_t - o_r)) < 1e-11
 
@@ -100,7 +114,7 @@ def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
     assert stack.shape == (6, 4, 4)
     for theta, o in zip(thetas, stack):
         rotated = SlaterState(a * np.exp(1j * np.arange(m) * theta))
-        assert np.max(np.abs(o - overlap.translated_overlap(rotated, 0.0).entries)) < 1e-11
+        assert np.max(np.abs(o - overlap.translated_overlap(rotated, 0.0))) < 1e-11
 
 
 def _dense_gramians(left, right, thetas, side="right"):
@@ -167,8 +181,7 @@ def test_closed_form_matches_oracle(m, n):
 def test_rotated_single_even_state():
     s = ho_slater([0], basis_size=4)
     o = overlap.rotated_overlap(s, 0.0)
-    assert o.entries == pytest.approx(np.array([[0.5 + 0j]]))
-    assert o.cut == "rotation"
+    assert o == pytest.approx(np.array([[0.5 + 0j]]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -176,14 +189,14 @@ def test_rotated_single_basis_state_is_angle_independent(n):
     s = ho_slater([n], basis_size=6)
     for theta in (0.3, 1.1, 4.0):
         o = overlap.rotated_overlap(s, theta)
-        assert o.entries == pytest.approx(np.array([[0.5 + 0j]]), abs=1e-12)
+        assert o == pytest.approx(np.array([[0.5 + 0j]]), abs=1e-12)
 
 
 def test_rotation_by_pi_swaps_subsystems():
     rng = np.random.default_rng(11)
     s = random_slater(rng, 3, 12)
-    o0 = overlap.rotated_overlap(s, 0.0).entries
-    opi = overlap.rotated_overlap(s, math.pi).entries
+    o0 = overlap.rotated_overlap(s, 0.0)
+    opi = overlap.rotated_overlap(s, math.pi)
     assert np.max(np.abs(opi - (np.eye(3) - o0))) < 1e-12
 
 
@@ -191,8 +204,8 @@ def test_left_cut_complement():
     rng = np.random.default_rng(12)
     s = random_slater(rng, 4, 15)
     theta = 0.83
-    right = overlap.rotated_overlap(s, theta).entries
-    left = overlap.rotated_overlap(s, theta, side="left").entries
+    right = overlap.rotated_overlap(s, theta)
+    left = overlap.rotated_overlap(s, theta, side="left")
     assert np.max(np.abs(right + left - np.eye(4))) < 1e-9
 
 
@@ -203,7 +216,7 @@ def test_gram_bound_random_states():
         m = int(rng.integers(n, 40))
         s = random_slater(rng, n, m)
         theta = float(rng.uniform(0, 2 * math.pi))
-        evals = np.linalg.eigvalsh(overlap.rotated_overlap(s, theta).entries)
+        evals = np.linalg.eigvalsh(overlap.rotated_overlap(s, theta))
         assert evals.min() > -1e-9
         assert evals.max() < 1 + 1e-9
 
@@ -212,25 +225,25 @@ def test_spectrum_periodicity_with_subsystem_swap():
     rng = np.random.default_rng(14)
     s = random_slater(rng, 3, 16)
     theta = 1.234
-    mu_a = schmidt_values(overlap.rotated_overlap(s, theta)).mu
-    mu_b = schmidt_values(overlap.rotated_overlap(s, theta + math.pi)).mu
+    mu_a = schmidt_values(overlap.rotated_overlap(s, theta))
+    mu_b = schmidt_values(overlap.rotated_overlap(s, theta + math.pi))
     assert np.max(np.abs(np.sort(mu_a) - np.sort(1.0 - mu_b))) < 1e-8
 
 
 def test_translated_limits():
     s = ho_slater([0, 1, 2])
     far = math.sqrt(4 * s.basis_size) + 10.0
-    o_full = overlap.translated_overlap(s, -far).entries
+    o_full = overlap.translated_overlap(s, -far)
     assert np.max(np.abs(o_full - np.eye(3))) < 1e-8
-    o_empty = overlap.translated_overlap(s, far).entries
+    o_empty = overlap.translated_overlap(s, far)
     assert np.max(np.abs(o_empty)) < 1e-8
 
 
 def test_translated_at_origin_matches_rotation_zero():
     rng = np.random.default_rng(15)
     s = random_slater(rng, 3, 10)
-    o_t = overlap.translated_overlap(s, 0.0).entries
-    o_r = overlap.rotated_overlap(s, 0.0).entries
+    o_t = overlap.translated_overlap(s, 0.0)
+    o_r = overlap.rotated_overlap(s, 0.0)
     assert np.max(np.abs(o_t - o_r)) < 1e-8
 
 
@@ -238,7 +251,7 @@ def test_translated_energies_shift_monotonically():
     # pushing the cut right strictly shrinks every Schmidt value
     s = ho_slater([0, 1])
     mus = [
-        np.sort(schmidt_values(overlap.translated_overlap(s, t)).mu)
+        np.sort(schmidt_values(overlap.translated_overlap(s, t)))
         for t in (-1.0, 0.0, 1.0)
     ]
     assert np.all(mus[0] >= mus[1]) and np.all(mus[1] >= mus[2])

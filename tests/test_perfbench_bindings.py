@@ -6,14 +6,18 @@ with a bare ``getattr``, and the benchmark self-test patches
 breaks every traced benchmark run, so it fails here first.  The benchmark
 also tells a table build from a cached call by the identity of
 ``overlap._master_table``, and its self-test expects one ``ho_overlap_table``
-call per ``rotated_overlap``.
+call per ``rotated_overlap``.  The self-test itself runs here too.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_traced_names_resolve_on_their_layers():
@@ -45,3 +49,26 @@ def test_rotated_overlap_reads_the_table_once(monkeypatch):
     monkeypatch.setattr(overlap, "ho_overlap_table", counted)
     overlap.rotated_overlap(ho_slater([0, 1], basis_size=4), 0.3)
     assert calls == [4]
+
+
+def test_only_a_larger_table_replaces_the_cache(monkeypatch):
+    from psesk import overlap
+
+    monkeypatch.setattr(overlap, "_master_table", None)
+    overlap.ho_overlap_table(8)
+    built = overlap._master_table
+    assert built is not None and built.basis_size == 8
+    overlap.ho_overlap_table(6)
+    assert overlap._master_table is built
+    overlap.ho_overlap_table(8)
+    assert overlap._master_table is built
+    overlap.ho_overlap_table(9)
+    assert overlap._master_table is not built
+    assert overlap._master_table.basis_size == 9
+
+
+def test_benchmark_selftest_passes():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
