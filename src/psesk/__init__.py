@@ -43,7 +43,7 @@ from .phasespace import (
     wigner_of_state,
     wigner_pure,
 )
-from .potentials import BoundStateSet, PotentialSpec, bound_states, hamiltonian_matrix, potential
+from .potentials import BoundStateSet, bound_states, hamiltonian_matrix, potential
 from .states import SlaterState, ho_slater, interpolated_state
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "HOOverlapTable",
     "PSESDataset",
     "ParitySortedState",
-    "PotentialSpec",
     "BoundStateSet",
     "SlaterState",
     "WignerField",

@@ -63,7 +63,7 @@ class GapClosed(Exception):
 
 
 class GridTooCoarse(Exception):
-    """Phase steps stayed >= pi/2 after reaching the refinement cap."""
+    """Phase steps stayed >= pi/2 with the grid at its interval cap."""
 
 
 class EmptyBlock(Exception):
@@ -169,28 +169,29 @@ def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.nda
 
 
 def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
-    """(winding, grid size used, min |det m| seen) over theta in [0, pi].
+    """(winding, intervals in the final grid, min |det m| seen) over theta in [0, pi].
 
-    Phase-unwraps det m on a uniform grid; any wrapped step >= pi/2 doubles
-    the grid (up to GRID_CAP).  The total is an exact multiple of pi
-    because m(pi) = -m(0), so rounding to an integer is safe once the steps
-    are small.
+    Phase-unwraps det m from a uniform grid of ``grid_size`` intervals; every
+    interval whose wrapped step is >= pi/2 is bisected and only its midpoint
+    evaluated, until no such step is left or the grid would exceed GRID_CAP
+    intervals.  The total is an exact multiple of pi because m(pi) = -m(0),
+    so rounding to an integer is safe once the steps are small.
     """
     if ps.n_even != ps.n_odd:
         raise EmptyBlock("winding requires equally many even and odd orbitals")
-    k = grid_size
+    thetas = np.linspace(0.0, math.pi, grid_size + 1)
+    dets = block_determinants(ps, thetas)
     while True:
-        thetas = np.linspace(0.0, math.pi, k + 1)
-        dets = block_determinants(ps, thetas)
         min_det = float(np.min(np.abs(dets)))
         if min_det < DET_FLOOR:
             raise GapClosed(
                 f"|det m| < {DET_FLOOR:.0e} on the grid; winding undefined"
             )
         steps = np.angle(dets[1:] / dets[:-1])
-        if np.max(np.abs(steps)) < math.pi / 2.0:
-            return int(round(float(np.sum(steps)) / math.pi)), k, min_det
-        if k >= GRID_CAP:
+        bad = np.flatnonzero(np.abs(steps) >= math.pi / 2.0)
+        if not len(bad):
+            return int(round(float(np.sum(steps)) / math.pi)), len(steps), min_det
+        if len(steps) + len(bad) > GRID_CAP:
             # a zero between grid points masquerades as an unresolvable step
             j = int(np.argmax(np.abs(steps)))
             (theta_star,), (det_star,) = _golden_minima(ps, [(thetas[j], thetas[j + 1])], 1e-12)
@@ -198,8 +199,10 @@ def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[
                 raise GapClosed(
                     f"|det m| < {DET_FLOOR:.0e} near theta = {theta_star:.6f}"
                 )
-            raise GridTooCoarse(f"phase steps still >= pi/2 at grid size {k}")
-        k *= 2
+            raise GridTooCoarse(f"phase steps still >= pi/2 at {len(steps)} intervals")
+        mids = 0.5 * (thetas[bad] + thetas[bad + 1])
+        thetas = np.insert(thetas, bad + 1, mids)
+        dets = np.insert(dets, bad + 1, block_determinants(ps, mids))
 
 
 def winding_number(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> int:

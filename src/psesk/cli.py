@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -175,7 +175,21 @@ def _json_value(v):
     return v
 
 
-def write_table(directory: Path, stem: str, fmt: str, header: list[str], rows) -> str:
+class Rows:
+    """A table's rows, made one at a time as they are written; ``len`` is
+    the row count, known before any row is made."""
+
+    def __init__(self, count: int, rows: Iterable):
+        self.count, self.rows = count, rows
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
+def write_table(directory: Path, stem: str, fmt: str, header: list[str], rows: Rows) -> str:
     """Stream ``rows`` to ``<stem>.csv`` or ``<stem>.json`` one row at a time."""
     name = f"{stem}.{fmt}"
     with (directory / name).open("w") as f:
@@ -202,7 +216,7 @@ def write_outputs(cfg: dict, command: str, sidecar_stem: str, report: dict,
     """Write a command's tables, its gnuplot matrix if asked for, and the
     sidecar holding the command, the resolved config and ``report``.
 
-    ``tables`` holds (stem, header, rows) triples; ``matrix`` the rows of
+    ``tables`` holds (stem, header, Rows) triples; ``matrix`` the rows of
     ``<command>_matrix.dat``, cells as in the CSV tables.
     """
     out = Path(cfg["out"])
@@ -325,8 +339,9 @@ def cmd_spectrum(cfg: dict) -> int:
     state, state_meta = build_state(cfg)
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     data = entanglement.pses_sweep(state, thetas)
-    rows = [(theta, str(level), eps) for theta, row in zip(data.thetas, data.energies)
-            for level, eps in enumerate(row)]
+    rows = Rows(data.energies.size, ((theta, str(level), eps)
+                                     for theta, row in zip(data.thetas, data.energies)
+                                     for level, eps in enumerate(row)))
     report = {
         "state": state_meta,
         "n_particles": state.n_particles,
@@ -337,8 +352,9 @@ def cmd_spectrum(cfg: dict) -> int:
     }
     write_outputs(cfg, "spectrum", "spectrum_meta", report, tables=[
         ("spectrum", ["theta", "level", "epsilon"], rows),
-        ("entropy", ["theta", "entropy"], list(zip(data.thetas, data.entropy))),
-    ], matrix=np.column_stack([data.thetas, np.clip(data.energies, -PLOT_CLIP, PLOT_CLIP)]))
+        ("entropy", ["theta", "entropy"], Rows(len(data.thetas), zip(data.thetas, data.entropy))),
+    ], matrix=([theta, *np.clip(row, -PLOT_CLIP, PLOT_CLIP)]
+               for theta, row in zip(data.thetas, data.energies)))
     return 0
 
 
@@ -377,7 +393,8 @@ def cmd_entropy_surface(cfg: dict) -> int:
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     entropy = np.array([entanglement.pses_sweep(interpolated_state(float(t), phi), thetas).entropy
                         for t in t_grid])
-    rows = [(t, theta, s) for t, row in zip(t_grid, entropy) for theta, s in zip(thetas, row)]
+    rows = Rows(entropy.size, ((t, theta, s) for t, row in zip(t_grid, entropy)
+                               for theta, s in zip(thetas, row)))
     i, j = np.unravel_index(np.argmax(entropy), entropy.shape)
     # S(theta + pi) = S(theta) (the subsystems swap), so the maximum ties
     # between theta and theta + pi; report the one in [0, pi)
@@ -408,8 +425,9 @@ def cmd_wigner(cfg: dict) -> int:
         field = phasespace.coherent_wigner(op, axis, axis)
     else:
         field = phasespace.wigner_of_state(op, axis, axis)
-    rows = [(xv, pv, float(w.real), float(w.imag))
-            for xv, row in zip(field.x, field.values) for pv, w in zip(field.p, row)]
+    rows = Rows(field.values.size, ((xv, pv, float(w.real), float(w.imag))
+                                    for xv, row in zip(field.x, field.values)
+                                    for pv, w in zip(field.p, row)))
     matrix = itertools.chain([[str(len(field.x)), *field.x]],
                              ([pv, *col] for pv, col in zip(field.p, field.values.real.T)))
     write_outputs(cfg, "wigner", "wigner_meta",
@@ -430,11 +448,11 @@ def cmd_solve_potential(cfg: dict) -> int:
     levels = entry.get("n", cfg["levels"])
     bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or 100)
     parities = potentials.parity_check(bset)
-    rows = [(str(i), e, "asym" if par is None else f"{par:+d}")
-            for i, (e, par) in enumerate(zip(bset.energies, parities))]
+    rows = Rows(levels, ((str(i), e, "asym" if par is None else f"{par:+d}")
+                         for i, (e, par) in enumerate(zip(bset.energies, parities))))
     coeff_header = ["n", *(f"{part}_{m}" for m in range(bset.basis_size) for part in ("re", "im"))]
-    coeff_rows = [(str(i), *(float(part) for v in row for part in (v.real, v.imag)))
-                  for i, row in enumerate(bset.states)]
+    coeff_rows = Rows(levels, ((str(i), *(float(part) for v in row for part in (v.real, v.imag)))
+                               for i, row in enumerate(bset.states)))
     report = {
         "potential": entry["kind"],
         "levels": levels,

@@ -1,5 +1,11 @@
 """Spectral (Galerkin) bound-state solver for 1D wells in the oscillator basis.
 
+A potential is its sampler: a vectorized V(x) on float arrays, either a
+built-in well (BUILTIN_KINDS) or compiled from an expression over + - * /
+^ sech tanh exp x and numeric literals.  The expression is tokenized over
+that alphabet (at most MAX_EXPRESSION_TOKENS tokens), parsed by Python's
+``ast`` with ^ read as **, and compiled from a whitelist of node types.
+
 H = p^2/2 + V(x) with hbar = m = 1.  The kinetic part is pentadiagonal and
 assembled from ladder operators (exact); the potential matrix uses
 Gauss-Hermite quadrature with the exp(+x^2) reweighting, exact for
@@ -9,6 +15,8 @@ sech^2 / tanh wells.  Eigenvectors feed straight into SlaterState.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,7 +29,6 @@ from .states import SlaterState
 __all__ = [
     "QuadratureOverflow",
     "NotEnoughBoundStates",
-    "PotentialSpec",
     "BoundStateSet",
     "potential",
     "parse_potential_expression",
@@ -31,9 +38,11 @@ __all__ = [
     "kinetic_matrix",
 ]
 
-# edge used both for growth screening and the continuum threshold
+# where the continuum threshold samples the potential
 X_EDGE = 25.0
 PARITY_SUPPORT_TOL = 1e-10
+
+Sampler = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadratureOverflow(Exception):
@@ -42,14 +51,6 @@ class QuadratureOverflow(Exception):
 
 class NotEnoughBoundStates(Exception):
     """Fewer genuine bound levels below the continuum than requested."""
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """A 1D potential: a named kind and its sampler."""
-
-    kind: str
-    sampler: Callable[[np.ndarray], np.ndarray]
 
 
 _BUILTIN_SAMPLERS = {
@@ -62,24 +63,26 @@ _BUILTIN_SAMPLERS = {
 BUILTIN_KINDS = tuple(_BUILTIN_SAMPLERS)
 
 
-def potential(kind: str, expression: Optional[str] = None) -> PotentialSpec:
-    """Build a PotentialSpec for a built-in kind or a custom expression."""
+def potential(kind: str, expression: Optional[str] = None) -> Sampler:
+    """The sampler V(x) of a built-in kind or of a custom expression."""
     if kind == "custom":
         if not expression:
             raise ValueError("custom potential requires an expression")
-        return PotentialSpec(kind="custom", sampler=parse_potential_expression(expression))
+        return parse_potential_expression(expression)
     if kind not in _BUILTIN_SAMPLERS:
         raise ValueError(f"unknown potential kind {kind!r}")
-    return PotentialSpec(kind=kind, sampler=_BUILTIN_SAMPLERS[kind])
+    return _BUILTIN_SAMPLERS[kind]
 
 
-# bounds the parser's recursion and the depth of the compiled sampler
+# fixes the parser's alphabet and bounds the depth of the compiled sampler
 MAX_EXPRESSION_TOKENS = 256
 _TOKEN = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|sech|tanh|exp|x|[()+\-*/^])")
 _FUNCS = {"sech": lambda v: 1.0 / np.cosh(v), "tanh": np.tanh, "exp": np.exp}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def parse_potential_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
+def parse_potential_expression(text: str) -> Sampler:
     """Compile an expression over +, -, *, /, ^, sech, tanh, exp, x, literals.
 
     Standard precedence, right-associative ^; returns a vectorized sampler
@@ -97,84 +100,42 @@ def parse_potential_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
         pos = m.end()
     if len(tokens) > MAX_EXPRESSION_TOKENS:
         raise ValueError(f"expression has more than {MAX_EXPRESSION_TOKENS} tokens")
-    tokens.append(None)  # sentinel
+    # a function name must be called directly: Python would also call (sech)(x)
+    for tok, after in zip(tokens, tokens[1:] + [None]):
+        if tok in _FUNCS and after != "(":
+            raise ValueError(f"expected '(' after {tok!r} in {text!r}")
+    # Python's grammar has the same precedence once ^ is **; literals become
+    # names _k bound to float(token) (so 007 is 7.0 and 1e400 is inf), and the
+    # spaces keep "* *" and "/ /" from reading as ** and //
+    literals = {f"_{k}": float(tok) for k, tok in enumerate(tokens) if tok[0].isdigit()}
+    source = " ".join(
+        f"_{k}" if tok[0].isdigit() else "**" if tok == "^" else tok
+        for k, tok in enumerate(tokens)
+    )
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
 
-    cursor = [0]
+    def build(node: ast.expr) -> Sampler:
+        match node:
+            case ast.BinOp(left, op, right) if type(op) in _BINOPS:
+                f, a, b = _BINOPS[type(op)], build(left), build(right)
+                return lambda x: f(a(x), b(x))
+            case ast.UnaryOp(ast.USub(), operand):
+                a = build(operand)
+                return lambda x: -a(x)
+            case ast.Call(ast.Name(name), [arg], []) if name in _FUNCS:
+                f, a = _FUNCS[name], build(arg)
+                return lambda x: f(a(x))
+            case ast.Name("x"):
+                return lambda x: np.asarray(x, dtype=float)
+            case ast.Name(name) if name in literals:
+                v = literals[name]
+                return lambda x: np.full_like(np.asarray(x, dtype=float), v)
+        raise ValueError(f"unsupported {type(node).__name__} in {text!r}")
 
-    def peek():
-        return tokens[cursor[0]]
-
-    def advance():
-        cursor[0] += 1
-        return tokens[cursor[0] - 1]
-
-    def expect(tok):
-        if peek() != tok:
-            raise ValueError(f"expected {tok!r}, got {peek()!r} in {text!r}")
-        advance()
-
-    def parse_expr():
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = advance()
-            rhs = parse_term()
-            node = (lambda a, b: (lambda x: a(x) + b(x)))(node, rhs) if op == "+" else (
-                lambda a, b: (lambda x: a(x) - b(x))
-            )(node, rhs)
-        return node
-
-    def parse_term():
-        node = parse_unary()
-        while peek() in ("*", "/"):
-            op = advance()
-            rhs = parse_unary()
-            node = (lambda a, b: (lambda x: a(x) * b(x)))(node, rhs) if op == "*" else (
-                lambda a, b: (lambda x: a(x) / b(x))
-            )(node, rhs)
-        return node
-
-    def parse_unary():
-        # '^' binds tighter than unary minus: -x^2 is -(x^2)
-        if peek() == "-":
-            advance()
-            inner = parse_unary()
-            return lambda x, a=inner: -a(x)
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == "^":
-            advance()
-            expo = parse_unary()
-            return lambda x, a=base, b=expo: a(x) ** b(x)
-        return base
-
-    def parse_atom():
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of expression in {text!r}")
-        if tok == "(":
-            advance()
-            inner = parse_expr()
-            expect(")")
-            return inner
-        if tok in _FUNCS:
-            advance()
-            expect("(")
-            inner = parse_expr()
-            expect(")")
-            return lambda x, f=_FUNCS[tok], a=inner: f(a(x))
-        if tok == "x":
-            advance()
-            return lambda x: np.asarray(x, dtype=float)
-        advance()
-        value = float(tok)
-        return lambda x, v=value: np.full_like(np.asarray(x, dtype=float), v)
-
-    fn = parse_expr()
-    if peek() is not None:
-        raise ValueError(f"trailing input {peek()!r} in {text!r}")
-    return np.errstate(all="ignore")(fn)
+    return np.errstate(all="ignore")(build(tree))
 
 
 def kinetic_matrix(basis_size: int) -> np.ndarray:
@@ -185,8 +146,8 @@ def kinetic_matrix(basis_size: int) -> np.ndarray:
     return t
 
 
-def _screen_growth(spec: PotentialSpec, nodes: np.ndarray) -> None:
-    vals = np.asarray(spec.sampler(nodes), dtype=float)
+def _screen_growth(sampler: Sampler, nodes: np.ndarray) -> None:
+    vals = np.asarray(sampler(nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureOverflow("potential is not finite at the quadrature nodes")
     outer = np.abs(nodes) >= 0.8 * np.max(np.abs(nodes))
@@ -197,13 +158,13 @@ def _screen_growth(spec: PotentialSpec, nodes: np.ndarray) -> None:
             raise QuadratureOverflow("potential grows at least as fast as exp(x^2)")
 
 
-def hamiltonian_matrix(spec: PotentialSpec, basis_size: int = DEFAULT_BASIS_SIZE) -> np.ndarray:
+def hamiltonian_matrix(sampler: Sampler, basis_size: int = DEFAULT_BASIS_SIZE) -> np.ndarray:
     """Galerkin matrix of p^2/2 + V in the truncated oscillator basis, V by
     Gauss-Hermite quadrature of quadrature_order(basis_size)."""
     nodes, w = reweighted_rule(quadrature_order(basis_size))
-    _screen_growth(spec, nodes)
+    _screen_growth(sampler, nodes)
     phi = ho_stack(basis_size - 1, nodes)
-    v = (phi * (w * np.asarray(spec.sampler(nodes), dtype=float))) @ phi.T
+    v = (phi * (w * np.asarray(sampler(nodes), dtype=float))) @ phi.T
     h = kinetic_matrix(basis_size) + 0.5 * (v + v.T)
     if not np.all(np.isfinite(h)):
         raise QuadratureOverflow("Galerkin matrix has non-finite entries")
@@ -224,13 +185,13 @@ class BoundStateSet:
         return SlaterState(self.states.astype(complex))
 
 
-def _continuum_threshold(spec: PotentialSpec) -> float:
-    edge = np.asarray(spec.sampler(np.array([-X_EDGE, X_EDGE])), dtype=float)
+def _continuum_threshold(sampler: Sampler) -> float:
+    edge = np.asarray(sampler(np.array([-X_EDGE, X_EDGE])), dtype=float)
     return float(np.min(edge))
 
 
 def bound_states(
-    spec: PotentialSpec,
+    sampler: Sampler,
     count: int,
     basis_size: int = DEFAULT_BASIS_SIZE,
     convergence_tol: Optional[float] = None,
@@ -244,16 +205,16 @@ def bound_states(
     requested level moves by more than that between basis sizes
     basis_size - 20 and basis_size.
     """
-    h = hamiltonian_matrix(spec, basis_size)
+    h = hamiltonian_matrix(sampler, basis_size)
     energies, vecs = np.linalg.eigh(h)
-    threshold = _continuum_threshold(spec)
+    threshold = _continuum_threshold(sampler)
     n_bound = int(np.sum(energies < threshold)) if np.isfinite(threshold) else basis_size
     if count > n_bound:
         raise NotEnoughBoundStates(
             f"requested {count} levels but only {n_bound} lie below the continuum at {threshold:.3g}"
         )
     if convergence_tol is not None:
-        smaller = bound_states(spec, count, basis_size - 20)
+        smaller = bound_states(sampler, count, basis_size - 20)
         drift = np.max(np.abs(energies[:count] - smaller.energies))
         if drift > convergence_tol:
             raise NotEnoughBoundStates(

@@ -164,6 +164,22 @@ def test_winding_raises_at_closed_gap():
         chiral.winding_number(ps, grid_size=4096)
 
 
+@pytest.mark.parametrize("t, nu", [(0.6082, -1), (0.60817, 1)])
+def test_winding_bisects_only_the_intervals_with_large_steps(t, nu, monkeypatch):
+    # gapped close to T_CRIT (min |det m| 2e-5 and 3e-6): the dip is narrower
+    # than a 16384-angle grid's spacing, so only the intervals it lies in are split
+    ps = chiral.parity_sort(interpolated_state(t, PHI))
+    angles = []
+    dets = chiral.block_determinants
+    monkeypatch.setattr(chiral, "block_determinants",
+                        lambda ps, thetas: angles.append(len(thetas)) or dets(ps, thetas))
+    winding, intervals, min_det = chiral.winding_scan(ps)
+    assert winding == nu
+    assert chiral.DET_FLOOR < min_det < 1e-4
+    assert 256 < intervals < 300
+    assert sum(angles) == intervals + 1
+
+
 def test_flat_band_count():
     assert chiral.flat_band_count(chiral.parity_sort(ho_slater([0, 1, 2]))) == 1
     assert chiral.flat_band_count(chiral.parity_sort(ho_slater([0, 1]))) == 0

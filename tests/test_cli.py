@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from psesk.cli import KEYS, STATE_FLAGS, build_parser, main
 from psesk.phasespace import wigner_mn
+from psesk.states import ho_slater
 
 
 def read_csv(path):
@@ -134,6 +137,15 @@ def test_winding_gap_closed_exit_code(tmp_path):
     assert report["nu_E"] is None
     assert len(report["closings"]) == 1
     assert report["closings"][0] == pytest.approx(5 * math.pi / 6, abs=1e-4)
+
+
+def test_winding_resolves_a_narrow_open_gap(tmp_path, capsys):
+    rc = main(["winding", "--interpolated", "0.6082,2.0943951023931953", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "nu_E = -1" in capsys.readouterr().out
+    report = json.loads((tmp_path / "winding.json").read_text())
+    assert report["nu_E"] == -1
+    assert 256 < report["K_used"] < 300
 
 
 def test_entropy_surface_argmax(tmp_path):
@@ -486,6 +498,44 @@ def test_cli_boundary_fuzz(capsys, monkeypatch, case):
         else:  # no meaningless result: every written number is finite or a +-inf energy
             outputs = [p for p in Path(work).rglob("*") if p.is_file() and p.name != "cfg.json"]
             assert all("nan" not in p.read_text().lower() for p in outputs), (argv, config)
+
+
+def test_spectrum_rows_are_made_as_they_are_written(tmp_path):
+    # the tables hold no row list: the command peaks where its sweep does
+    from psesk import entanglement
+
+    k = 2**16
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--ho-slater", "0,1", "--theta-points", str(k),
+                     "--out", str(tmp_path)]) == 0
+        command = tracemalloc.get_traced_memory()[1]
+        thetas = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+        tracemalloc.reset_peak()
+        entanglement.pses_sweep(ho_slater([0, 1]), thetas)
+        sweep = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert command <= 1.5 * sweep, (command, sweep)
+    assert len(read_csv(tmp_path / "spectrum.csv")[1]) == 2 * k
+
+
+def readme_examples():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("psesk ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    examples = readme_examples()
+    assert len(examples) >= 4
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "winding":
+            assert "nu_E = 2" in out, argv
 
 
 def test_command_flag_sets():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psesk import potentials as pot
 from psesk.chiral import NotInversionSymmetric, parity_sort
@@ -140,7 +142,7 @@ def test_parser_matches_builtin_forms():
     ]
     for text, builtin in pairs:
         custom = pot.parse_potential_expression(text)
-        assert np.max(np.abs(custom(x) - builtin.sampler(x))) < 1e-12
+        assert np.max(np.abs(custom(x) - builtin(x))) < 1e-12
 
 
 def test_parser_precedence_and_unary_minus():
@@ -163,3 +165,97 @@ def test_parser_rejects_garbage():
         pot.parse_potential_expression("x ** 2")
     with pytest.raises(ValueError):
         pot.potential("not_a_well")
+    for text in ("+x", "()", "x(x)", "sech x", "2 x", "(sech)(x)", "sech(x)(x)", "x // 2", ""):
+        with pytest.raises(ValueError):
+            pot.parse_potential_expression(text)
+
+
+def test_parser_literals_are_floats_of_their_tokens():
+    x = np.array([-1.0, 2.0])
+    assert np.array_equal(pot.parse_potential_expression("007")(x), [7.0, 7.0])
+    assert np.array_equal(pot.parse_potential_expression("1e400*x")(x), [-np.inf, np.inf])
+
+
+def test_parser_accepts_the_token_cap():
+    x = np.array([0.5, -2.0])
+    deep = pot.parse_potential_expression("(" * 127 + "x" + ")" * 127)
+    assert np.array_equal(deep(x), x)
+    assert np.array_equal(pot.parse_potential_expression("-" * 255 + "x")(x), -x)
+    with pytest.raises(ValueError):
+        pot.parse_potential_expression("-" * 256 + "x")
+
+
+# ------------------------------------------------------- grammar property
+# A tree is a literal token, "x", ("-", a), (f, a) for f in sech/tanh/exp,
+# or (op, a, b).  Binding strength: + - 1, * / 2, unary minus 3, ^ 4, atoms 5;
+# + - * / group left, ^ groups right, and ^ takes an atom base and a unary
+# exponent (so -x^2 is -(x^2) and 2^-x is 2^(-x)).
+
+LITERALS = st.sampled_from(["0", "1", "2", "0.5", "3.", "007", "1e-3", "2.5e1", "1e400", "1E+2"])
+FUNCS = {"sech": lambda v: 1.0 / np.cosh(v), "tanh": np.tanh, "exp": np.exp}
+BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+TREES = st.recursive(
+    st.one_of(LITERALS, st.just("x")),
+    lambda sub: st.one_of(
+        st.tuples(st.just("-"), sub),
+        st.tuples(st.sampled_from(sorted(FUNCS)), sub),
+        st.tuples(st.sampled_from(sorted(BINARY)), sub, sub),
+    ),
+    max_leaves=24,
+)
+
+
+def _level(tree):
+    if isinstance(tree, str) or tree[0] in FUNCS:
+        return 5
+    return LEVEL["neg" if len(tree) == 2 else tree[0]]
+
+
+def _render(tree, least):
+    """Tokens of ``tree`` with the fewest parentheses that keep its shape
+    wherever an operand must bind at least as strongly as ``least``."""
+    if isinstance(tree, str):
+        tokens = [tree]
+    elif tree[0] in FUNCS:
+        tokens = [tree[0], "(", *_render(tree[1], 1), ")"]
+    elif len(tree) == 2:
+        tokens = ["-", *_render(tree[1], 3)]
+    elif tree[0] == "^":
+        tokens = [*_render(tree[1], 5), "^", *_render(tree[2], 3)]
+    else:
+        own = LEVEL[tree[0]]
+        tokens = [*_render(tree[1], own), tree[0], *_render(tree[2], own + 1)]
+    return ["(", *tokens, ")"] if _level(tree) < least else tokens
+
+
+def _evaluate(tree, x):
+    if tree == "x":
+        return np.asarray(x, dtype=float)
+    if isinstance(tree, str):
+        return np.full_like(x, float(tree))
+    if tree[0] in FUNCS:
+        return FUNCS[tree[0]](_evaluate(tree[1], x))
+    if len(tree) == 2:
+        return -_evaluate(tree[1], x)
+    return BINARY[tree[0]](_evaluate(tree[1], x), _evaluate(tree[2], x))
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+GRAMMAR_X = np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -1.5, 2.0, -3.0, 30.0, 700.0, -700.0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(TREES, st.randoms(use_true_random=False))
+def test_parser_matches_direct_evaluation_of_random_trees(tree, rnd):
+    tokens = _render(tree, 1)
+    assume(len(tokens) <= pot.MAX_EXPRESSION_TOKENS)
+    text = "".join(tok + rnd.choice(["", "", " ", "  "]) for tok in tokens)
+    sampler = pot.parse_potential_expression(text)
+    with np.errstate(all="ignore"):
+        want = _evaluate(tree, GRAMMAR_X)
+    assert _same_bits(sampler(GRAMMAR_X), want), text
