@@ -24,7 +24,7 @@ from .entanglement import (
     pses_sweep,
     schmidt_values,
 )
-from .hobasis import HOExpansion, expand_function, gauss_hermite, ho_wavefunction
+from .hobasis import expand_function, gauss_hermite, ho_wavefunction
 from .overlap import (
     HOOverlapTable,
     ho_halfspace_overlap,
@@ -49,7 +49,6 @@ from .states import SlaterState, ho_slater, interpolated_state
 __version__ = "0.1.0"
 
 __all__ = [
-    "HOExpansion",
     "HOOverlapTable",
     "PSESDataset",
     "ParitySortedState",

@@ -253,15 +253,16 @@ def _golden_minima(
     return thetas, np.abs(block_determinants(ps, thetas))
 
 
-def minimum_block_gap(ps: ParitySortedState, n_theta: int = DEFAULT_GRID) -> tuple[float, float]:
+def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
     """(theta*, min |det m|) over the fundamental domain [0, pi).
 
-    Grid scan followed by golden-section refinement around the best point.
+    Scan of DEFAULT_GRID angles followed by golden-section refinement
+    around the best point.
     """
-    thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
     dets = np.abs(block_determinants(ps, thetas))
     i = int(np.argmin(dets))
-    step = math.pi / n_theta
+    step = math.pi / DEFAULT_GRID
     (theta_star,), (det_star,) = _golden_minima(
         ps, [(thetas[i] - step, thetas[i] + step)], RESOLUTION
     )

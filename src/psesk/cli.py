@@ -23,7 +23,7 @@ import numpy as np
 
 from . import chiral, entanglement, phasespace, potentials
 from .chiral import GapClosed, NotInversionSymmetric
-from .hobasis import HOExpansion, TruncationError, ho_stack
+from .hobasis import DEFAULT_BASIS_SIZE, TruncationError, ho_stack
 from .overlap import GramBoundError
 from .states import SlaterState, ho_slater, interpolated_state
 
@@ -298,7 +298,7 @@ def build_state(cfg: dict) -> tuple[SlaterState, dict]:
         if kind == "potential_ground":
             n = spec.get("n", 1)
             pot = potentials.potential(spec["kind"], spec.get("expression"))
-            bset = potentials.bound_states(pot, n, basis_size=basis or 100)
+            bset = potentials.bound_states(pot, n, basis_size=basis or DEFAULT_BASIS_SIZE)
             return bset.as_slater(), {
                 "kind": kind,
                 "potential": spec["kind"],
@@ -406,25 +406,23 @@ def cmd_entropy_surface(cfg: dict) -> int:
     return 0
 
 
-def _wigner_operator(cfg: dict):
+def _wigner_field(cfg: dict, axis: np.ndarray) -> tuple[phasespace.WignerField, dict]:
+    """The configured state's Wigner field (a Slater state's is its 1-RDM's)
+    on the square grid ``axis`` x ``axis``, and the state metadata."""
     spec = cfg["state"] or {}
     if "coherent" in spec:
         w = complex(*spec["coherent"])
-        return ("coherent", w), {"kind": "coherent", "w": [w.real, w.imag]}
+        meta = {"kind": "coherent", "w": [w.real, w.imag]}
+        return phasespace.coherent_wigner(w, axis, axis), meta
     state, meta = build_state(cfg)
     rho = state.coeffs.T @ state.coeffs.conj()
-    return ("matrix", rho), meta
+    return phasespace.wigner_of_state(rho, axis, axis), meta
 
 
 def cmd_wigner(cfg: dict) -> int:
     """Wigner field of a state or 1-RDM"""
-    (mode, op), state_meta = _wigner_operator(cfg)
     half = float(cfg["grid_half_width"])
-    axis = np.linspace(-half, half, cfg["grid_points"])
-    if mode == "coherent":
-        field = phasespace.coherent_wigner(op, axis, axis)
-    else:
-        field = phasespace.wigner_of_state(op, axis, axis)
+    field, state_meta = _wigner_field(cfg, np.linspace(-half, half, cfg["grid_points"]))
     rows = Rows(field.values.size, ((xv, pv, float(w.real), float(w.imag))
                                     for xv, row in zip(field.x, field.values)
                                     for pv, w in zip(field.p, row)))
@@ -446,7 +444,7 @@ def cmd_solve_potential(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
     levels = entry.get("n", cfg["levels"])
-    bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or 100)
+    bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or DEFAULT_BASIS_SIZE)
     parities = potentials.parity_check(bset)
     rows = Rows(levels, ((str(i), e, "asym" if par is None else f"{par:+d}")
                          for i, (e, par) in enumerate(zip(bset.energies, parities))))
@@ -474,21 +472,21 @@ def cmd_frft_check(cfg: dict) -> int:
 
     coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
     coeffs /= np.linalg.norm(coeffs)
-    expn = HOExpansion(coeffs=coeffs)
+    norm = math.sqrt(np.sum(np.abs(coeffs) ** 2))
 
     worst = 0.0
     for _ in range(8):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        rotated = phasespace.frft_ho(expn, theta)
-        worst = max(worst, abs(math.sqrt(rotated.norm_sq) - math.sqrt(expn.norm_sq)))
+        rotated = phasespace.frft_ho(coeffs, theta)
+        worst = max(worst, abs(math.sqrt(np.sum(np.abs(rotated) ** 2)) - norm))
     checks.append(("ho-path unitarity", worst, 1e-12))
 
     worst = 0.0
     for _ in range(8):
         t1, t2 = rng.uniform(0.0, math.pi, size=2)
-        once = phasespace.frft_ho(phasespace.frft_ho(expn, t1), t2)
-        direct = phasespace.frft_ho(expn, t1 + t2)
-        worst = max(worst, float(np.max(np.abs(once.coeffs - direct.coeffs))))
+        once = phasespace.frft_ho(phasespace.frft_ho(coeffs, t1), t2)
+        direct = phasespace.frft_ho(coeffs, t1 + t2)
+        worst = max(worst, float(np.max(np.abs(once - direct))))
     checks.append(("ho-path group law", worst, 1e-12))
 
     worst = 0.0
@@ -508,7 +506,7 @@ def cmd_frft_check(cfg: dict) -> int:
         theta = rng.uniform(0.3, math.pi - 0.3)
         samples = coeffs @ stack
         direct = phasespace.frft_direct(samples, grid, theta)
-        via_ho = phasespace.frft_ho(expn, theta).coeffs @ stack
+        via_ho = phasespace.frft_ho(coeffs, theta) @ stack
         worst = max(worst, float(np.max(np.abs(direct - via_ho))))
     checks.append(("direct vs ho-path", worst, 1e-5))
 

@@ -36,6 +36,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 SINGULAR_DELTA = 1e-12
+HERMITIAN_BLOCK = 2**14  # matrix entries _hermitian checks per step
 
 
 class NonHermitian(Exception):
@@ -61,12 +62,23 @@ class PSESDataset:
 
 
 def _hermitian(o) -> np.ndarray:
-    """The matrix (or stack) o, checked Hermitian, then symmetrised."""
-    mat = np.asarray(o, dtype=complex)
-    herm = mat.conj().swapaxes(-1, -2)
-    if np.max(np.abs(mat - herm), initial=0.0) > HERMITICITY_TOL:
-        raise NonHermitian("overlap matrix is not Hermitian")
-    return 0.5 * (mat + herm)
+    """A copy of the matrix (or stack) o, checked Hermitian, then symmetrised.
+
+    The copy is checked and symmetrised in place a block of matrices at a
+    time, so the temporaries stay near HERMITIAN_BLOCK entries however long
+    the stack is.
+    """
+    mat = np.array(o, dtype=complex, order="C")
+    stack = mat.reshape(-1, *mat.shape[-2:])  # a view: mat is a fresh C-order copy
+    step = max(1, HERMITIAN_BLOCK // max(stack.shape[1] * stack.shape[2], 1))
+    for k in range(0, len(stack), step):
+        block = stack[k : k + step]
+        herm = block.conj().swapaxes(-1, -2)
+        if np.max(np.abs(block - herm), initial=0.0) > HERMITICITY_TOL:
+            raise NonHermitian("overlap matrix is not Hermitian")
+        block += herm
+        block *= 0.5
+    return mat
 
 
 def schmidt_values(o) -> np.ndarray:

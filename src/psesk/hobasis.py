@@ -1,4 +1,4 @@
-"""Harmonic-oscillator eigenbasis: eigenfunctions, quadrature, expansions.
+"""Harmonic-oscillator eigenbasis: eigenfunctions, quadrature, projection.
 
 Unit conventions: hbar = m = omega = 1, so the oscillator Hamiltonian is
 (p^2 + x^2)/2 and the L2-normalized eigenfunctions are
@@ -8,26 +8,24 @@ Unit conventions: hbar = m = omega = 1, so the oscillator Hamiltonian is
 phi_n is evaluated by one scaled recurrence (ho_stack) that neither
 overflows where H_n does nor underflows where exp(-x^2/2) does (|x| > 37.7),
 so every phi_n up to the CLI's basis limit of 1024 is accurate at every x.
+A single-particle state is its complex coefficient vector over phi_0 ..
+phi_{M-1}; quadrature rules are (nodes, weights) pairs of arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "TruncationError",
-    "HOExpansion",
-    "QuadratureRule",
     "ho_wavefunction",
     "ho_stack",
     "gauss_hermite",
     "reweighted_rule",
     "expand_function",
-    "basis_parity",
     "quadrature_order",
     "DEFAULT_BASIS_SIZE",
 ]
@@ -40,42 +38,6 @@ FAR_MARGIN = 90.0  # past sqrt(2 n + 1) + FAR_MARGIN, phi_n(x) is below any doub
 
 class TruncationError(Exception):
     """Raised when an expansion leaves too much weight beyond the basis."""
-
-
-@dataclass(frozen=True)
-class HOExpansion:
-    """A single-particle state as coefficients over phi_0 .. phi_{M-1}.
-
-    ``tail`` is the relative weight not captured by the truncation, when the
-    expansion came from projecting a sampled function (None otherwise).
-    """
-
-    coeffs: np.ndarray
-    tail: Optional[float] = None
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def is_normalized(self, tol: float = 1e-8) -> bool:
-        return abs(self.norm_sq - 1.0) <= tol
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights for the weight exp(-x^2)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
 
 
 def ho_wavefunction(n: int, x):
@@ -134,8 +96,8 @@ def _hermite_nodes(order: int) -> np.ndarray:
     return np.concatenate([-s, np.zeros(order % 2), s[::-1]])
 
 
-def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule via the Golub-Welsch Jacobi-matrix eigenproblem.
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite (nodes, weights) for the weight exp(-x^2), via Golub-Welsch.
 
     Nodes are the Jacobi-matrix eigenvalues (see _hermite_nodes); weights
     follow from the Christoffel identity w_q = exp(-x_q^2) / sum_n phi_n(x_q)^2
@@ -143,7 +105,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     exp(-x^2) * p(x) exactly for polynomials p up to degree 2*order - 1.
     """
     nodes, w = reweighted_rule(order)
-    return QuadratureRule(nodes, np.exp(-nodes * nodes) * w, order)
+    return nodes, np.exp(-nodes * nodes) * w
 
 
 def reweighted_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +134,15 @@ def quadrature_order(basis_size: int) -> int:
     return 2 * basis_size + 32
 
 
-def expand_function(f: Callable[[np.ndarray], np.ndarray], basis_size: int) -> HOExpansion:
+def expand_function(
+    f: Callable[[np.ndarray], np.ndarray], basis_size: int
+) -> tuple[np.ndarray, float]:
     """Project a sampled function onto the truncated oscillator basis.
 
-    alpha_n = integral phi_n(x) f(x) dx, by Gauss-Hermite quadrature of
-    quadrature_order(basis_size) with the exp(+x^2) reweighting.  The tail
-    mass 1 - sum |alpha_n|^2 (relative to the function's quadrature norm) is
-    reported on the result and must stay below TAIL_TOL.
+    Returns (coeffs, tail): alpha_n = integral phi_n(x) f(x) dx, by
+    Gauss-Hermite quadrature of quadrature_order(basis_size) with the
+    exp(+x^2) reweighting, and the tail mass 1 - sum |alpha_n|^2 relative to
+    the function's quadrature norm, which must stay below TAIL_TOL.
 
     Parameters
     ----------
@@ -204,9 +168,4 @@ def expand_function(f: Callable[[np.ndarray], np.ndarray], basis_size: int) -> H
         raise TruncationError(
             f"tail mass {tail:.3e} exceeds {TAIL_TOL:.1e} at basis size {basis_size}"
         )
-    return HOExpansion(coeffs=coeffs, tail=tail)
-
-
-def basis_parity(n: int) -> int:
-    """Inversion eigenvalue of phi_n: (-1)^n."""
-    return -1 if n % 2 else 1
+    return coeffs, tail

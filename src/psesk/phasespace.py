@@ -1,8 +1,8 @@
 """Fractional Fourier transform and Wigner quasiprobability fields.
 
-The phase-space rotation by theta acts on the oscillator basis as
-phi_n -> e^{i n theta} phi_n (the production path, exact); the equivalent
-integral kernel
+The phase-space rotation by theta acts on a state's oscillator coefficient
+vector as alpha_n -> e^{i n theta} alpha_n (frft_ho, the production path,
+exact); the equivalent integral kernel
 
     U_theta(x, y) = [pi (1 - e^{2 i theta})]^{-1/2}
                     * exp(-(i/2) cot(theta) (x^2 + y^2) + i x y / sin(theta))
@@ -25,6 +25,8 @@ the conjugate power being fixed by rotation covariance W -> W o g^{-1}
 quadrature wigner_pure is the second oracle):
 
     W(x, p) = integral dx' e^{-i p x'} psi*(x - x'/2) psi(x + x'/2).
+
+Every field is sampled on the x and p axes its caller passes.
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ from typing import Optional
 
 import numpy as np
 
-from .hobasis import HOExpansion, ho_stack
+from .hobasis import ho_stack
 from .specfun import assoc_laguerre
 
 __all__ = [
     "DegenerateAngle",
     "EdgeLeakage",
     "WignerField",
-    "default_grid",
     "frft_kernel",
     "frft_ho",
     "frft_direct",
@@ -57,8 +58,6 @@ __all__ = [
 
 ANGLE_EPS = 1e-6
 EDGE_DECAY = 1e-10
-GRID_HALF_WIDTH = 8.0
-GRID_POINTS = 161
 ROW_BLOCK = 256  # lattice rows of the position kernel built per matmul
 COMPOSE_ORDER = 96  # Gauss-Hermite points of compose_kernels_quadrature
 
@@ -84,16 +83,9 @@ class WignerField:
     is_diagonal: bool
 
 
-def default_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The default square phase-space grid, [-8, 8] at 161 points per axis."""
-    axis = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS)
-    return axis, axis.copy()
-
-
 def _axes(x, p) -> tuple[np.ndarray, np.ndarray]:
-    """x and p as 1-D float arrays; either one defaults to the default grid's axis."""
-    axis = default_grid()[0]
-    return tuple(np.atleast_1d(np.asarray(axis if v is None else v, dtype=float)) for v in (x, p))
+    """x and p as 1-D float arrays."""
+    return tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, p))
 
 
 def _angle_defect(theta: float) -> float:
@@ -116,10 +108,10 @@ def frft_kernel(theta: float, x, y):
     return pref * np.exp(-0.5j * cot * (x * x + y * y) + 1j * csc * x * y)
 
 
-def frft_ho(expansion: HOExpansion, theta: float) -> HOExpansion:
+def frft_ho(coeffs, theta: float) -> np.ndarray:
     """Rotate in the oscillator basis: alpha_n -> e^{i n theta} alpha_n."""
-    n = np.arange(expansion.truncation)
-    return HOExpansion(coeffs=expansion.coeffs * np.exp(1j * n * theta), tail=expansion.tail)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return coeffs * np.exp(1j * np.arange(len(coeffs)) * theta)
 
 
 def frft_direct(values: np.ndarray, x: np.ndarray, theta: float) -> np.ndarray:
@@ -198,9 +190,6 @@ def wigner_mn(m: int, n: int, x, p):
 
 
 def _operator_matrix(op) -> np.ndarray:
-    if isinstance(op, HOExpansion):
-        c = op.coeffs
-        return np.outer(c, c.conj())
     arr = np.asarray(op, dtype=complex)
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
@@ -242,17 +231,13 @@ def _lattice_field(rho, used, xs, step, ps, h, reach) -> np.ndarray:
     return (2.0 * h) * np.exp(2j * np.outer(xs, ps)) * (kernel @ np.exp(-2j * np.outer(u, ps)))
 
 
-def wigner_of_state(
-    op,
-    x: Optional[np.ndarray] = None,
-    p: Optional[np.ndarray] = None,
-) -> WignerField:
+def wigner_of_state(op, x: np.ndarray, p: np.ndarray) -> WignerField:
     """Assemble the Wigner field of a state or basis-space operator.
 
-    ``op`` may be an HOExpansion, a 1-D coefficient vector (pure state), or
-    a square matrix rho in the oscillator basis (e.g. a one-particle density
-    matrix, or |psi><phi| for a cross field).  Hermitian input yields a real
-    field and sets is_diagonal.  ``x`` must be ascending and uniform (or one
+    ``op`` may be a 1-D coefficient vector (pure state) or a square matrix
+    rho in the oscillator basis (e.g. a one-particle density matrix, or
+    |psi><phi| for a cross field).  Hermitian input yields a real field and
+    sets is_diagonal.  ``x`` must be ascending and uniform (or one
     point); ``p`` may be any points.
 
     The kernel's lattice sum is exact for a step h <= pi / (max|p| + reach):
@@ -283,8 +268,8 @@ def wigner_of_state(
 def wigner_pure(
     samples: np.ndarray,
     sample_x: np.ndarray,
-    x: Optional[np.ndarray] = None,
-    p: Optional[np.ndarray] = None,
+    x: np.ndarray,
+    p: np.ndarray,
     bra_samples: Optional[np.ndarray] = None,
 ) -> WignerField:
     """Brute-force Wigner field from position-space samples (the oracle).
@@ -324,11 +309,7 @@ def wigner_pure(
     return WignerField(x=x, p=p, values=values, is_diagonal=diagonal)
 
 
-def coherent_wigner(
-    w: complex,
-    x: Optional[np.ndarray] = None,
-    p: Optional[np.ndarray] = None,
-) -> WignerField:
+def coherent_wigner(w: complex, x: np.ndarray, p: np.ndarray) -> WignerField:
     """Wigner field of the coherent state centered at z = w: 2 e^{-2|z-w|^2}."""
     x, p = _axes(x, p)
     z = (x[:, None] + 1j * p[None, :]) / math.sqrt(2.0)
@@ -336,17 +317,17 @@ def coherent_wigner(
     return WignerField(x=x, p=p, values=values.astype(complex), is_diagonal=True)
 
 
-def coherent_expansion(w: complex, basis_size: int) -> HOExpansion:
+def coherent_expansion(w: complex, basis_size: int) -> np.ndarray:
     """Coherent-state coefficients alpha_n = e^{-|w|^2/2} w^n / sqrt(n!)."""
     n = np.arange(basis_size)
     mod = abs(w)
     if mod == 0.0:
         coeffs = np.zeros(basis_size, dtype=complex)
         coeffs[0] = 1.0
-        return HOExpansion(coeffs=coeffs)
+        return coeffs
     log_mod = n * math.log(mod) - 0.5 * np.array([_log_fact(int(k)) for k in n]) - 0.5 * mod**2
     phases = np.exp(1j * n * np.angle(w))
-    return HOExpansion(coeffs=np.exp(log_mod) * phases)
+    return np.exp(log_mod) * phases
 
 
 def marginal_position(field: WignerField) -> np.ndarray:

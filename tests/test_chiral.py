@@ -253,7 +253,7 @@ def test_winding_homotopy_invariance_under_small_perturbation():
     low = np.linalg.cholesky(gram)
     perturbed = np.linalg.solve(low, perturbed)
     ps = chiral.parity_sort(SlaterState(perturbed))
-    _, gap = chiral.minimum_block_gap(ps, n_theta=128)
+    _, gap = chiral.minimum_block_gap(ps)
     assert gap > 1e-4
     assert chiral.winding_number(ps) == nu_base
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def test_schmidt_stack_matches_slices_and_keeps_guards():
     beyond = np.array([np.eye(2), np.diag([1.0 + 1e-6, 0.5])], dtype=complex)
     with pytest.raises(overlap.GramBoundError):
         ent.schmidt_values(beyond)
+
+
+def test_hermitian_check_is_blocked_and_bitwise_unchanged():
+    # the copy is checked and symmetrised in place: no stack-sized temporaries
+    state = ho_slater([0, 1])
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2**16, endpoint=False)
+    stack = overlap.rotated_gramians(state.coeffs, state.coeffs, thetas)
+    tracemalloc.start()
+    try:
+        got = ent._hermitian(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * stack.nbytes
+    want = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_energies_map_and_sentinels():

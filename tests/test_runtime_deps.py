@@ -1,5 +1,7 @@
-"""The runtime needs numpy only; scipy is a test-time oracle at most."""
+"""The runtime needs numpy only; scipy is a test-time oracle at most.
+Every exported name resolves."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -20,3 +22,14 @@ def test_cli_import_does_not_load_scipy():
 def test_no_source_file_mentions_scipy():
     hits = [str(path) for path in SRC.rglob("*.py") if "scipy" in path.read_text()]
     assert hits == []
+
+
+def test_public_names_resolve():
+    import psesk
+
+    modules = [psesk] + [importlib.import_module(f"psesk.{path.stem}")
+                         for path in sorted((SRC / "psesk").glob("*.py"))
+                         if path.stem != "__init__"]
+    missing = [f"{m.__name__}.{name}" for m in modules
+               for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert missing == []
