@@ -3,10 +3,11 @@
 Commands: spectrum, winding, entropy-surface, wigner, solve-potential,
 frft-check.  Every run writes its tables (CSV by default, JSON with
 --format json) plus a JSON sidecar holding the fully resolved configuration.
-Float cells use shortest round-trip formatting; infinite entanglement
-energies serialize as "+inf"/"-inf".  Exit codes: 0 ok, 2 config error,
-3 numeric failure or a result too large to allocate, 4 gap closed during
-winding; a failure prints one line to stderr.
+Tables are written in blocks of rows, one theta, t, x or level at a time,
+each axis formatted once.  Float cells use shortest round-trip formatting;
+infinite entanglement energies serialize as "+inf"/"-inf".  Exit codes:
+0 ok, 2 config error, 3 numeric failure or a result too large to allocate,
+4 gap closed during winding; a failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -158,15 +159,11 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------- formatting
 
 
-def fmt_float(v) -> str:
-    v = float(v)
-    if math.isinf(v):
-        return "+inf" if v > 0 else "-inf"
-    return repr(v)
-
-
-def _cell(cell) -> str:
-    return cell if isinstance(cell, str) else fmt_float(cell)
+# the text of a float cell where it is not ``repr``'s: infinite energies are
+# "+inf"/"-inf", which JSON quotes, and JSON spells nan as NaN
+SPECIAL = {"csv": {"inf": "+inf"}, "json": {"inf": '"+inf"', "-inf": '"-inf"', "nan": "NaN"}}
+# values formatted at once along a long axis
+SPAN = 4096
 
 
 def _json_value(v):
@@ -175,33 +172,78 @@ def _json_value(v):
     return v
 
 
-class Rows:
-    """A table's rows, made one at a time as they are written; ``len`` is
-    the row count, known before any row is made."""
+def cell_texts(fmt: str) -> Callable[[object], list[str]]:
+    """The cell formatter of a table format: it maps a list of strings, or a
+    1-D float array by one ``tolist``, to the cells' texts."""
+    special = SPECIAL[fmt]
+    quote = json.dumps if fmt == "json" else str
 
-    def __init__(self, count: int, rows: Iterable):
-        self.count, self.rows = count, rows
+    def cells(values) -> list[str]:
+        if isinstance(values, list):
+            return [quote(v) for v in values]
+        values = np.asarray(values, dtype=float)
+        texts = list(map(repr, values.tolist()))
+        if not np.isfinite(values).all():
+            texts = [special.get(t, t) for t in texts]
+        return texts
+    return cells
+
+
+def _streamed(cells, values) -> Iterator[str]:
+    """``cells(values)`` made SPAN values at a time."""
+    return itertools.chain.from_iterable(
+        cells(values[s:s + SPAN]) for s in range(0, len(values), SPAN))
+
+
+def _spans(cells, *columns) -> Iterator[Iterator[tuple[str, ...]]]:
+    """Blocks of SPAN rows of the table whose columns are ``columns``."""
+    for s in range(0, len(columns[0]), SPAN):
+        yield zip(*(cells(c[s:s + SPAN]) for c in columns))
+
+
+class Blocks:
+    """A table's rows in blocks of text rows, made as they are written;
+    ``len`` is the row count, known before any block is made."""
+
+    def __init__(self, count: int, blocks: Iterable[Iterable[tuple[str, ...]]]):
+        self.count, self.blocks = count, blocks
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
-        return iter(self.rows)
+        return iter(self.blocks)
 
 
-def write_table(directory: Path, stem: str, fmt: str, header: list[str], rows: Rows) -> str:
-    """Stream ``rows`` to ``<stem>.csv`` or ``<stem>.json`` one row at a time."""
+def _write_blocks(f, line: Callable[..., str], blocks: Iterable, sep: str = "") -> None:
+    """Write each block's rows as ``line(*row)``, ``sep`` between rows."""
+    lead = ""
+    for block in blocks:
+        text = sep.join(itertools.starmap(line, block))
+        if text:
+            f.write(lead + text)
+            lead = sep
+
+
+def _spaced(*row: str) -> str:
+    return " ".join(row) + "\n"
+
+
+def write_table(directory: Path, stem: str, fmt: str, header: list[str], rows: Blocks) -> str:
+    """Stream ``rows``, cells made by ``cell_texts(fmt)``, to ``<stem>.csv``
+    or ``<stem>.json`` one block at a time."""
     name = f"{stem}.{fmt}"
+    fields = [f"{{{k}}}" for k in range(len(header))]
     with (directory / name).open("w") as f:
-        if fmt == "json":
+        if fmt == "json":  # one object per row, keys sorted
+            keys = sorted(range(len(header)), key=header.__getitem__)
+            item = ", ".join(f"{json.dumps(header[k])}: {fields[k]}" for k in keys)
             f.write("[")
-            for k, row in enumerate(rows):
-                item = {key: _json_value(cell) for key, cell in zip(header, row)}
-                f.write((", " if k else "") + json.dumps(item, sort_keys=True))
+            _write_blocks(f, ("{{" + item + "}}").format, rows, ", ")
             f.write("]\n")
         else:
             f.write(",".join(header) + "\n")
-            f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+            _write_blocks(f, (",".join(fields) + "\n").format, rows)
     return name
 
 
@@ -216,8 +258,8 @@ def write_outputs(cfg: dict, command: str, sidecar_stem: str, report: dict,
     """Write a command's tables, its gnuplot matrix if asked for, and the
     sidecar holding the command, the resolved config and ``report``.
 
-    ``tables`` holds (stem, header, Rows) triples; ``matrix`` the rows of
-    ``<command>_matrix.dat``, cells as in the CSV tables.
+    ``tables`` holds (stem, header, Blocks) triples; ``matrix`` the blocks
+    of rows of ``<command>_matrix.dat``, cells as in the CSV tables.
     """
     out = Path(cfg["out"])
     try:
@@ -227,7 +269,7 @@ def write_outputs(cfg: dict, command: str, sidecar_stem: str, report: dict,
         if cfg["gnuplot"] and matrix is not None:
             files.append(f"{command}_matrix.dat")
             with (out / files[-1]).open("w") as f:
-                f.writelines(" ".join(map(_cell, row)) + "\n" for row in matrix)
+                _write_blocks(f, _spaced, matrix)
         sidecar = {"command": command, "config": cfg, **report}
         if files:
             sidecar["files"] = files
@@ -339,9 +381,17 @@ def cmd_spectrum(cfg: dict) -> int:
     state, state_meta = build_state(cfg)
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     data = entanglement.pses_sweep(state, thetas)
-    rows = Rows(data.energies.size, ((theta, str(level), eps)
-                                     for theta, row in zip(data.thetas, data.energies)
-                                     for level, eps in enumerate(row)))
+    cells, csv = cell_texts(cfg["format"]), cell_texts("csv")
+
+    def spectrum():
+        levels = cells([str(k) for k in range(data.energies.shape[1])])
+        for theta, row in zip(_streamed(cells, data.thetas), data.energies):
+            yield zip(itertools.repeat(theta), levels, cells(row))
+
+    def matrix():
+        for theta, row in zip(_streamed(csv, data.thetas), data.energies):
+            yield [(theta, *csv(np.clip(row, -PLOT_CLIP, PLOT_CLIP)))]
+
     report = {
         "state": state_meta,
         "n_particles": state.n_particles,
@@ -351,10 +401,10 @@ def cmd_spectrum(cfg: dict) -> int:
         **_chiral_metadata(state, cfg["winding_grid"]),
     }
     write_outputs(cfg, "spectrum", "spectrum_meta", report, tables=[
-        ("spectrum", ["theta", "level", "epsilon"], rows),
-        ("entropy", ["theta", "entropy"], Rows(len(data.thetas), zip(data.thetas, data.entropy))),
-    ], matrix=([theta, *np.clip(row, -PLOT_CLIP, PLOT_CLIP)]
-               for theta, row in zip(data.thetas, data.energies)))
+        ("spectrum", ["theta", "level", "epsilon"], Blocks(data.energies.size, spectrum())),
+        ("entropy", ["theta", "entropy"],
+         Blocks(len(data.thetas), _spans(cells, data.thetas, data.entropy))),
+    ], matrix=matrix())
     return 0
 
 
@@ -393,15 +443,21 @@ def cmd_entropy_surface(cfg: dict) -> int:
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     entropy = np.array([entanglement.pses_sweep(interpolated_state(float(t), phi), thetas).entropy
                         for t in t_grid])
-    rows = Rows(entropy.size, ((t, theta, s) for t, row in zip(t_grid, entropy)
-                               for theta, s in zip(thetas, row)))
+    cells = cell_texts(cfg["format"])
+
+    def rows():
+        theta = cells(thetas)
+        for t, row in zip(cells(t_grid), entropy):
+            yield zip(itertools.repeat(t), theta, cells(row))
+
     i, j = np.unravel_index(np.argmax(entropy), entropy.shape)
     # S(theta + pi) = S(theta) (the subsystems swap), so the maximum ties
     # between theta and theta + pi; report the one in [0, pi)
     best = (float(entropy[i, j]), float(t_grid[i]), float(thetas[j % (len(thetas) // 2)]))
     report = {"phi": phi, "max_entropy": best[0], "argmax": {"t": best[1], "theta": best[2]}}
     write_outputs(cfg, "entropy-surface", "entropy_surface_meta", report,
-                  tables=[("entropy_surface", ["t", "theta", "entropy"], rows)])
+                  tables=[("entropy_surface", ["t", "theta", "entropy"],
+                           Blocks(entropy.size, rows()))])
     print(f"max entropy {best[0]:.6f} at t={best[1]:.4f}, theta={best[2]:.4f}")
     return 0
 
@@ -423,14 +479,29 @@ def cmd_wigner(cfg: dict) -> int:
     """Wigner field of a state or 1-RDM"""
     half = float(cfg["grid_half_width"])
     field, state_meta = _wigner_field(cfg, np.linspace(-half, half, cfg["grid_points"]))
-    rows = Rows(field.values.size, ((xv, pv, float(w.real), float(w.imag))
-                                    for xv, row in zip(field.x, field.values)
-                                    for pv, w in zip(field.p, row)))
-    matrix = itertools.chain([[str(len(field.x)), *field.x]],
-                             ([pv, *col] for pv, col in zip(field.p, field.values.real.T)))
+    cells, csv = cell_texts(cfg["format"]), cell_texts("csv")
+    re, im = field.values.real, field.values.imag
+    # w_re is formatted once when the matrix shows it too
+    held = [cells(row) for row in re] if cfg["gnuplot"] else None
+
+    def rows():
+        p = cells(field.p)
+        # a w_im column of +0.0 entries is one constant text (-0.0 keeps its own)
+        zero = not np.any(im) and not np.any(np.signbit(im))
+        for x, w_re, w_im in zip(cells(field.x), held or map(cells, re), im):
+            yield zip(itertools.repeat(x), p, w_re,
+                      itertools.repeat("0.0") if zero else cells(w_im))
+
+    def matrix():  # JSON's cells are CSV's where finite
+        texts = held if cfg["format"] == "csv" or np.isfinite(re).all() else map(csv, re)
+        yield [(str(len(field.x)), *csv(field.x))]
+        for p, col in zip(csv(field.p), zip(*texts)):
+            yield [(p, *col)]
+
     write_outputs(cfg, "wigner", "wigner_meta",
                   {"state": state_meta, "is_diagonal": field.is_diagonal},
-                  tables=[("wigner", ["x", "p", "w_re", "w_im"], rows)], matrix=matrix)
+                  tables=[("wigner", ["x", "p", "w_re", "w_im"],
+                           Blocks(field.values.size, rows()))], matrix=matrix())
     return 0
 
 
@@ -446,11 +517,12 @@ def cmd_solve_potential(cfg: dict) -> int:
     levels = entry.get("n", cfg["levels"])
     bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or DEFAULT_BASIS_SIZE)
     parities = potentials.parity_check(bset)
-    rows = Rows(levels, ((str(i), e, "asym" if par is None else f"{par:+d}")
-                         for i, (e, par) in enumerate(zip(bset.energies, parities))))
+    cells = cell_texts(cfg["format"])
+    names = [str(i) for i in range(levels)]
+    parity = ["asym" if par is None else f"{par:+d}" for par in parities]
     coeff_header = ["n", *(f"{part}_{m}" for m in range(bset.basis_size) for part in ("re", "im"))]
-    coeff_rows = Rows(levels, ((str(i), *(float(part) for v in row for part in (v.real, v.imag)))
-                               for i, row in enumerate(bset.states)))
+    coeffs = np.stack([bset.states.real, bset.states.imag], axis=-1).reshape(levels, -1)
+    coeff_rows = ([(name, *cells(row))] for name, row in zip(cells(names), coeffs))
     report = {
         "potential": entry["kind"],
         "levels": levels,
@@ -459,8 +531,9 @@ def cmd_solve_potential(cfg: dict) -> int:
         "energies": [float(e) for e in bset.energies],
     }
     write_outputs(cfg, "solve-potential", "solve_potential_meta", report, tables=[
-        ("bound_states", ["n", "energy", "parity"], rows),
-        ("coefficients", coeff_header, coeff_rows),
+        ("bound_states", ["n", "energy", "parity"],
+         Blocks(levels, _spans(cells, names, bset.energies, parity))),
+        ("coefficients", coeff_header, Blocks(levels, coeff_rows)),
     ])
     return 0
 

@@ -171,7 +171,10 @@ def wigner_mn(m: int, n: int, x, p):
     """Wigner function of the basis-state pair |phi_n><phi_m|.
 
     Real for m = n; for n < m uses W_mn = conj(W_nm).  Broadcasts over
-    arrays x, p.
+    arrays x, p.  The Laguerre sum loses digits at high index near the
+    origin: at n ~ 1000 and |z| ~ 0.01 it is good only to ~3.5e-11
+    (W_{1023,1023} at (x, p) = (-0.005, 0.01)), so it cannot check fields
+    to 1e-12 there.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")

@@ -1,4 +1,8 @@
-"""Shared generators for random Slater states."""
+"""Shared generators for random Slater states, and the row-wise table
+formatter the CLI's column-block writer must reproduce byte for byte."""
+
+import json
+import math
 
 import numpy as np
 
@@ -44,3 +48,35 @@ def random_symmetric_slater(rng, n_even: int, n_odd: int, m: int) -> SlaterState
     if n_odd:
         rows[n_even:][:, odd_idx] = random_unitary_rows(rng, n_odd, len(odd_idx))
     return SlaterState(rows)
+
+
+def fmt_float(v) -> str:
+    """A float cell as the CLI writes it: shortest round trip, +inf / -inf."""
+    v = float(v)
+    if math.isinf(v):
+        return "+inf" if v > 0 else "-inf"
+    return repr(v)
+
+
+def _cell(cell) -> str:
+    return cell if isinstance(cell, str) else fmt_float(cell)
+
+
+def _json_value(v):
+    if isinstance(v, float) and math.isinf(v):
+        return "+inf" if v > 0 else "-inf"
+    return v
+
+
+def table_text(fmt: str, header, rows) -> str:
+    """A table's file text, made one row tuple and one cell at a time."""
+    if fmt == "json":
+        items = (json.dumps({key: _json_value(cell) for key, cell in zip(header, row)},
+                            sort_keys=True) for row in rows)
+        return "[" + ", ".join(items) + "]\n"
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
+def matrix_text(rows) -> str:
+    """A gnuplot matrix's file text: space-joined CSV cells per row."""
+    return "".join(" ".join(map(_cell, row)) + "\n" for row in rows)

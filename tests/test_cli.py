@@ -48,13 +48,12 @@ def test_spectrum_single_mode_is_flat_zero(tmp_path):
 
 
 def test_float_formatting_serializes_sentinels():
-    from psesk.cli import fmt_float
+    from psesk.cli import cell_texts
 
-    assert fmt_float(math.inf) == "+inf"
-    assert fmt_float(-math.inf) == "-inf"
-    assert fmt_float(0.5) == "0.5"
+    cells = cell_texts("csv")
+    assert cells(np.array([math.inf, -math.inf, 0.5])) == ["+inf", "-inf", "0.5"]
     # shortest round-trip representation survives parsing
-    assert float(fmt_float(2.1855269934031036)) == 2.1855269934031036
+    assert float(cells(np.array([2.1855269934031036]))[0]) == 2.1855269934031036
 
 
 def test_spectrum_asymmetric_state_reports_null_chiral_data(tmp_path):
