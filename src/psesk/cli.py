@@ -2,7 +2,7 @@
 
 Commands: spectrum, winding, entropy-surface, wigner, solve-potential,
 frft-check.  Every run writes its tables (CSV by default, JSON with
---format json) plus a JSON sidecar holding the fully resolved configuration.
+--format json) plus a JSON sidecar holding the config keys it read.
 Tables are written in blocks of rows, one theta, t, x or level at a time,
 each axis formatted once.  Float cells use shortest round-trip formatting;
 infinite entanglement energies serialize as "+inf"/"-inf".  Exit codes:
@@ -42,10 +42,6 @@ NUMERIC_ERRORS = (
     potentials.NotEnoughBoundStates,
 )
 
-# the command names; COMMANDS maps them to their functions
-ALL = ("spectrum", "winding", "entropy-surface", "wigner", "solve-potential", "frft-check")
-STATEFUL = ALL[:-1]
-
 # the overlap table, ho_stack (so the quadrature oracle, translated cuts and
 # Wigner fields) and the Galerkin solve are all exact up to this basis
 MAX_BASIS = 1024
@@ -74,10 +70,11 @@ STATE_KINDS = {
                      "an object with finite numbers t and phi"),
     "potential_ground": (lambda v: type(v) is dict and v.keys() <= {"kind", "expression", "n"}
                          and v.get("kind") in POTENTIAL_KINDS
+                         and ("expression" in v) == (v["kind"] == "custom")
                          and type(v.get("expression", "")) is str
                          and _size(1)(v.get("n", 1)),
-                         f"an object with a kind in {POTENTIAL_KINDS}, an optional string "
-                         f"expression and an integer n in [1, {MAX_POINTS}]"),
+                         f"an object with a kind in {POTENTIAL_KINDS}, a string expression "
+                         f"exactly when the kind is 'custom' and an integer n in [1, {MAX_POINTS}]"),
     "coherent": (lambda v: type(v) is list and len(v) in (1, 2) and all(map(_finite, v)),
                  "a list of one or two finite numbers"),
 }
@@ -87,22 +84,25 @@ class Key(NamedTuple):
     default: object
     ok: Callable[[object], bool]
     what: str  # what ``ok`` asks for
-    commands: tuple[str, ...]  # the commands that take the key as a flag
+    commands: tuple[str, ...]  # the commands that read the key and take it as a flag
     flag: dict  # argparse options of that flag
 
 
 # the one table of config keys: JSON config values and flag values alike
 INT = {"type": int}
 KEYS = {
-    "out": Key(".", lambda v: type(v) is str and "\0" not in v, "a directory path", ALL,
+    "out": Key(".", lambda v: type(v) is str and "\0" not in v, "a directory path",
+               ("spectrum", "winding", "entropy-surface", "wigner", "solve-potential"),
                {"help": "output directory"}),
     "theta_points": Key(128, _size(16, even=True), f"an even integer in [16, {MAX_POINTS}]",
-                        ALL, INT),
+                        ("spectrum", "entropy-surface"), INT),
     "basis": Key(None, lambda v: v is None or type(v) is int and 1 <= v <= MAX_BASIS,
-                 f"an integer in [1, {MAX_BASIS}]", ALL, INT),
-    "format": Key("csv", lambda v: v in ("csv", "json"), "'csv' or 'json'", ALL,
+                 f"an integer in [1, {MAX_BASIS}]",
+                 ("spectrum", "winding", "wigner", "solve-potential"), INT),
+    "format": Key("csv", lambda v: v in ("csv", "json"), "'csv' or 'json'",
+                  ("spectrum", "entropy-surface", "wigner", "solve-potential"),
                   {"choices": ("csv", "json")}),
-    "gnuplot": Key(False, lambda v: type(v) is bool, "true or false", ALL,
+    "gnuplot": Key(False, lambda v: type(v) is bool, "true or false", ("spectrum", "wigner"),
                    {"action": "store_true"}),
     "state": Key(None, lambda v: v is None or type(v) is dict and len(v) == 1
                  and v.keys() <= STATE_KINDS.keys(),
@@ -132,19 +132,25 @@ def _numbers(kind: type, count: int | None = None):
 
 
 # state flag: (the state kind it sets, its part of that kind's value, the
-# commands that take it, argparse options); a dict part is merged into the
-# same kind's object from the config, anything else replaces the state
+# commands that take it and so its kind, argparse options); a dict part is
+# merged into the same kind's object from the config, anything else replaces
+# the state.  --potential merges after --potential-expr, so the two with a
+# kind other than custom leave an expression that STATE_KINDS rejects
 STATE_FLAGS = {
-    "ho_slater": ("ho_slater", lambda v: v, STATEFUL,
+    "ho_slater": ("ho_slater", lambda v: v, ("spectrum", "winding", "wigner"),
                   {"type": _numbers(int), "help": "occupied oscillator levels, e.g. 0,1,2"}),
-    "interpolated": ("interpolated", lambda v: dict(zip(("t", "phi"), v)), STATEFUL,
+    "interpolated": ("interpolated", lambda v: dict(zip(("t", "phi"), v)),
+                     ("spectrum", "winding", "entropy-surface", "wigner"),
                      {"type": _numbers(float, 2),
                       "help": "t,phi for the two-fermion interpolation"}),
-    "potential": ("potential_ground", lambda v: {"kind": v}, STATEFUL,
-                  {"choices": POTENTIAL_KINDS}),
     "potential_expr": ("potential_ground", lambda v: {"kind": "custom", "expression": v},
-                       STATEFUL, {"help": "custom potential expression, e.g. 'x^2/2'"}),
-    "particles": ("potential_ground", lambda v: {"n": v}, STATEFUL, INT),
+                       ("spectrum", "winding", "wigner", "solve-potential"),
+                       {"help": "custom potential expression, e.g. 'x^2/2'"}),
+    "potential": ("potential_ground", lambda v: {"kind": v},
+                  ("spectrum", "winding", "wigner", "solve-potential"),
+                  {"choices": POTENTIAL_KINDS}),
+    "particles": ("potential_ground", lambda v: {"n": v},
+                  ("spectrum", "winding", "wigner", "solve-potential"), INT),
     "coherent": ("coherent", lambda v: v if len(v) > 1 else [*v, 0.0], ("wigner",),
                  {"type": _numbers(float), "help": "coherent-state center, re[,im]"}),
 }
@@ -266,7 +272,7 @@ def write_outputs(cfg: dict, command: str, sidecar_stem: str, report: dict,
         out.mkdir(parents=True, exist_ok=True)
         files = [write_table(out, stem, cfg["format"], header, rows)
                  for stem, header, rows in tables]
-        if cfg["gnuplot"] and matrix is not None:
+        if matrix is not None and cfg["gnuplot"]:
             files.append(f"{command}_matrix.dat")
             with (out / files[-1]).open("w") as f:
                 _write_blocks(f, _spaced, matrix)
@@ -294,9 +300,10 @@ def _merge_state(state, flags: dict):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the --config file, then the flags; every value is
-    checked against KEYS and the state against STATE_KINDS."""
+    """Defaults, then the --config file, then the flags, each value checked
+    against KEYS and STATE_KINDS; returns the keys and state the command reads."""
     flags = vars(args)
+    kinds = {kind for kind, _, commands, _ in STATE_FLAGS.values() if args.command in commands}
     cfg = {key: spec.default for key, spec in KEYS.items()}
     if flags.get("config"):
         try:
@@ -319,15 +326,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
         ok, what = STATE_KINDS[kind]
         if not ok(value):
             raise ConfigError(f"state {kind} must be {what}, got {value!r}")
-    return cfg
+    given = next(iter(cfg["state"] or {}), "no state (state key or a state flag)")
+    if kinds and given not in kinds:
+        raise ConfigError(f"{args.command} takes a {' or '.join(sorted(kinds))} state, got {given}")
+    return {key: cfg[key] for key, spec in KEYS.items()
+            if args.command in spec.commands or key == "state" and kinds}
 
 
 def build_state(cfg: dict) -> tuple[SlaterState, dict]:
     """Resolve the state spec into a SlaterState plus descriptive metadata."""
-    if not cfg.get("state"):
-        raise ConfigError("no state specified (state key or a state flag)")
     ((kind, spec),) = cfg["state"].items()
-    basis = cfg.get("basis")
+    basis = cfg["basis"]
     try:
         if kind == "ho_slater":
             if basis is None and spec and max(spec) >= MAX_BASIS:
@@ -337,19 +346,13 @@ def build_state(cfg: dict) -> tuple[SlaterState, dict]:
             t, phi = float(spec["t"]), float(spec["phi"])
             state = interpolated_state(t, phi, basis_size=basis or 3)
             return state, {"kind": kind, "t": t, "phi": phi}
-        if kind == "potential_ground":
-            n = spec.get("n", 1)
-            pot = potentials.potential(spec["kind"], spec.get("expression"))
-            bset = potentials.bound_states(pot, n, basis_size=basis or DEFAULT_BASIS_SIZE)
-            return bset.as_slater(), {
-                "kind": kind,
-                "potential": spec["kind"],
-                "n": n,
-                "energies": [float(e) for e in bset.energies],
-            }
+        n = spec.get("n", 1)  # potential_ground
+        pot = potentials.potential(spec["kind"], spec.get("expression"))
+        bset = potentials.bound_states(pot, n, basis_size=basis or DEFAULT_BASIS_SIZE)
+        return bset.as_slater(), {"kind": kind, "potential": spec["kind"], "n": n,
+                                  "energies": [float(e) for e in bset.energies]}
     except ValueError as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
-    raise ConfigError(f"a {kind} state is for wigner only")
 
 
 def _chiral_metadata(state: SlaterState, winding_grid: int) -> dict:
@@ -435,10 +438,7 @@ def cmd_winding(cfg: dict) -> int:
 
 def cmd_entropy_surface(cfg: dict) -> int:
     """entropy over (t, theta)"""
-    spec = cfg["state"] or {}
-    if "interpolated" not in spec:
-        raise ConfigError("entropy-surface requires an interpolated state spec")
-    phi = float(spec["interpolated"]["phi"])
+    phi = float(cfg["state"]["interpolated"]["phi"])
     t_grid = np.linspace(0.0, 1.0, cfg["t_points"])
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     entropy = np.array([entanglement.pses_sweep(interpolated_state(float(t), phi), thetas).entropy
@@ -465,9 +465,8 @@ def cmd_entropy_surface(cfg: dict) -> int:
 def _wigner_field(cfg: dict, axis: np.ndarray) -> tuple[phasespace.WignerField, dict]:
     """The configured state's Wigner field (a Slater state's is its 1-RDM's)
     on the square grid ``axis`` x ``axis``, and the state metadata."""
-    spec = cfg["state"] or {}
-    if "coherent" in spec:
-        w = complex(*spec["coherent"])
+    if "coherent" in cfg["state"]:
+        w = complex(*cfg["state"]["coherent"])
         meta = {"kind": "coherent", "w": [w.real, w.imag]}
         return phasespace.coherent_wigner(w, axis, axis), meta
     state, meta = build_state(cfg)
@@ -507,9 +506,7 @@ def cmd_wigner(cfg: dict) -> int:
 
 def cmd_solve_potential(cfg: dict) -> int:
     """bound states of a 1D well"""
-    entry = (cfg["state"] or {}).get("potential_ground")
-    if not entry:
-        raise ConfigError("solve-potential requires a potential spec")
+    entry = cfg["state"]["potential_ground"]
     try:
         pot = potentials.potential(entry["kind"], entry.get("expression"))
     except ValueError as exc:
@@ -608,7 +605,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command; its flags come from KEYS and STATE_FLAGS.
+    """One subparser per command; its flags, and --config if it has any, come
+    from KEYS and STATE_FLAGS.
 
     Flags default to absent, so the namespace holds only the flags given.
     """
@@ -619,10 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        for key, (*_, commands, options) in [*KEYS.items(), *STATE_FLAGS.items()]:
-            if name in commands:
-                p.add_argument("--" + key.replace("_", "-"), **options)
+        flags = [(key, options) for key, (*_, commands, options)
+                 in [*KEYS.items(), *STATE_FLAGS.items()] if name in commands]
+        if flags:
+            p.add_argument("--config", help="JSON config file; flags override its keys")
+        for key, options in flags:
+            p.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 

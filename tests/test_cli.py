@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import tempfile
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psesk.cli import KEYS, STATE_FLAGS, build_parser, main
+from psesk import cli
+from psesk.cli import COMMANDS, KEYS, STATE_FLAGS, build_parser, main, resolve_config
 from psesk.phasespace import wigner_mn
 from psesk.states import ho_slater
 
@@ -288,6 +290,21 @@ BAD_INPUTS = [
     (["spectrum", "--ho-slater", "0,1"], {"out": "cfg.json"}),
     (["spectrum", "--ho-slater", "0,1"], {"out": "a\0b"}),
     (["solve-potential", "--potential-expr", "x" + "+x" * 2000], None),
+    # flags a command does not read
+    (["entropy-surface", "--interpolated", "0,1", "--basis", "2"], None),
+    (["winding", "--ho-slater", "0,1", "--gnuplot"], None),
+    (["frft-check", "--out", "x"], None),
+    # a missing state, or one of a kind the command does not take
+    (["solve-potential", "--levels", "2"], None),
+    (["spectrum"], {"state": {"coherent": [1, 0]}}),
+    (["entropy-surface"], {"state": {"ho_slater": [0, 1]}}),
+    (["solve-potential"], {"state": {"interpolated": {"t": 0.3, "phi": 1.0}}}),
+    # a well has an expression exactly when its kind is custom, in either order
+    (["spectrum", "--potential", "sho", "--potential-expr", "x^4"], None),
+    (["spectrum", "--potential-expr", "x^4", "--potential", "sho"], None),
+    (["solve-potential", "--potential", "custom"], None),
+    (["spectrum"], {"state": {"potential_ground": {"kind": "sho", "expression": "x^4"}}}),
+    (["spectrum"], {"state": {"potential_ground": {"kind": "custom"}}}),
 ]
 
 
@@ -469,6 +486,31 @@ CASES = st.tuples(
 )
 
 
+def nan_written(path) -> bool:
+    """Whether a written file holds a NaN number: a JSON constant, or a CSV or
+    gnuplot cell that parses as one.  Text such as an out path "nan" is not."""
+    constants = []
+    if path.suffix == ".json":
+        json.loads(path.read_text(), parse_constant=constants.append)
+        return "NaN" in constants
+    for cell in path.read_text().replace(",", " ").split():
+        try:
+            if math.isnan(float(cell)):
+                return True
+        except ValueError:  # a header or parity cell
+            pass
+    return False
+
+
+def test_nan_oracle(tmp_path):
+    for name, text, nan in [("a.json", '{"out": "nan", "x": [Infinity, "+inf"]}', False),
+                            ("b.json", '[{"w": NaN}]', True), ("c.csv", "n,parity\n1,asym\n", False),
+                            ("d.csv", "x,w\n0.5,nan\n", True), ("e.dat", "2 -inf +inf\n", False),
+                            ("f.dat", "2 0.0 NaN\n", True)]:
+        (tmp_path / name).write_text(text)
+        assert nan_written(tmp_path / name) is nan, name
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(CASES)
@@ -496,7 +538,7 @@ def test_cli_boundary_fuzz(capsys, monkeypatch, case):
             assert len(err) == 1 and not caught, (argv, config, err, [str(w.message) for w in caught])
         else:  # no meaningless result: every written number is finite or a +-inf energy
             outputs = [p for p in Path(work).rglob("*") if p.is_file() and p.name != "cfg.json"]
-            assert all("nan" not in p.read_text().lower() for p in outputs), (argv, config)
+            assert not any(map(nan_written, outputs)), (argv, config)
 
 
 def test_spectrum_rows_are_made_as_they_are_written(tmp_path):
@@ -537,18 +579,99 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
             assert "nu_E = 2" in out, argv
 
 
+WELL = {"--potential", "--potential-expr", "--particles"}
+FLAG_SETS = {
+    "spectrum": {"--out", "--theta-points", "--basis", "--format", "--gnuplot", "--winding-grid",
+                 "--ho-slater", "--interpolated"} | WELL,
+    "winding": {"--out", "--basis", "--winding-grid", "--ho-slater", "--interpolated"} | WELL,
+    "entropy-surface": {"--out", "--theta-points", "--format", "--t-points", "--interpolated"},
+    "wigner": {"--out", "--basis", "--format", "--gnuplot", "--grid-points", "--grid-half-width",
+               "--ho-slater", "--interpolated", "--coherent"} | WELL,
+    "solve-potential": {"--out", "--basis", "--format", "--levels"} | WELL,
+    "frft-check": set(),
+}
+
+
+def readme_flag_commands():
+    """The README flags table: each flag and the commands its row names."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = [line.split("|") for line in text.splitlines() if line.startswith("| `--")]
+    table = {}
+    for _, flags, _, commands, *_ in rows:
+        commands = commands.strip()
+        names = (set(COMMANDS) - {commands[len("all but "):]} if commands.startswith("all but ")
+                 else set(commands.split(", ")))
+        table.update((flag, names) for flag in re.findall(r"`(--[a-z-]+)", flags))
+    return table
+
+
 def test_command_flag_sets():
-    common = {"--config", "--out", "--theta-points", "--basis", "--format", "--gnuplot"}
-    state = {"--ho-slater", "--interpolated", "--potential", "--potential-expr", "--particles"}
-    want = {
-        "spectrum": common | state | {"--winding-grid"},
-        "winding": common | state | {"--winding-grid"},
-        "entropy-surface": common | state | {"--t-points"},
-        "wigner": common | state | {"--coherent", "--grid-points", "--grid-half-width"},
-        "solve-potential": common | state | {"--levels"},
-        "frft-check": common,
-    }
+    # every flag a command takes is one it reads, and --config comes with any flag
+    want = {name: flags | {"--config"} if flags else flags for name, flags in FLAG_SETS.items()}
+    assert sum(len(flags - {"--config"}) for flags in want.values()) == 43
     subparsers = build_parser()._subparsers._group_actions[0].choices
     got = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
            for name, sub in subparsers.items()}
     assert got == want
+    flags = set().union(*want.values())
+    assert readme_flag_commands() == {f: {c for c in want if f in want[c]} for f in flags}
+    assert resolve_config(build_parser().parse_args(["frft-check"])) == {}
+
+
+# the config keys each command reads, besides its state
+READS = {
+    "spectrum": {"out", "theta_points", "basis", "format", "gnuplot", "winding_grid"},
+    "winding": {"out", "basis", "winding_grid"},
+    "entropy-surface": {"out", "theta_points", "format", "t_points"},
+    "wigner": {"out", "basis", "format", "gnuplot", "grid_points", "grid_half_width"},
+    "solve-potential": {"out", "basis", "format", "levels"},
+}
+RUNS = {
+    "spectrum": (["--ho-slater", "0,1"], "spectrum_meta.json"),
+    "winding": (["--ho-slater", "0,1"], "winding.json"),
+    "entropy-surface": (["--interpolated", "0,1"], "entropy_surface_meta.json"),
+    "wigner": (["--ho-slater", "0"], "wigner_meta.json"),
+    "solve-potential": (["--potential", "sho"], "solve_potential_meta.json"),
+}
+# a good and a bad value of each key that some command does not read
+OTHER_KEYS = {"theta_points": (16, 15), "basis": (12, 0), "format": ("json", "xml"),
+              "gnuplot": (True, "no"), "winding_grid": (16, 0), "t_points": (2, 0),
+              "grid_points": (9, 1), "grid_half_width": (2.0, -1.0), "levels": (2, 0)}
+
+
+class Reads(dict):
+    """A config that records the keys a command reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", READS)
+def test_sidecar_config_is_what_the_command_reads(tmp_path, monkeypatch, capsys, command):
+    argv, sidecar = RUNS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: good for key, (good, _) in OTHER_KEYS.items()}))
+    configs = []
+
+    def recorded(args):
+        configs.append(Reads(resolve_config(args)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "resolve_config", recorded)
+    assert main([command, *argv, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / sidecar).read_text())["config"]
+    assert configs[0].read == set(written) == READS[command] | {"state"}
+    # another command's key is still checked when its value is bad
+    for key in OTHER_KEYS.keys() - READS[command]:
+        cfg.write_text(json.dumps({key: OTHER_KEYS[key][1]}))
+        assert main([command, *argv, "--config", str(cfg), "--out", str(tmp_path)]) == 2, key
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be"), key

@@ -23,7 +23,8 @@ EDGE = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -
 
 def run(tmp_path, fmt, argv):
     out = tmp_path / fmt
-    assert main([*argv, "--format", fmt, "--gnuplot", "--out", str(out)]) == 0
+    gnuplot = ["--gnuplot"] if argv[0] in ("spectrum", "wigner") else []
+    assert main([*argv, "--format", fmt, *gnuplot, "--out", str(out)]) == 0
     return out
 
 
