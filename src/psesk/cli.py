@@ -48,6 +48,8 @@ MAX_BASIS = 1024
 # keeps every array dimension, and the product of two, inside numpy's index
 # range: a larger size request fails with MemoryError (exit 3), never ValueError
 MAX_POINTS = 2**24
+# solve-potential's level count when neither levels nor the state's n sets it
+DEFAULT_LEVELS = 8
 
 
 def _finite(v) -> bool:
@@ -113,7 +115,8 @@ KEYS = {
     "grid_points": Key(161, _size(2), f"an integer in [2, {MAX_POINTS}]", ("wigner",), INT),
     "grid_half_width": Key(8.0, lambda v: _finite(v) and v > 0, "a finite number > 0",
                            ("wigner",), {"type": float}),
-    "levels": Key(8, _size(1), f"an integer in [1, {MAX_POINTS}]", ("solve-potential",), INT),
+    "levels": Key(None, lambda v: v is None or _size(1)(v), f"an integer in [1, {MAX_POINTS}]",
+                  ("solve-potential",), INT),
 }
 
 
@@ -329,8 +332,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
     given = next(iter(cfg["state"] or {}), "no state (state key or a state flag)")
     if kinds and given not in kinds:
         raise ConfigError(f"{args.command} takes a {' or '.join(sorted(kinds))} state, got {given}")
-    return {key: cfg[key] for key, spec in KEYS.items()
-            if args.command in spec.commands or key == "state" and kinds}
+    cfg = {key: cfg[key] for key, spec in KEYS.items()
+           if args.command in spec.commands or key == "state" and kinds}
+    # two values that set one quantity, or a value the state has no use for
+    state = cfg.get("state") or {}
+    n = state.get("potential_ground", {}).get("n")
+    if None not in (n, cfg.get("levels")) and n != cfg["levels"]:
+        raise ConfigError(f"levels {cfg['levels']} and the state's n {n} both set the level count")
+    if "coherent" in state and cfg.get("basis") is not None:
+        raise ConfigError("a coherent state takes no basis")
+    return cfg
 
 
 def build_state(cfg: dict) -> tuple[SlaterState, dict]:
@@ -450,10 +461,9 @@ def cmd_entropy_surface(cfg: dict) -> int:
         for t, row in zip(cells(t_grid), entropy):
             yield zip(itertools.repeat(t), theta, cells(row))
 
-    i, j = np.unravel_index(np.argmax(entropy), entropy.shape)
-    # S(theta + pi) = S(theta) (the subsystems swap), so the maximum ties
-    # between theta and theta + pi; report the one in [0, pi)
-    best = (float(entropy[i, j]), float(t_grid[i]), float(thetas[j % (len(thetas) // 2)]))
+    half = entropy[:, : len(thetas) // 2]  # the sweep gives S(theta + pi) = S(theta)
+    i, j = np.unravel_index(np.argmax(half), half.shape)
+    best = (float(half[i, j]), float(t_grid[i]), float(thetas[j]))
     report = {"phi": phi, "max_entropy": best[0], "argmax": {"t": best[1], "theta": best[2]}}
     write_outputs(cfg, "entropy-surface", "entropy_surface_meta", report,
                   tables=[("entropy_surface", ["t", "theta", "entropy"],
@@ -511,7 +521,7 @@ def cmd_solve_potential(cfg: dict) -> int:
         pot = potentials.potential(entry["kind"], entry.get("expression"))
     except ValueError as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
-    levels = entry.get("n", cfg["levels"])
+    levels = entry.get("n", cfg["levels"] or DEFAULT_LEVELS)
     bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or DEFAULT_BASIS_SIZE)
     parities = potentials.parity_check(bset)
     cells = cell_texts(cfg["format"])

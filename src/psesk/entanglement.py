@@ -10,6 +10,12 @@ outside the cut map to -inf / +inf sentinels rather than exceptions.
 The functions take and return plain arrays: a Gramian (N x N, or for
 ``schmidt_values`` a (K, N, N) stack of one per angle) or Schmidt values mu
 along the last axis.
+
+Rotating the cut by pi maps x to -x and swaps the two subsystems, so
+mu(theta + pi) = 1 - mu(theta) and epsilon(theta + pi) = -epsilon(theta).
+``pses_sweep`` uses this on the uniform grid theta_j = 2 pi j / K, K even:
+it solves only the first half turn, whose Gramians come from one inverse
+FFT per entry, and mirrors the second.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
-from .overlap import clamp_unit_interval, rotated_gramians, rotated_overlap  # noqa
+from .overlap import (clamp_unit_interval, half_turn_gramians, rotated_gramians,  # noqa
+                      rotated_overlap)
 from .states import SlaterState
 
 __all__ = [
@@ -123,9 +130,30 @@ def entanglement_entropy(mu):
 
 
 def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
-    """Entanglement spectrum, entropy, and gap over a grid of cut angles."""
+    """Entanglement spectrum, entropy, and gap over a grid of cut angles.
+
+    On the uniform grid theta_j = 2 pi j / K with K even (exactly
+    ``np.linspace(0, 2 pi, K, endpoint=False)``) the Gramians of the first
+    half turn come from half_turn_gramians, and the second half from the
+    subsystem swap: rotating the cut by pi exchanges x >= 0 and x <= 0, so
+    mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the energies
+    -energies[j, ::-1] and the entropy of angle j, bitwise.  The swap
+    assumes conj(L) L^T = I; a state whose rows are orthonormal only to
+    within delta (SlaterState admits 1e-8) can see mu(theta + pi) differ from
+    a direct evaluation by up to delta.  Every other grid is evaluated angle
+    by angle.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    mu = schmidt_values(rotated_gramians(state.coeffs, state.coeffs, thetas))
-    energies = entanglement_energies(mu)
+    count = thetas.size
+    if count % 2 == 0 and count and np.array_equal(
+            thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)):
+        mu = schmidt_values(half_turn_gramians(state.coeffs, state.coeffs, count))
+        half = entanglement_energies(mu)
+        energies = np.concatenate((half, -half[:, ::-1]))
+        entropy = np.tile(entanglement_entropy(mu), 2)
+    else:
+        mu = schmidt_values(rotated_gramians(state.coeffs, state.coeffs, thetas))
+        energies = entanglement_energies(mu)
+        entropy = entanglement_entropy(mu)
     gap = np.min(np.abs(energies), axis=-1)
-    return PSESDataset(thetas=thetas, energies=energies, entropy=entanglement_entropy(mu), gap=gap)
+    return PSESDataset(thetas=thetas, energies=energies, entropy=entropy, gap=gap)

@@ -51,10 +51,18 @@ inverse FFT per pair, O((N_L + N_R) P log P + N_L N_R P log P) per build.
 dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs O(N_L M^2).
 ``rotated_gramians`` composes the two; callers that revisit one pair of row
 sets (the winding and gap-closing searches) keep the harmonics instead.
-Left rows are taken in blocks whose FFT workspace fits HARMONIC_BYTES and
+On the uniform grid theta_j = 2 pi j / K (K even) the series is a DFT, and
+``half_turn_gramians`` gives the first half turn, j < K/2: with k = 2q + 1,
+e^{ik theta_j} = e^{2 pi i j / K} e^{2 pi i j q / (K/2)}, so each C_k is added
+to bin (k mod K) // 2 (lags beyond K fold onto the same bins), one inverse
+FFT of length K/2 per entry sums the bins, and angle j is multiplied by
+the twiddle e^{2 pi i j / K}: O(N_L N_R K log K) instead of O(N_L N_R M K).
+The second half turn needs no Gramian of its own: O(theta + pi) =
+conj(L) R^T - O(theta), the left cut.  Both functions take left rows in
+blocks whose FFT workspace fits HARMONIC_BYTES; ``evaluate_gramians`` takes
 angles in blocks of ANGLE_BLOCK, so memory stays bounded on long grids and
-wide states.  Each angle's value is its own vector-matrix product, so it
-does not depend on which other angles share a call.
+wide states.  Each of its angles' values is its own vector-matrix product,
+so it does not depend on which other angles share a call.
 
 A cut translated to x >= t has no closed form and is done by panelled
 Gauss-Legendre quadrature in the reconstructed position representation.
@@ -85,6 +93,7 @@ __all__ = [
     "clamp_unit_interval",
     "evaluate_gramians",
     "gramian_harmonics",
+    "half_turn_gramians",
     "harmonic_rows",
 ]
 
@@ -277,20 +286,52 @@ def evaluate_gramians(h: GramianHarmonics, thetas, side: str = "right") -> np.nd
     return out
 
 
+def _by_row_blocks(left: np.ndarray, right: np.ndarray, count: int, evaluate) -> np.ndarray:
+    """(count, N_L, N_R) stack of ``evaluate(gramian_harmonics(block, right))``
+    over blocks of harmonic_rows left rows."""
+    rows = harmonic_rows(len(right), left.shape[1])
+    if rows >= len(left):
+        return evaluate(gramian_harmonics(left, right))
+    out = np.empty((count, len(left), len(right)), dtype=complex)
+    for k in range(0, len(left), rows):
+        out[:, k : k + rows] = evaluate(gramian_harmonics(left[k : k + rows], right))
+    return out
+
+
 def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "right") -> np.ndarray:
     """(K, N_L, N_R) stack of conj(L) e^{-i n theta} T e^{i n theta} R^T over K thetas.
 
     ``side`` as in evaluate_gramians; the harmonics are built for blocks of
     harmonic_rows left rows and evaluated at every theta.
     """
-    rows = harmonic_rows(len(right), left.shape[1])
-    if rows >= len(left):
-        return evaluate_gramians(gramian_harmonics(left, right), thetas, side)
-    out = np.empty((len(thetas), len(left), len(right)), dtype=complex)
-    for k in range(0, len(left), rows):
-        out[:, k : k + rows] = evaluate_gramians(
-            gramian_harmonics(left[k : k + rows], right), thetas, side)
+    return _by_row_blocks(left, right, len(thetas), lambda h: evaluate_gramians(h, thetas, side))
+
+
+def _half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
+    """O(2 pi j / K) for j < K/2: C_k in bin (k mod K) // 2, one inverse FFT of
+    length K/2 per entry, times the twiddle e^{2 pi i j / K} (module docstring)."""
+    half_k = count // 2
+    bins = np.zeros((half_k, h.coeffs.shape[1]), dtype=complex)
+    slots = (h.orders % count) // 2
+    for s in range(0, len(slots), half_k):  # K/2 consecutive odd lags fill distinct bins
+        bins[slots[s : s + half_k]] += h.coeffs[s : s + half_k]
+    out = np.fft.ifft(bins, axis=0, norm="forward")
+    out *= np.exp(2j * math.pi / count * np.arange(half_k))[:, None]
+    out = out.reshape(half_k, *h.half.shape)
+    out += h.half
     return out
+
+
+def half_turn_gramians(left: np.ndarray, right: np.ndarray, count: int) -> np.ndarray:
+    """(K/2, N_L, N_R) right-cut Gramians at theta_j = 2 pi j / K, j < K/2, K = count even.
+
+    The same values as rotated_gramians on that grid, to roundoff, at
+    O(N_L N_R K log K) instead of O(N_L N_R M K); left rows in the same blocks.
+    The other half turn is the left cut: O(theta + pi) = conj(L) R^T - O(theta).
+    """
+    if count < 2 or count % 2:
+        raise ValueError("count must be a positive even number")
+    return _by_row_blocks(left, right, count // 2, lambda h: _half_turn(h, count))
 
 
 def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> np.ndarray:

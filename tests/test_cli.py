@@ -226,6 +226,18 @@ def test_solve_potential_sho(tmp_path):
     assert len(coeff_rows) == 8
 
 
+@pytest.mark.parametrize("flags,levels", [
+    (["--particles", "3"], 3), (["--particles", "3", "--levels", "3"], 3),
+    (["--levels", "5"], 5), ([], 8)])
+def test_solve_potential_level_count(tmp_path, flags, levels):
+    # the state's n and --levels set one count: either, both if they agree, else 8
+    assert main(["solve-potential", "--potential", "sho", *flags, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "solve_potential_meta.json").read_text())
+    assert meta["levels"] == levels and len(meta["energies"]) == levels
+    assert meta["config"]["levels"] == (int(flags[-1]) if "--levels" in flags else None)
+    assert len(read_csv(tmp_path / "bound_states.csv")[1]) == levels
+
+
 def test_solve_potential_rosen_morse_parity_column(tmp_path):
     rc = main(["solve-potential", "--potential", "rosen_morse", "--levels", "6",
                "--out", str(tmp_path)])
@@ -305,6 +317,14 @@ BAD_INPUTS = [
     (["solve-potential", "--potential", "custom"], None),
     (["spectrum"], {"state": {"potential_ground": {"kind": "sho", "expression": "x^4"}}}),
     (["spectrum"], {"state": {"potential_ground": {"kind": "custom"}}}),
+    # two values for one quantity, or one the state has no use for
+    (["solve-potential", "--potential", "sho", "--particles", "3", "--levels", "5"], None),
+    (["solve-potential", "--potential", "sho", "--levels", "5"],
+     {"state": {"potential_ground": {"kind": "sho", "n": 3}}}),
+    (["solve-potential", "--particles", "3"],
+     {"levels": 5, "state": {"potential_ground": {"kind": "sho"}}}),
+    (["wigner", "--coherent", "3", "--basis", "5"], None),
+    (["wigner", "--coherent", "3"], {"basis": 5}),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from helpers import random_slater, random_symmetric_slater
 from psesk import entanglement as ent
 from psesk import overlap
 from psesk.chiral import detect_gap_closings, parity_sort
+from psesk.potentials import bound_states, potential
 from psesk.states import ho_slater, interpolated_state
 
 O01 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -185,3 +187,100 @@ def test_dataset_entropy_bounds():
     data = ent.pses_sweep(s, np.linspace(0, 2 * math.pi, 16, endpoint=False))
     assert np.all(data.entropy >= 0.0)
     assert np.all(data.entropy <= 4 * math.log(2.0) * (1 + 1e-9))
+
+
+# ------------------------------------------------- uniform sweeps by half turn
+
+def _uniform(k):
+    return np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+
+
+def _per_angle(state, thetas):
+    """The sweep's numbers angle by angle: the oracle of the half-turn path."""
+    mu = ent.schmidt_values(overlap.rotated_gramians(state.coeffs, state.coeffs, thetas))
+    return mu, ent.entanglement_energies(mu), ent.entanglement_entropy(mu)
+
+
+# the four symmetric wells at N = 7, a random state at M = 1000 and high oscillator levels
+SWEEP_STATES = ("sho", "anharmonic", "double_well", "poschl_teller", "random-1000", "ho-900")
+
+
+@functools.cache
+def sweep_state(name):
+    if name == "random-1000":
+        return random_slater(np.random.default_rng(25), 8, 1000)
+    if name == "ho-900":
+        return ho_slater(list(range(900, 920)))
+    return bound_states(potential(name), 7, basis_size=100).as_slater()
+
+
+@pytest.mark.parametrize("k", [16, 256, 4096])
+@pytest.mark.parametrize("name", SWEEP_STATES)
+def test_uniform_sweep_matches_per_angle_oracle(name, k):
+    state = sweep_state(name)
+    data = ent.pses_sweep(state, _uniform(k))
+    mu, _, entropy = _per_angle(state, _uniform(k))
+    with np.errstate(over="ignore"):
+        mu_swept = 1.0 / (1.0 + np.exp(data.energies))
+    assert np.max(np.abs(mu_swept - mu)) < 1e-13
+    assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["double_well", "random-1000"])
+def test_uniform_sweep_second_half_is_the_swap_bitwise(name):
+    k = 64
+    data = ent.pses_sweep(sweep_state(name), _uniform(k))
+    assert np.array_equal(data.thetas, _uniform(k))
+    assert np.array_equal(data.energies[k // 2 :], -data.energies[: k // 2, ::-1])
+    assert np.array_equal(data.entropy[k // 2 :], data.entropy[: k // 2])
+    assert np.array_equal(data.gap[k // 2 :], data.gap[: k // 2])
+
+
+@pytest.mark.parametrize("grid", [
+    "endpoint", "odd", "shifted", "random", "reversed-list", "one-ulp"])
+def test_other_grids_take_the_per_angle_path_bitwise(grid):
+    state = sweep_state("double_well")
+    thetas = {
+        "endpoint": np.linspace(0.0, 2.0 * math.pi, 64),
+        "odd": np.linspace(0.0, 2.0 * math.pi, 63, endpoint=False),
+        "shifted": _uniform(64) + 0.1,
+        "random": np.random.default_rng(26).uniform(0.0, 2.0 * math.pi, 64),
+        "reversed-list": list(_uniform(64)[::-1]),
+        "one-ulp": np.where(np.arange(64) == 5, np.nextafter(_uniform(64), 7.0), _uniform(64)),
+    }[grid]
+    data = ent.pses_sweep(state, thetas)
+    _, energies, entropy = _per_angle(state, np.asarray(thetas))
+    assert np.array_equal(data.energies, energies)
+    assert np.array_equal(data.entropy, entropy)
+
+
+def test_uniform_sweep_left_row_blocks_match(monkeypatch):
+    state = sweep_state("random-1000")
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    assert overlap.harmonic_rows(state.n_particles, state.basis_size) == 1
+    blocked = ent.pses_sweep(state, _uniform(256))
+    mu, _, entropy = _per_angle(state, _uniform(256))
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(blocked.energies)) - mu)) < 1e-13
+    assert np.max(np.abs(blocked.entropy - entropy)) < 1e-12
+
+
+def test_uniform_sweep_solves_half_a_turn(monkeypatch):
+    shapes = []
+    schmidt = ent.schmidt_values
+
+    def recorded(o):
+        shapes.append(np.shape(o))
+        return schmidt(o)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a uniform sweep evaluates no angle one by one")
+
+    monkeypatch.setattr(ent, "schmidt_values", recorded)
+    monkeypatch.setattr(overlap, "evaluate_gramians", refused)
+    state = sweep_state("poschl_teller")
+    data = ent.pses_sweep(state, _uniform(256))
+    assert shapes == [(128, 7, 7)]
+    assert data.energies.shape == (256, 7)
+    with pytest.raises(AssertionError):
+        ent.pses_sweep(state, _uniform(256) + 0.1)

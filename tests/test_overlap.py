@@ -171,6 +171,35 @@ def test_left_row_blocks_match_dense_product(monkeypatch):
     assert overlap.rotated_gramians(left, right, []).shape == (0, 5, 3)
 
 
+@pytest.mark.parametrize("m", [1, 3, 100, 1000])
+def test_half_turn_gramians_match_per_angle_kernel(m):
+    # K from 2 up past 2M - 1: small K folds many lags into each bin
+    rng = np.random.default_rng(m + 7)
+    for n_l, n_r in ((3, 2), (1, 4), (0, 3), (2, 0)):
+        left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
+        for k in (2, 4, 16, 256, 4096):
+            thetas = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+            got = overlap.half_turn_gramians(left, right, k)
+            assert got.shape == (k // 2, n_l, n_r)
+            want = overlap.rotated_gramians(left, right, thetas[: k // 2])
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-13, (n_l, n_r, k)
+    for count in (0, 7):
+        with pytest.raises(ValueError):
+            overlap.half_turn_gramians(left, right, count)
+
+
+def test_half_turn_left_row_blocks_match(monkeypatch):
+    rng = np.random.default_rng(61)
+    left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
+    whole = overlap.half_turn_gramians(left, right, 64)
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    assert overlap.harmonic_rows(3, 300) == 1
+    blocked = overlap.half_turn_gramians(left, right, 64)
+    assert np.max(np.abs(blocked - whole)) < 1e-15
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:32]
+    assert np.max(np.abs(blocked - _dense_gramians(left, right, thetas))) < 1e-13
+
+
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
 def test_closed_form_matches_oracle(m, n):
     assert overlap.ho_halfspace_overlap(m, n) == pytest.approx(

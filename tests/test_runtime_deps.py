@@ -19,6 +19,23 @@ def test_cli_import_does_not_load_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_loads_only_psesk_and_the_standard_library():
+    # numpy's own submodules come with it or lazily on first use (numpy.fft),
+    # never from psesk's import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, numpy; before = set(sys.modules); import psesk.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "psesk.cli" in added
+    foreign = [name for name in added if name.split(".")[0] != "psesk"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
 def test_no_source_file_mentions_scipy():
     hits = [str(path) for path in SRC.rglob("*.py") if "scipy" in path.read_text()]
     assert hits == []
