@@ -11,6 +11,14 @@ block m(theta) is square and generically invertible, and the integer
 
 classifies the gapped spectra; unequal counts force |N_e - N_o| exact
 zero-energy flat bands instead.
+
+The scans (winding, gap closings, minimum gap) start from det m on the
+uniform grid theta_j = pi j / G, the first half of the DFT grid of 2G
+angles: its blocks come from one inverse FFT per block entry
+(overlap.evaluate_half_turn), and the endpoint from m(pi) = -m(0).  The
+points they refine (bisection midpoints, golden-section probes) go through
+block_determinants, one angle at a time or stacked, with the same bits
+either way.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import (GramianHarmonics, evaluate_gramians, gramian_harmonics,
-                      harmonic_rows, rotated_gramians)
+from .overlap import (GramianHarmonics, evaluate_gramians, evaluate_half_turn,
+                      gramian_harmonics, half_turn_gramians, harmonic_rows,
+                      rotated_gramians)
 from .states import SlaterState
 
 __all__ = [
@@ -168,19 +177,40 @@ def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.nda
     return np.linalg.det(_even_odd_blocks(ps, thetas))
 
 
+def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
+    """det m(pi j / G) for j = 0 .. G, G = grid_size, from one inverse FFT per entry.
+
+    The angles pi j / G, j < G, are the first half of the DFT grid of
+    K = 2G angles, so their blocks come from the half-turn FFT of the kept
+    harmonics (or of row blocks, when none are kept).  The endpoint needs
+    no block: m(pi) = -m(0), so det m(pi) = (-1)^{N_e} det m(0).
+    """
+    if ps.n_even != ps.n_odd:
+        raise EmptyBlock("det m needs equally many even and odd orbitals")
+    count = 2 * grid_size
+    if ps.harmonics is None:
+        blocks = half_turn_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], count)
+    else:
+        blocks = evaluate_half_turn(ps.harmonics, count)
+    dets = np.linalg.det(blocks)
+    return np.append(dets, (-1) ** ps.n_even * dets[0])
+
+
 def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
     """(winding, intervals in the final grid, min |det m| seen) over theta in [0, pi].
 
-    Phase-unwraps det m from a uniform grid of ``grid_size`` intervals; every
-    interval whose wrapped step is >= pi/2 is bisected and only its midpoint
-    evaluated, until no such step is left or the grid would exceed GRID_CAP
-    intervals.  The total is an exact multiple of pi because m(pi) = -m(0),
-    so rounding to an integer is safe once the steps are small.
+    Phase-unwraps det m from a uniform grid of ``grid_size`` intervals, taken
+    from the half-turn FFT (_grid_determinants); every interval whose wrapped
+    step is >= pi/2 is bisected and only its midpoint evaluated by
+    block_determinants, until no such step is left or the grid would exceed
+    GRID_CAP intervals.  The grid's endpoint is det m(pi) = (-1)^{N_e}
+    det m(0), from m(pi) = -m(0), so the total is an exact multiple of pi
+    and rounding to an integer is safe once the steps are small.  The base
+    grid peaks at about twice its (grid_size, N_e, N_e) complex stack (the
+    FFT bins and their transform), at most 2.2 times.
     """
-    if ps.n_even != ps.n_odd:
-        raise EmptyBlock("winding requires equally many even and odd orbitals")
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
-    dets = block_determinants(ps, thetas)
+    dets = _grid_determinants(ps, grid_size)
     while True:
         min_det = float(np.min(np.abs(dets)))
         if min_det < DET_FLOOR:
@@ -256,11 +286,12 @@ def _golden_minima(
 def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
     """(theta*, min |det m|) over the fundamental domain [0, pi).
 
-    Scan of DEFAULT_GRID angles followed by golden-section refinement
-    around the best point.
+    Scan of the DEFAULT_GRID angles pi j / DEFAULT_GRID, j < DEFAULT_GRID,
+    from the half-turn FFT (_grid_determinants), followed by golden-section
+    refinement around the best point.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    dets = np.abs(block_determinants(ps, thetas))
+    dets = np.abs(_grid_determinants(ps, DEFAULT_GRID)[:-1])
     i = int(np.argmin(dets))
     step = math.pi / DEFAULT_GRID
     (theta_star,), (det_star,) = _golden_minima(
@@ -273,7 +304,8 @@ def detect_gap_closings(ps: ParitySortedState) -> list[float]:
     """Angles in [0, pi) where |det m| dips below DIP_THRESHOLD.
 
     |det m| is pi-periodic (m picks up a global sign under a half turn), so
-    a grid of DEFAULT_GRID angles over [0, pi) is treated circularly; every
+    a grid of DEFAULT_GRID angles over [0, pi), from the half-turn FFT
+    (_grid_determinants), is treated circularly; every
     strict local minimum is refined to RESOLUTION by golden section and kept
     if the refined value is below the threshold.  A zero never lands on a
     grid point, which is why the grid values alone cannot be compared
@@ -282,7 +314,7 @@ def detect_gap_closings(ps: ParitySortedState) -> list[float]:
     flat |det m| and is not refined.  Returns an empty list for gapped states.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    dets = np.abs(block_determinants(ps, thetas))
+    dets = np.abs(_grid_determinants(ps, DEFAULT_GRID)[:-1])
     n = len(thetas)
     left, right = np.roll(dets, 1), np.roll(dets, -1)
     minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))

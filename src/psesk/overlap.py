@@ -52,7 +52,9 @@ dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs O(N_L M^2).
 ``rotated_gramians`` composes the two; callers that revisit one pair of row
 sets (the winding and gap-closing searches) keep the harmonics instead.
 On the uniform grid theta_j = 2 pi j / K (K even) the series is a DFT, and
-``half_turn_gramians`` gives the first half turn, j < K/2: with k = 2q + 1,
+``evaluate_half_turn`` sums the first half turn, j < K/2, from one pair's
+harmonics (``half_turn_gramians`` composes it with the build, as
+``rotated_gramians`` does ``evaluate_gramians``): with k = 2q + 1,
 e^{ik theta_j} = e^{2 pi i j / K} e^{2 pi i j q / (K/2)}, so each C_k is added
 to bin (k mod K) // 2 (lags beyond K fold onto the same bins), one inverse
 FFT of length K/2 per entry sums the bins, and angle j is multiplied by
@@ -92,6 +94,7 @@ __all__ = [
     "translated_overlap",
     "clamp_unit_interval",
     "evaluate_gramians",
+    "evaluate_half_turn",
     "gramian_harmonics",
     "half_turn_gramians",
     "harmonic_rows",
@@ -307,9 +310,17 @@ def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "r
     return _by_row_blocks(left, right, len(thetas), lambda h: evaluate_gramians(h, thetas, side))
 
 
-def _half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
-    """O(2 pi j / K) for j < K/2: C_k in bin (k mod K) // 2, one inverse FFT of
-    length K/2 per entry, times the twiddle e^{2 pi i j / K} (module docstring)."""
+def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
+    """(K/2, N_L, N_R) right-cut Gramians O(2 pi j / K), j < K/2, K = count even,
+    summed from their harmonics.
+
+    C_k goes to bin (k mod K) // 2, one inverse FFT of length K/2 per entry
+    sums the bins, and angle j is multiplied by the twiddle e^{2 pi i j / K}
+    (module docstring).  The bins and their transform coexist, so the peak
+    is about twice the returned stack.
+    """
+    if count < 2 or count % 2:
+        raise ValueError("count must be a positive even number")
     half_k = count // 2
     bins = np.zeros((half_k, h.coeffs.shape[1]), dtype=complex)
     slots = (h.orders % count) // 2
@@ -329,9 +340,7 @@ def half_turn_gramians(left: np.ndarray, right: np.ndarray, count: int) -> np.nd
     O(N_L N_R K log K) instead of O(N_L N_R M K); left rows in the same blocks.
     The other half turn is the left cut: O(theta + pi) = conj(L) R^T - O(theta).
     """
-    if count < 2 or count % 2:
-        raise ValueError("count must be a positive even number")
-    return _by_row_blocks(left, right, count // 2, lambda h: _half_turn(h, count))
+    return _by_row_blocks(left, right, count // 2, lambda h: evaluate_half_turn(h, count))
 
 
 def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> np.ndarray:

@@ -177,7 +177,8 @@ def test_winding_bisects_only_the_intervals_with_large_steps(t, nu, monkeypatch)
     assert winding == nu
     assert chiral.DET_FLOOR < min_det < 1e-4
     assert 256 < intervals < 300
-    assert sum(angles) == intervals + 1
+    # the 257-angle base grid comes from the FFT: only bisection midpoints are evaluated per angle
+    assert sum(angles) == intervals - 256
 
 
 def test_flat_band_count():
@@ -368,9 +369,18 @@ def test_flat_determinant_ripples_are_not_refined(monkeypatch):
         calls.append(len(thetas))
         return block_determinants(ps, thetas)
 
+    grids = []
+    grid_determinants = chiral._grid_determinants
+
+    def counted_grid(ps, grid_size):
+        grids.append(grid_size)
+        return grid_determinants(ps, grid_size)
+
     monkeypatch.setattr(chiral, "block_determinants", counted)
+    monkeypatch.setattr(chiral, "_grid_determinants", counted_grid)
     assert chiral.detect_gap_closings(ps) == []
-    assert calls == [chiral.DEFAULT_GRID]
+    assert calls == []
+    assert grids == [chiral.DEFAULT_GRID]
 
 
 def test_block_determinants_memory_on_a_long_grid():
@@ -386,3 +396,82 @@ def test_block_determinants_memory_on_a_long_grid():
         tracemalloc.stop()
     # the (16385, 6, 6) stack alone is 9.0 MiB; harmonics and phase blocks stay small
     assert peak <= 1.1 * 9.6 * 2**20
+
+
+SYMMETRIC_WELLS = ("sho", "anharmonic", "double_well", "poschl_teller")
+
+
+@pytest.fixture(scope="module")
+def well_states():
+    return {kind: chiral.parity_sort(potentials.bound_states(potentials.potential(kind), 6)
+                                     .as_slater())
+            for kind in SYMMETRIC_WELLS}
+
+
+def _grid_oracle_states(well_states):
+    rng = np.random.default_rng(39)
+    states = {f"well-{kind}": ps for kind, ps in well_states.items()}
+    for m in (3, 100, 1000):
+        n = 1 if m == 3 else 3  # M = 3 holds one odd level
+        states[f"random-{m}"] = chiral.parity_sort(random_symmetric_slater(rng, n, n, m))
+    states["ho-900-919"] = chiral.parity_sort(ho_slater(list(range(900, 920))))
+    return states
+
+
+def _assert_grid_matches_per_angle(ps):
+    for grid_size in (1, 2, 3, 256, 4096):
+        want = chiral.block_determinants(ps, np.linspace(0.0, math.pi, grid_size + 1))
+        got = chiral._grid_determinants(ps, grid_size)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), grid_size
+
+
+def test_grid_determinants_match_block_determinants(well_states):
+    # the half-turn FFT grid against per-angle evaluation, endpoint det m(pi) included
+    states = _grid_oracle_states(well_states)
+    assert {ps.n_even % 2 for ps in states.values()} == {0, 1}  # both endpoint signs
+    for name, ps in states.items():
+        assert ps.n_even == ps.n_odd, name
+        _assert_grid_matches_per_angle(ps)
+
+
+def test_grid_determinants_from_row_blocks(well_states, monkeypatch):
+    states = _grid_oracle_states(well_states)
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    for name in ("well-double_well", "random-1000", "ho-900-919"):
+        ps = chiral.parity_sort(states[name].as_state())
+        assert ps.harmonics is None
+        _assert_grid_matches_per_angle(ps)
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 2], [0, 2]])
+def test_unequal_sectors_raise_empty_block(indices):
+    ps = chiral.parity_sort(ho_slater(indices))
+    for scan in (chiral.winding_scan, chiral.detect_gap_closings, chiral.minimum_block_gap):
+        with pytest.raises(chiral.EmptyBlock):
+            scan(ps)
+
+
+def test_gapped_well_windings_evaluate_no_single_angles(well_states, monkeypatch):
+    calls = []
+    block_determinants = chiral.block_determinants
+    monkeypatch.setattr(chiral, "block_determinants",
+                        lambda ps, thetas: calls.append(len(thetas)) or block_determinants(ps, thetas))
+    for kind, ps in well_states.items():
+        assert chiral.winding_scan(ps)[:2] == (3, chiral.DEFAULT_GRID), kind
+    assert calls == []
+
+
+def test_winding_scan_memory_on_a_long_grid():
+    rng = np.random.default_rng(38)
+    ps = chiral.parity_sort(random_symmetric_slater(rng, 6, 6, 100))
+    grid_size = 16384
+    overlap.ho_overlap_table(100)
+    tracemalloc.start()
+    try:
+        assert chiral.winding_scan(ps, grid_size)[1] == grid_size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # FFT bins and their transform coexist: about twice the (G, 6, 6) complex stack
+    assert peak <= 2.2 * grid_size * 36 * 16

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from psesk import cli
@@ -531,34 +531,69 @@ def test_nan_oracle(tmp_path):
         assert nan_written(tmp_path / name) is nan, name
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(CASES)
-def test_cli_boundary_fuzz(capsys, monkeypatch, case):
-    (command, flags), config, corruption = case
-    argv = [command, *(token for flag in flags for token in flag)]
-    config = {**SMALL, **config}
-    if corruption is not None:
-        where, key, value = corruption
-        if where == "config":
-            config[key] = value
-        elif where == "state":
-            config["state"] = {**(config.get("state") or {}), key: value}
-        else:
-            argv += [key, value]
-    with tempfile.TemporaryDirectory() as work:
-        monkeypatch.chdir(work)
-        Path(work, "cfg.json").write_text(json.dumps(config))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(argv + ["--config", "cfg.json"])
-        err = capsys.readouterr().err.splitlines()
-        assert rc in (0, 2, 3, 4), (argv, config, rc)
-        if rc != 0:
-            assert len(err) == 1 and not caught, (argv, config, err, [str(w.message) for w in caught])
-        else:  # no meaningless result: every written number is finite or a +-inf energy
-            outputs = [p for p in Path(work).rglob("*") if p.is_file() and p.name != "cfg.json"]
-            assert not any(map(nan_written, outputs)), (argv, config)
+def case_state(argv, config) -> dict:
+    """The config's state after the state flags in ``argv``, merged as
+    resolve_config merges them."""
+    state = cli._merge_state(config.get("state"), vars(build_parser().parse_args(argv)))
+    return state if type(state) is dict else {}
+
+
+def small_sizes(state) -> dict:
+    """SMALL less what the state rejects: basis for a coherent state, levels
+    for a state that sets its own n."""
+    rejected = {"basis"} if "coherent" in state else set()
+    if "n" in (state.get("potential_ground") or {}):
+        rejected.add("levels")
+    return {key: value for key, value in SMALL.items() if key not in rejected}
+
+
+def test_cli_boundary_fuzz(capsys, monkeypatch):
+    reached = set()  # uncorrupted successful runs of the paths that need their own sizes
+
+    # the draw reaches each of these paths about once in 300 cases, so one
+    # example of each pins them whatever the draw
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(CASES)
+    @example((("wigner", [["--coherent", "0,1.5"]]), {}, None))
+    @example((("solve-potential", []), {"state": {"potential_ground": {"kind": "sho", "n": 3}}},
+              None))
+    def run(case):
+        (command, flags), config, corruption = case
+        argv = [command, *(token for flag in flags for token in flag)]
+        state = case_state(argv, config)
+        config = {**small_sizes(state), **config}
+        if corruption is not None:
+            where, key, value = corruption
+            if where == "config":
+                config[key] = value
+            elif where == "state":
+                config["state"] = {**(config.get("state") or {}), key: value}
+            else:
+                argv += [key, value]
+        with tempfile.TemporaryDirectory() as work:
+            monkeypatch.chdir(work)
+            Path(work, "cfg.json").write_text(json.dumps(config))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv + ["--config", "cfg.json"])
+            err = capsys.readouterr().err.splitlines()
+            assert rc in (0, 2, 3, 4), (argv, config, rc)
+            if rc != 0:
+                assert len(err) == 1 and not caught, (argv, config, err,
+                                                      [str(w.message) for w in caught])
+            else:  # no meaningless result: every written number is finite or a +-inf energy
+                outputs = [p for p in Path(work).rglob("*") if p.is_file() and p.name != "cfg.json"]
+                assert not any(map(nan_written, outputs)), (argv, config)
+                n = (state.get("potential_ground") or {}).get("n")
+                if corruption is None and command == "wigner" and "coherent" in state:
+                    reached.add("coherent wigner")
+                if corruption is None and command == "solve-potential" and n not in (
+                        None, SMALL["levels"]):
+                    reached.add("solve-potential with the state's own n")
+
+    run()
+    assert reached == {"coherent wigner", "solve-potential with the state's own n"}
 
 
 def test_spectrum_rows_are_made_as_they_are_written(tmp_path):
