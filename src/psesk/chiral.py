@@ -15,10 +15,21 @@ zero-energy flat bands instead.
 The scans (winding, gap closings, minimum gap) start from det m on the
 uniform grid theta_j = pi j / G, the first half of the DFT grid of 2G
 angles: its blocks come from one inverse FFT per block entry
-(overlap.evaluate_half_turn), and the endpoint from m(pi) = -m(0).  The
-points they refine (bisection midpoints, golden-section probes) go through
-block_determinants, one angle at a time or stacked, with the same bits
-either way.
+(overlap.evaluate_half_turn), and the endpoint from m(pi) = -m(0); each
+parity-sorted state keeps the DEFAULT_GRID determinants, so the three scans
+share one grid.  The points they refine (bisection midpoints,
+golden-section probes) go through block_determinants, one angle at a time
+or stacked, with the same bits either way.
+
+A gap-closing scan refines a grid minimum only if a Weyl bound lets it
+dip: with m(theta) = half + sum_k C_k e^{ik theta}, L = sum_k |k| ||C_k||_F
+bounds ||m'||_2, so within h = pi / DEFAULT_GRID of a grid point every
+singular value of m stays within L h of its value there and
+|det m| >= prod_i max(0, sigma_i - L h).  Gapped wells, whose minima sit
+orders of magnitude above DIP_THRESHOLD, are certified without a single
+refinement; near-critical states, states with a large L h (many
+harmonics, a wide basis) and states whose |det m| is small everywhere keep
+every bracket.
 """
 
 from __future__ import annotations
@@ -102,6 +113,17 @@ class ParitySortedState:
         if harmonic_rows(len(odd), self.coeffs.shape[1]) < len(even):
             return None
         return gramian_harmonics(even, odd)
+
+    @cached_property
+    def grid_determinants(self) -> np.ndarray:
+        """det m(pi j / DEFAULT_GRID), j = 0 .. DEFAULT_GRID, computed on first use.
+
+        The base grid that every scan starts from, kept read-only; its
+        blocks are not kept.
+        """
+        dets = _grid_determinants(self, DEFAULT_GRID)
+        dets.flags.writeable = False
+        return dets
 
 
 def inversion_matrix(state: SlaterState) -> np.ndarray:
@@ -200,7 +222,8 @@ def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[
     """(winding, intervals in the final grid, min |det m| seen) over theta in [0, pi].
 
     Phase-unwraps det m from a uniform grid of ``grid_size`` intervals, taken
-    from the half-turn FFT (_grid_determinants); every interval whose wrapped
+    from the half-turn FFT (_grid_determinants; at DEFAULT_GRID the state's
+    kept grid_determinants); every interval whose wrapped
     step is >= pi/2 is bisected and only its midpoint evaluated by
     block_determinants, until no such step is left or the grid would exceed
     GRID_CAP intervals.  The grid's endpoint is det m(pi) = (-1)^{N_e}
@@ -210,7 +233,7 @@ def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[
     FFT bins and their transform), at most 2.2 times.
     """
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
-    dets = _grid_determinants(ps, grid_size)
+    dets = ps.grid_determinants if grid_size == DEFAULT_GRID else _grid_determinants(ps, grid_size)
     while True:
         min_det = float(np.min(np.abs(dets)))
         if min_det < DET_FLOOR:
@@ -291,13 +314,45 @@ def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
     refinement around the best point.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    dets = np.abs(_grid_determinants(ps, DEFAULT_GRID)[:-1])
+    dets = np.abs(ps.grid_determinants[:-1])
     i = int(np.argmin(dets))
     step = math.pi / DEFAULT_GRID
     (theta_star,), (det_star,) = _golden_minima(
         ps, [(thetas[i] - step, thetas[i] + step)], RESOLUTION
     )
     return theta_star % math.pi, float(det_star)
+
+
+def _grid_minima(ps: ParitySortedState) -> np.ndarray:
+    """Indices j < DEFAULT_GRID of the |det m| grid minima worth refining.
+
+    The strict local minima of the circular grid, less the ripples of a flat
+    |det m|: a minimum above DIP_THRESHOLD that lies within RIPPLE_ULPS * N_e
+    ulps of max |det m| of both neighbours.
+    """
+    dets = np.abs(ps.grid_determinants[:-1])
+    left, right = np.roll(dets, 1), np.roll(dets, -1)
+    minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
+    ripple = RIPPLE_ULPS * ps.n_even * np.finfo(float).eps * np.max(dets, initial=0.0)
+    minima &= (dets < DIP_THRESHOLD) | (left - dets > ripple) | (right - dets > ripple)
+    return np.flatnonzero(minima)
+
+
+def _det_lower_bounds(ps: ParitySortedState, centres: np.ndarray) -> np.ndarray:
+    """Lower bounds on |det m(theta)| for |theta - centre| <= pi / DEFAULT_GRID.
+
+    m'(theta) = sum_k i k C_k e^{ik theta}, so L = sum_k |k| ||C_k||_F bounds
+    ||m'||_2, and by Weyl's inequality no singular value of m moves by more
+    than L h within a distance h of the centre.  The bound is
+    prod_i max(0, sigma_i - L h), the sigma_i those of m at the centre.  It
+    is 0 everywhere when no harmonics are kept.
+    """
+    harm = ps.harmonics
+    if harm is None:
+        return np.zeros(len(centres))
+    lipschitz = np.abs(harm.orders) @ np.linalg.norm(harm.coeffs, axis=1)
+    sigma = np.linalg.svd(evaluate_gramians(harm, centres), compute_uv=False)
+    return np.prod(np.maximum(sigma - lipschitz * math.pi / DEFAULT_GRID, 0.0), axis=1)
 
 
 def detect_gap_closings(ps: ParitySortedState) -> list[float]:
@@ -311,19 +366,21 @@ def detect_gap_closings(ps: ParitySortedState) -> list[float]:
     grid point, which is why the grid values alone cannot be compared
     against the threshold.  A minimum above it that lies within roundoff of
     both neighbours (RIPPLE_ULPS * N_e ulps of max |det m|) is a ripple of a
-    flat |det m| and is not refined.  Returns an empty list for gapped states.
+    flat |det m| and is not refined, nor is one whose Weyl lower bound on
+    |det m| over its bracket (_det_lower_bounds) exceeds 2 * DIP_THRESHOLD,
+    the factor 2 a margin for roundoff: refinement could only have found a
+    value above the bound, so the result is the same as refining every
+    minimum.  When the state keeps no harmonics no bound is known and every
+    minimum is refined.  Returns an empty list for gapped states.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    dets = np.abs(_grid_determinants(ps, DEFAULT_GRID)[:-1])
+    minima = _grid_minima(ps)
+    minima = minima[_det_lower_bounds(ps, thetas[minima]) <= 2.0 * DIP_THRESHOLD]
     n = len(thetas)
-    left, right = np.roll(dets, 1), np.roll(dets, -1)
-    minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
-    ripple = RIPPLE_ULPS * ps.n_even * np.finfo(float).eps * np.max(dets, initial=0.0)
-    minima &= (dets < DIP_THRESHOLD) | (left - dets > ripple) | (right - dets > ripple)
     brackets = [
         (thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0]),
          thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2]))
-        for i in np.flatnonzero(minima)
+        for i in minima
     ]
     refined, dets = _golden_minima(ps, brackets, RESOLUTION)
     closings = sorted(t % math.pi for t, det in zip(refined, dets) if det < DIP_THRESHOLD)

@@ -316,7 +316,8 @@ def coherent_wigner(w: complex, x: np.ndarray, p: np.ndarray) -> WignerField:
     """Wigner field of the coherent state centered at z = w: 2 e^{-2|z-w|^2}."""
     x, p = _axes(x, p)
     z = (x[:, None] + 1j * p[None, :]) / math.sqrt(2.0)
-    values = 2.0 * np.exp(-2.0 * np.abs(z - w) ** 2)
+    with np.errstate(over="ignore"):  # far from w the exponent is -inf: the field is 0
+        values = 2.0 * np.exp(-2.0 * np.abs(z - w) ** 2)
     return WignerField(x=x, p=p, values=values.astype(complex), is_diagonal=True)
 
 

@@ -282,9 +282,10 @@ def _scalar_golden(ps, lo, hi, resolution):
     return theta, f(theta)
 
 
-def _grid_brackets(ps, n_grid=256):
+def _grid_brackets(ps, n_grid=256, dets=None):
     thetas = np.linspace(0.0, math.pi, n_grid, endpoint=False)
-    dets = np.abs(chiral.block_determinants(ps, thetas))
+    if dets is None:
+        dets = np.abs(chiral.block_determinants(ps, thetas))
     left, right = np.roll(dets, 1), np.roll(dets, -1)
     minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
     step = thetas[1] - thetas[0]
@@ -475,3 +476,97 @@ def test_winding_scan_memory_on_a_long_grid():
         tracemalloc.stop()
     # FFT bins and their transform coexist: about twice the (G, 6, 6) complex stack
     assert peak <= 2.2 * grid_size * 36 * 16
+
+
+def test_default_grid_is_computed_once_per_state(monkeypatch):
+    grids = []
+    grid_determinants = chiral._grid_determinants
+    monkeypatch.setattr(chiral, "_grid_determinants",
+                        lambda ps, grid_size: grids.append(grid_size) or grid_determinants(ps, grid_size))
+    ps = chiral.parity_sort(interpolated_state(0.3, PHI))
+    chiral.winding_scan(ps)
+    chiral.detect_gap_closings(ps)
+    chiral.minimum_block_gap(ps)
+    assert grids == [chiral.DEFAULT_GRID]
+    assert not ps.grid_determinants.flags.writeable
+    chiral.winding_scan(ps, 64)
+    assert grids == [chiral.DEFAULT_GRID, 64]
+
+
+def _closing_oracle_states():
+    rng = np.random.default_rng(40)
+    states = {f"{kind}-{n}": potentials.bound_states(potentials.potential(kind), n).as_slater()
+              for kind in SYMMETRIC_WELLS for n in (6, 8)}
+    states.update({f"interpolated-{t}": interpolated_state(t, PHI) for t in (0.60817, 0.6082)})
+    states.update({f"critical-{phi}": interpolated_state(T_CRIT, phi) for phi in (1.0, 0.3)})
+    states.update({f"random-{m}": random_symmetric_slater(rng, 3, 3, m) for m in (100, 1000)})
+    states["ho-0-39"] = ho_slater(list(range(40)))
+    return states
+
+
+def test_gap_closings_match_golden_section_on_every_grid_minimum():
+    # the oracle refines every strict minimum of the scan's own grid: none is
+    # dropped, neither as a ripple nor by the Weyl bound
+    found = {}
+    for name, state in _closing_oracle_states().items():
+        ps = chiral.parity_sort(state)
+        brackets = _grid_brackets(ps, dets=np.abs(ps.grid_determinants[:-1]))
+        reference = [_scalar_golden(ps, lo, hi, chiral.RESOLUTION) for lo, hi in brackets]
+        want = sorted(t % math.pi for t, d in reference if d < chiral.DIP_THRESHOLD)
+        assert chiral.detect_gap_closings(ps) == want, name
+        found[name] = len(want)
+    assert found["critical-1.0"] == found["critical-0.3"] == 1
+    assert found["random-1000"] > 0
+    assert found["ho-0-39"] > 50  # |det m| <= 2^-20 < DIP_THRESHOLD everywhere
+
+
+def test_det_lower_bound_holds_inside_every_bracket(well_states):
+    rng = np.random.default_rng(41)
+    states = dict(well_states)
+    for m in (4, 8, 12, 40, 100):
+        for n in (1, 2):
+            states[f"random-{m}-{n}"] = chiral.parity_sort(random_symmetric_slater(rng, n, n, m))
+    thetas = np.linspace(0.0, math.pi, chiral.DEFAULT_GRID, endpoint=False)
+    half_width = math.pi / chiral.DEFAULT_GRID
+    positive = 0
+    for name, ps in states.items():
+        centres = thetas[chiral._grid_minima(ps)]
+        for centre, bound in zip(centres, chiral._det_lower_bounds(ps, centres)):
+            probes = np.linspace(centre - half_width, centre + half_width, 65)
+            assert np.min(np.abs(chiral.block_determinants(ps, probes))) >= bound, name
+            positive += bound > 0.0
+    assert positive > 20
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(chiral, name)
+    monkeypatch.setattr(chiral, name, lambda ps, args, *rest: calls.append(len(args))
+                        or original(ps, args, *rest))
+    return calls
+
+
+def test_gapped_wells_and_flat_fillings_refine_nothing(well_states, monkeypatch):
+    states = dict(well_states)
+    states["oscillator-0-11-mixed"] = chiral.parity_sort(_lockstep_states()["oscillator-0-11-mixed"])
+    assert sum(len(chiral._grid_minima(ps)) for ps in well_states.values()) > 0
+    calls = _counting(monkeypatch, "block_determinants")
+    for name, ps in states.items():
+        assert chiral.detect_gap_closings(ps) == [], name
+    assert calls == []
+
+
+def test_every_bracket_is_refined_without_harmonics(well_states, monkeypatch):
+    states = {kind: ps.as_state() for kind, ps in well_states.items()}
+    states["random-1000"] = _closing_oracle_states()["random-1000"]  # two closings
+    want = {name: chiral.detect_gap_closings(chiral.parity_sort(s)) for name, s in states.items()}
+    assert len(want["random-1000"]) == 2
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    refined = _counting(monkeypatch, "_golden_minima")
+    for name, state in states.items():
+        ps = chiral.parity_sort(state)
+        assert ps.harmonics is None
+        # the row-block Gramians round differently: the closings agree to the refinement width
+        assert chiral.detect_gap_closings(ps) == pytest.approx(want[name], abs=1e-8), name
+        assert refined[-1] == len(chiral._grid_minima(ps)), name
+    assert sum(refined) > len(want["random-1000"])

@@ -213,6 +213,16 @@ def test_wigner_coherent_center(tmp_path):
     assert (tmp_path / "wigner_matrix.dat").exists()
 
 
+@pytest.mark.parametrize("center", ["1e200,0", "1e308,-1e308"])
+def test_wigner_far_coherent_center_is_zero_without_warnings(tmp_path, center):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wigner", "--coherent", center, "--grid-points", "5",
+                     "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "wigner.csv", delimiter=",", skiprows=1)
+    assert len(table) == 25 and np.all(table[:, 2:] == 0.0)
+
+
 def test_solve_potential_sho(tmp_path):
     rc = main(["solve-potential", "--potential", "sho", "--levels", "8", "--out", str(tmp_path)])
     assert rc == 0
