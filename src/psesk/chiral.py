@@ -10,7 +10,21 @@ block m(theta) is square and generically invertible, and the integer
     nu = (1/pi) * [phase of det m accumulated over theta in [0, pi]]
 
 classifies the gapped spectra; unequal counts force |N_e - N_o| exact
-zero-energy flat bands instead.
+zero-energy flat bands instead.  The Schmidt values themselves are
+mu = 1/2 +- sigma_i(m(theta)), one pair per singular value of m, plus
+the flat bands at exactly 1/2; entanglement.pses_sweep takes them from
+one batched SVD of the blocks (half_turn_blocks on its uniform grid,
+even_odd_blocks elsewhere).  They are the values of the parity-sorted
+state: each sector is re-orthonormalized on its own basis parity, so a
+state orthonormal only to within delta (SlaterState admits 1e-8), or
+with a wrong-parity part of amplitude a (|lambda| = 1 - 2 a^2 for its
+inversion eigenvalue, so PARITY_TOL admits a up to 7e-5), moves by up to
+that much; and 1/2 - sigma near 0 loses relative accuracy like any small
+eigenvalue, an energy |epsilon| carrying a relative error of about
+eps * e^|epsilon|.
+
+parity_sort remembers its last result for its state object, so the sweep
+and the scans of one state share one sort, its harmonics and its grid.
 
 The scans (winding, gap closings, minimum gap) start from det m on the
 uniform grid theta_j = pi j / G, the first half of the DFT grid of 2G
@@ -35,6 +49,7 @@ every bracket.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -61,6 +76,8 @@ __all__ = [
     "detect_gap_closings",
     "minimum_block_gap",
     "block_determinants",
+    "even_odd_blocks",
+    "half_turn_blocks",
 ]
 
 PARITY_TOL = 1e-8
@@ -150,6 +167,19 @@ def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
     return q.conj().T
 
 
+_last_sort: tuple[weakref.ref, ParitySortedState] | None = None
+
+
+def _forget_sort(ref: weakref.ref) -> None:
+    """Drop the remembered sort once its state has been collected.
+
+    Threads that race on the memo can only lose it, which costs a re-sort.
+    """
+    global _last_sort
+    if _last_sort is not None and _last_sort[0] is ref:
+        _last_sort = None
+
+
 def parity_sort(state: SlaterState) -> ParitySortedState:
     """Rotate the orbitals into inversion eigenstates and sort even first.
 
@@ -158,45 +188,78 @@ def parity_sort(state: SlaterState) -> ParitySortedState:
     states of an asymmetric well); callers then skip the chiral analysis.
     Each sector is re-orthonormalized on its own basis parity only, so its
     coefficients on the other parity are exactly zero.
+
+    The last result is remembered for its state object, matched by
+    identity: pses_sweep sorts the state, and a chiral scan of the same
+    object then gets the same ParitySortedState, with the harmonics and the
+    det m grid it has built.  Only a weak reference to the state is held,
+    and the result is dropped when the state is collected; an equal state
+    that is another object is sorted afresh.  The state's coefficients are
+    taken to be unchanged between the calls.
     """
+    global _last_sort
+    last = _last_sort
+    if last is not None and last[0]() is state:
+        return last[1]
+    ps = _sort_by_parity(state)
+    _last_sort = (weakref.ref(state, _forget_sort), ps)
+    return ps
+
+
+def _sort_by_parity(state: SlaterState) -> ParitySortedState:
     inv = inversion_matrix(state)
     lam, vecs = np.linalg.eigh(inv)
     if np.max(np.abs(np.abs(lam) - 1.0)) > PARITY_TOL:
         raise NotInversionSymmetric(
-            f"inversion eigenvalues {np.sort(lam)} are not within {PARITY_TOL:.0e} of +-1"
+            f"inversion eigenvalues {np.sort(lam).round(8).tolist()} "
+            f"are not within {PARITY_TOL:.0e} of +-1"
         )
+    # eigh sorts lam ascending, so the odd rows (lam near -1) come first
+    n_odd = int(np.count_nonzero(lam < 0.0))
+    n_even = len(lam) - n_odd
     rotated = vecs.conj().T @ state.coeffs
-    parity = np.where(lam > 0.0, 1, -1)
-
-    sectors = []
-    for sign, first_index in ((1, 0), (-1, 1)):
-        rows = rotated[parity == sign]
-        sector = np.zeros_like(rows)
-        if len(rows):
-            sector[:, first_index::2] = _orthonormal_rows(rows[:, first_index::2])
-        sectors.append(sector)
-    n_even, n_odd = (len(sector) for sector in sectors)
-    out_parity = np.array([1] * n_even + [-1] * n_odd)
-    return ParitySortedState(coeffs=np.vstack(sectors), parity=out_parity,
+    coeffs = np.zeros_like(rotated)
+    if n_even:
+        coeffs[:n_even, 0::2] = _orthonormal_rows(rotated[n_odd:, 0::2])
+    if n_odd:
+        coeffs[n_even:, 1::2] = _orthonormal_rows(rotated[:n_odd, 1::2])
+    return ParitySortedState(coeffs=coeffs, parity=np.repeat([1, -1], [n_even, n_odd]),
                              n_even=n_even, n_odd=n_odd)
 
 
-def _even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
+def _require_both_sectors(ps: ParitySortedState) -> None:
     if ps.n_even == 0 or ps.n_odd == 0:
         raise EmptyBlock("both parity sectors must be occupied")
+
+
+def even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
+    """(K, N_e, N_o) stack of the even-odd blocks m(theta), one per theta."""
+    _require_both_sectors(ps)
     if ps.harmonics is None:
         return rotated_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], thetas)
     return evaluate_gramians(ps.harmonics, thetas)
 
 
+def half_turn_blocks(ps: ParitySortedState, count: int) -> np.ndarray:
+    """(K/2, N_e, N_o) blocks m(2 pi j / K), j < K/2, K = count even.
+
+    From one inverse FFT per block entry (overlap.evaluate_half_turn) of the
+    kept harmonics, or of row blocks when none are kept.
+    """
+    _require_both_sectors(ps)
+    if ps.harmonics is None:
+        return half_turn_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], count)
+    return evaluate_half_turn(ps.harmonics, count)
+
+
 def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
     """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian."""
-    return _even_odd_blocks(ps, [theta])[0]
+    return even_odd_blocks(ps, [theta])[0]
 
 
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
     """det m(theta) on a grid: one det over the stacked N_e x N_o blocks."""
-    return np.linalg.det(_even_odd_blocks(ps, thetas))
+    return np.linalg.det(even_odd_blocks(ps, thetas))
 
 
 def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
@@ -209,12 +272,7 @@ def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
     """
     if ps.n_even != ps.n_odd:
         raise EmptyBlock("det m needs equally many even and odd orbitals")
-    count = 2 * grid_size
-    if ps.harmonics is None:
-        blocks = half_turn_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], count)
-    else:
-        blocks = evaluate_half_turn(ps.harmonics, count)
-    dets = np.linalg.det(blocks)
+    dets = np.linalg.det(half_turn_blocks(ps, 2 * grid_size))
     return np.append(dets, (-1) ** ps.n_even * dets[0])
 
 

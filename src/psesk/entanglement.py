@@ -16,6 +16,17 @@ mu(theta + pi) = 1 - mu(theta) and epsilon(theta + pi) = -epsilon(theta).
 ``pses_sweep`` uses this on the uniform grid theta_j = 2 pi j / K, K even:
 it solves only the first half turn, whose Gramians come from one inverse
 FFT per entry, and mirrors the second.
+
+For an inversion-symmetric state ``pses_sweep`` needs no N x N eigensolve.
+In parity-sorted orbitals (chiral.parity_sort) the Gramian is
+O(theta) = 1/2 + [[0, m], [m^H, 0]] with m the N_e x N_o even-odd block,
+so mu = 1/2 +- sigma_i(m(theta)), plus |N_e - N_o| values at exactly 1/2,
+the zero-energy flat bands.  The values are those of the parity-sorted
+state, whose sectors parity_sort re-orthonormalizes: a state orthonormal
+only to within delta moves by up to delta.  Near mu = 0 the values
+1/2 - sigma carry the same absolute roundoff as an eigenvalue, so an
+energy loses relative accuracy as eps * e^|epsilon|, as on the general
+path.
 """
 
 from __future__ import annotations
@@ -25,6 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .chiral import (NotInversionSymmetric, ParitySortedState, even_odd_blocks,
+                     half_turn_blocks, parity_sort)
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
 from .overlap import (clamp_unit_interval, half_turn_gramians, rotated_gramians,  # noqa
                       rotated_overlap)
@@ -102,7 +115,8 @@ def entanglement_energies(mu) -> np.ndarray:
     out = np.empty_like(m)
     with np.errstate(divide="ignore"):
         interior = (m > 0.0) & (m < 1.0)
-        out[interior] = -np.log(m[interior] / (1.0 - m[interior]))
+        # 0 - ln rather than -ln: mu = 1/2 (a flat band) gives +0.0, not -0.0
+        out[interior] = 0.0 - np.log(m[interior] / (1.0 - m[interior]))
     out[m >= 1.0] = -np.inf
     out[m <= 0.0] = np.inf
     return out
@@ -129,30 +143,86 @@ def entanglement_entropy(mu):
     return -np.sum(_xlogx(m) + _xlogx(1.0 - m), axis=-1)
 
 
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Singular values of each block of a (K, r, c) stack, descending.
+
+    A block with one row or one column has a single singular value, the
+    norm of that row or column, which needs no SVD.
+    """
+    if min(blocks.shape[1:]) == 1:
+        return np.linalg.norm(blocks, axis=(1, 2))[:, None]
+    return np.linalg.svd(blocks, compute_uv=False)
+
+
+def _paired_schmidt_values(ps: ParitySortedState, thetas: np.ndarray,
+                           half_turn: bool) -> np.ndarray:
+    """Schmidt values of a parity-sorted state from the singular values of m.
+
+    The Gramian is 1/2 + [[0, m], [m^H, 0]], so mu = 1/2 +- sigma_i(m), with
+    |N_e - N_o| more at exactly 1/2.  ``half_turn`` takes the first half of
+    the uniform grid ``thetas`` from half_turn_blocks; otherwise every theta
+    is evaluated.
+    """
+    angles = len(thetas) // 2 if half_turn else len(thetas)
+    if ps.n_even and ps.n_odd:
+        blocks = half_turn_blocks(ps, len(thetas)) if half_turn else even_odd_blocks(ps, thetas)
+        sigma = _singular_values(blocks)
+    else:
+        sigma = np.zeros((angles, 0))
+    flat = np.full((angles, abs(ps.n_even - ps.n_odd)), 0.5)
+    return clamp_unit_interval(np.concatenate((0.5 + sigma, flat, 0.5 - sigma[:, ::-1]), axis=1))
+
+
 def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     """Entanglement spectrum, entropy, and gap over a grid of cut angles.
 
+    An inversion-symmetric state (one that parity_sort accepts) takes the
+    chiral path: in its parity-sorted orbitals the cut Gramian is
+    O(theta) = 1/2 + [[0, m(theta)], [m(theta)^H, 0]], so its Schmidt values
+    are mu = 1/2 +- sigma_i(m(theta)), one pair per singular value of the
+    N_e x N_o even-odd block, plus |N_e - N_o| flat bands at exactly 1/2
+    (energy 0).  One batched SVD of the blocks replaces the N x N
+    eigensolve, and the parity sort is the one the chiral scans of the same
+    state object reuse.  Its numbers are those of the parity-sorted state:
+    parity_sort re-orthonormalizes each sector on its own basis parity, so
+    a state whose rows are orthonormal only to within delta (SlaterState
+    admits 1e-8), or whose inversion eigenvalues lie delta_P from +-1
+    (PARITY_TOL admits 1e-8), gets the spectrum of a state that differs by
+    up to about delta, or sqrt(delta_P / 2) in each orbital.  The tail loss
+    of 1/2 - sigma near 0 is that of mu near 0 on the general path: an
+    energy |epsilon| carries a relative error of about eps * e^|epsilon|.
+    Any other state takes the general path, the eigenvalues of the N x N
+    Gramian.
+
     On the uniform grid theta_j = 2 pi j / K with K even (exactly
-    ``np.linspace(0, 2 pi, K, endpoint=False)``) the Gramians of the first
-    half turn come from half_turn_gramians, and the second half from the
-    subsystem swap: rotating the cut by pi exchanges x >= 0 and x <= 0, so
-    mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the energies
+    ``np.linspace(0, 2 pi, K, endpoint=False)``) the Gramians or blocks of
+    the first half turn come from one inverse FFT per entry
+    (half_turn_gramians, chiral.half_turn_blocks), and the second half from
+    the subsystem swap: rotating the cut by pi exchanges x >= 0 and x <= 0,
+    so mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the energies
     -energies[j, ::-1] and the entropy of angle j, bitwise.  The swap
     assumes conj(L) L^T = I; a state whose rows are orthonormal only to
-    within delta (SlaterState admits 1e-8) can see mu(theta + pi) differ from
-    a direct evaluation by up to delta.  Every other grid is evaluated angle
-    by angle.
+    within delta can see mu(theta + pi) differ from a direct evaluation by
+    up to delta.  Every other grid is evaluated angle by angle.
     """
     thetas = np.asarray(thetas, dtype=float)
     count = thetas.size
-    if count % 2 == 0 and count and np.array_equal(
-            thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)):
-        mu = schmidt_values(half_turn_gramians(state.coeffs, state.coeffs, count))
+    half_turn = bool(count % 2 == 0 and count and np.array_equal(
+        thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)))
+    try:
+        ps = parity_sort(state)
+    except NotInversionSymmetric:
+        if half_turn:
+            mu = schmidt_values(half_turn_gramians(state.coeffs, state.coeffs, count))
+        else:
+            mu = schmidt_values(rotated_gramians(state.coeffs, state.coeffs, thetas))
+    else:
+        mu = _paired_schmidt_values(ps, thetas, half_turn)
+    if half_turn:
         half = entanglement_energies(mu)
-        energies = np.concatenate((half, -half[:, ::-1]))
+        energies = np.concatenate((half, 0.0 - half[:, ::-1]))
         entropy = np.tile(entanglement_entropy(mu), 2)
     else:
-        mu = schmidt_values(rotated_gramians(state.coeffs, state.coeffs, thetas))
         energies = entanglement_energies(mu)
         entropy = entanglement_entropy(mu)
     gap = np.min(np.abs(energies), axis=-1)

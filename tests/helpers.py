@@ -50,6 +50,16 @@ def random_symmetric_slater(rng, n_even: int, n_odd: int, m: int) -> SlaterState
     return SlaterState(rows)
 
 
+def mixed_well_filling(rng, kind: str, n_even: int, n_odd: int) -> SlaterState:
+    """The n_even lowest even and n_odd lowest odd bound levels of a well at
+    M = 100, mixed by a random unitary (the benchmark's sweep states)."""
+    from psesk.potentials import bound_states, potential
+
+    levels = bound_states(potential(kind), 2 * max(n_even, n_odd), basis_size=100).states
+    rows = np.vstack([levels[0::2][:n_even], levels[1::2][:n_odd]]).astype(complex)
+    return SlaterState(random_unitary_rows(rng, n_even + n_odd, n_even + n_odd) @ rows)
+
+
 def fmt_float(v) -> str:
     """A float cell as the CLI writes it: shortest round trip, +inf / -inf."""
     v = float(v)

@@ -1,12 +1,15 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import negation_asymmetry, random_symmetric_slater, random_unitary_rows
+from helpers import (mixed_well_filling, negation_asymmetry, random_symmetric_slater,
+                     random_unitary_rows)
 from psesk import chiral, overlap, potentials
-from psesk.entanglement import entanglement_energies, schmidt_values
+from psesk.entanglement import entanglement_energies, pses_sweep, schmidt_values
 from psesk.overlap import ho_halfspace_overlap, rotated_overlap
 from psesk.states import SlaterState, ho_slater, interpolated_state
 
@@ -353,7 +356,7 @@ def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
     kept = chiral.parity_sort(state)
     want = chiral.block_determinants(kept, thetas)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    ps = chiral.parity_sort(state)
+    ps = chiral.parity_sort(SlaterState(state.coeffs.copy()))  # the same object would be remembered
     assert ps.harmonics is None
     assert np.max(np.abs(chiral.block_determinants(ps, thetas) - want)) < 1e-13
     assert chiral.winding_number(ps) == chiral.winding_number(kept)
@@ -570,3 +573,44 @@ def test_every_bracket_is_refined_without_harmonics(well_states, monkeypatch):
         assert chiral.detect_gap_closings(ps) == pytest.approx(want[name], abs=1e-8), name
         assert refined[-1] == len(chiral._grid_minima(ps)), name
     assert sum(refined) > len(want["random-1000"])
+
+
+# ------------------------------------------------- the remembered parity sort
+
+def test_sweep_and_scans_of_one_state_build_the_harmonics_once(monkeypatch):
+    # the library chain of one analysis: sweep, sort, winding, gap closings
+    calls = []
+    for module in (chiral, overlap):
+        build = module.gramian_harmonics
+        monkeypatch.setattr(module, "gramian_harmonics",
+                            lambda left, right, build=build: calls.append(len(left))
+                            or build(left, right))
+    state = mixed_well_filling(np.random.default_rng(42), "double_well", 3, 3)
+    pses_sweep(state, np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
+    ps = chiral.parity_sort(state)
+    assert chiral.winding_scan(ps)[0] == 3
+    assert chiral.detect_gap_closings(ps) == []
+    assert calls == [3]
+
+
+def test_parity_sort_remembers_the_last_state_by_identity():
+    state = mixed_well_filling(np.random.default_rng(43), "anharmonic", 2, 3)
+    ps = chiral.parity_sort(state)
+    assert chiral.parity_sort(state) is ps
+    twin = SlaterState(state.coeffs.copy())
+    fresh = chiral.parity_sort(twin)
+    assert fresh is not ps
+    assert np.array_equal(fresh.coeffs, ps.coeffs)
+    assert chiral.parity_sort(twin) is fresh
+    assert chiral.parity_sort(state) is not ps  # one state is remembered, the last one
+
+
+def test_parity_sort_holds_no_reference_to_its_state():
+    state = mixed_well_filling(np.random.default_rng(44), "sho", 2, 2)
+    ps = chiral.parity_sort(state)
+    ps.grid_determinants  # the kept harmonics and grid hold no reference either
+    ref = weakref.ref(state)
+    del state
+    gc.collect()
+    assert ref() is None
+    assert chiral._last_sort is None

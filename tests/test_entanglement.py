@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_slater, random_symmetric_slater
+from helpers import mixed_well_filling, random_slater, random_symmetric_slater
+from psesk import chiral
 from psesk import entanglement as ent
 from psesk import overlap
 from psesk.chiral import detect_gap_closings, parity_sort
 from psesk.potentials import bound_states, potential
-from psesk.states import ho_slater, interpolated_state
+from psesk.states import SlaterState, ho_slater, interpolated_state
 
 O01 = 1.0 / math.sqrt(2.0 * math.pi)
 MU_PLUS = 0.5 + O01
@@ -201,7 +202,25 @@ def _per_angle(state, thetas):
     return mu, ent.entanglement_energies(mu), ent.entanglement_entropy(mu)
 
 
-# the four symmetric wells at N = 7, a random state at M = 1000 and high oscillator levels
+def _general_sweep(state, k):
+    """The half-turn route of the general path, mu of the N x N Gramians and
+    the subsystem swap, called directly (pses_sweep takes the chiral path
+    for an inversion-symmetric state)."""
+    mu = ent.schmidt_values(overlap.half_turn_gramians(state.coeffs, state.coeffs, k))
+    half = ent.entanglement_energies(mu)
+    return np.concatenate((half, -half[:, ::-1])), np.tile(ent.entanglement_entropy(mu), 2)
+
+
+def _symmetric(state):
+    try:
+        parity_sort(state)
+    except chiral.NotInversionSymmetric:
+        return False
+    return True
+
+
+# the four symmetric wells at N = 7, a random state at M = 1000, high
+# oscillator levels, and the asymmetric Rosen-Morse well at N = 7
 SWEEP_STATES = ("sho", "anharmonic", "double_well", "poschl_teller", "random-1000", "ho-900")
 
 
@@ -218,12 +237,17 @@ def sweep_state(name):
 @pytest.mark.parametrize("name", SWEEP_STATES)
 def test_uniform_sweep_matches_per_angle_oracle(name, k):
     state = sweep_state(name)
-    data = ent.pses_sweep(state, _uniform(k))
+    if name == "random-1000":
+        assert not _symmetric(state)
+        data = ent.pses_sweep(state, _uniform(k))
+        energies, swept_entropy = data.energies, data.entropy
+    else:
+        energies, swept_entropy = _general_sweep(state, k)
     mu, _, entropy = _per_angle(state, _uniform(k))
     with np.errstate(over="ignore"):
-        mu_swept = 1.0 / (1.0 + np.exp(data.energies))
+        mu_swept = 1.0 / (1.0 + np.exp(energies))
     assert np.max(np.abs(mu_swept - mu)) < 1e-13
-    assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+    assert np.max(np.abs(swept_entropy - entropy)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["double_well", "random-1000"])
@@ -239,8 +263,37 @@ def test_uniform_sweep_second_half_is_the_swap_bitwise(name):
 @pytest.mark.parametrize("grid", [
     "endpoint", "odd", "shifted", "random", "reversed-list", "one-ulp"])
 def test_other_grids_take_the_per_angle_path_bitwise(grid):
+    state = sweep_state("rosen_morse")
+    assert not _symmetric(state)
+    thetas = _other_grid(grid)
+    data = ent.pses_sweep(state, thetas)
+    _, energies, entropy = _per_angle(state, np.asarray(thetas))
+    assert np.array_equal(data.energies, energies)
+    assert np.array_equal(data.entropy, entropy)
+
+
+@pytest.mark.parametrize("grid", [
+    "endpoint", "odd", "shifted", "random", "reversed-list", "one-ulp"])
+def test_other_grids_take_the_chiral_path_angle_by_angle_bitwise(grid, monkeypatch):
     state = sweep_state("double_well")
-    thetas = {
+    ps = parity_sort(state)
+    assert (ps.n_even, ps.n_odd) == (4, 3)
+    thetas = _other_grid(grid)
+    sigma = np.linalg.svd(overlap.evaluate_gramians(ps.harmonics, thetas), compute_uv=False)
+    mu = overlap.clamp_unit_interval(np.concatenate(
+        (0.5 + sigma, np.full((len(sigma), 1), 0.5), 0.5 - sigma[:, ::-1]), axis=1))
+    monkeypatch.setattr(chiral, "half_turn_blocks", _refused)
+    data = ent.pses_sweep(state, thetas)
+    assert np.array_equal(data.energies, ent.entanglement_energies(mu))
+    assert np.array_equal(data.entropy, ent.entanglement_entropy(mu))
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("this grid takes another route")
+
+
+def _other_grid(grid):
+    return {
         "endpoint": np.linspace(0.0, 2.0 * math.pi, 64),
         "odd": np.linspace(0.0, 2.0 * math.pi, 63, endpoint=False),
         "shifted": _uniform(64) + 0.1,
@@ -248,10 +301,6 @@ def test_other_grids_take_the_per_angle_path_bitwise(grid):
         "reversed-list": list(_uniform(64)[::-1]),
         "one-ulp": np.where(np.arange(64) == 5, np.nextafter(_uniform(64), 7.0), _uniform(64)),
     }[grid]
-    data = ent.pses_sweep(state, thetas)
-    _, energies, entropy = _per_angle(state, np.asarray(thetas))
-    assert np.array_equal(data.energies, energies)
-    assert np.array_equal(data.entropy, entropy)
 
 
 def test_uniform_sweep_left_row_blocks_match(monkeypatch):
@@ -265,6 +314,20 @@ def test_uniform_sweep_left_row_blocks_match(monkeypatch):
     assert np.max(np.abs(blocked.entropy - entropy)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["random-1000", "ho-900-919"])
+def test_chiral_sweep_without_kept_harmonics(name, monkeypatch):
+    # blocks too wide to keep: every sweep rebuilds them in row blocks
+    state = SlaterState(_chiral_oracle_states()[name].coeffs.copy())
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    assert parity_sort(state).harmonics is None
+    for thetas in (_uniform(256), _uniform(64) + 0.1):
+        data = ent.pses_sweep(state, thetas)
+        mu, _, entropy = _per_angle(state, thetas)
+        with np.errstate(over="ignore"):
+            assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
+        assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+
+
 def test_uniform_sweep_solves_half_a_turn(monkeypatch):
     shapes = []
     schmidt = ent.schmidt_values
@@ -273,14 +336,126 @@ def test_uniform_sweep_solves_half_a_turn(monkeypatch):
         shapes.append(np.shape(o))
         return schmidt(o)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a uniform sweep evaluates no angle one by one")
-
     monkeypatch.setattr(ent, "schmidt_values", recorded)
-    monkeypatch.setattr(overlap, "evaluate_gramians", refused)
-    state = sweep_state("poschl_teller")
+    monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
+    state = sweep_state("rosen_morse")
     data = ent.pses_sweep(state, _uniform(256))
     assert shapes == [(128, 7, 7)]
     assert data.energies.shape == (256, 7)
     with pytest.raises(AssertionError):
         ent.pses_sweep(state, _uniform(256) + 0.1)
+
+
+def test_uniform_chiral_sweep_takes_one_svd_over_half_a_turn(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(ent, "schmidt_values", _refused)
+    monkeypatch.setattr(chiral, "evaluate_gramians", _refused)
+    monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
+    state = sweep_state("poschl_teller")
+    data = ent.pses_sweep(state, _uniform(256))
+    assert shapes == [(128, 4, 3)]
+    assert data.energies.shape == (256, 7)
+    with pytest.raises(AssertionError):
+        ent.pses_sweep(state, _uniform(256) + 0.1)
+
+
+# ------------------------------------------ the chiral path against the general one
+
+def _chiral_oracle_states():
+    rng = np.random.default_rng(27)
+    states = {f"{kind}-{n}": bound_states(potential(kind), n, basis_size=100).as_slater()
+              for kind in ("sho", "anharmonic", "double_well", "poschl_teller")
+              for n in (6, 7, 8)}
+    for m, n_even, n_odd in ((3, 2, 1), (10, 2, 3), (100, 4, 4), (400, 6, 3), (1000, 3, 3)):
+        states[f"random-{m}"] = random_symmetric_slater(rng, n_even, n_odd, m)
+    states["ho-900-919"] = ho_slater(list(range(900, 920)))
+    return states
+
+
+def test_chiral_sweep_matches_the_general_eigensolve():
+    # criterion 3 holds on the chiral path by construction; this is its oracle:
+    # the N x N Gramians of rotated_gramians and their eigenvalues, angle by angle
+    rng = np.random.default_rng(28)
+    grids = (_uniform(64), rng.uniform(0.0, 2.0 * math.pi, 16))
+    for name, state in _chiral_oracle_states().items():
+        assert _symmetric(state), name
+        for thetas in grids:
+            data = ent.pses_sweep(state, thetas)
+            mu, energies, entropy = _per_angle(state, thetas)
+            with np.errstate(over="ignore"):
+                mu_swept = 1.0 / (1.0 + np.exp(data.energies))
+            assert np.max(np.abs(mu_swept - mu)) < 1e-12, name
+            assert np.max(np.abs(data.entropy - entropy)) < 1e-12, name
+            moderate = np.abs(energies) < 10.0
+            assert np.max(np.abs(data.energies - energies)[moderate]) < 1e-9, name
+
+
+def _unbalanced_well_states():
+    rng = np.random.default_rng(29)
+    states = {f"{kind}-{n_even}-{n_odd}": (mixed_well_filling(rng, kind, n_even, n_odd),
+                                           abs(n_even - n_odd))
+              for kind, n_even, n_odd in (("sho", 3, 1), ("anharmonic", 1, 4),
+                                          ("double_well", 6, 2), ("poschl_teller", 2, 4))}
+    states["ho-0-1-2"] = (ho_slater([0, 1, 2]), 1)
+    return states
+
+
+@pytest.mark.parametrize("thetas", [_uniform(256), np.linspace(0.0, 2.0 * math.pi, 33)],
+                         ids=["uniform", "other"])
+def test_flat_bands_are_exactly_zero_at_every_angle(thetas):
+    for name, (state, flat) in _unbalanced_well_states().items():
+        data = ent.pses_sweep(state, thetas)
+        assert np.all(np.sum(data.energies == 0.0, axis=1) == flat), name
+        assert not np.any(np.signbit(data.energies[data.energies == 0.0])), name  # 0.0, not -0.0
+        assert np.all(data.gap == 0.0), name
+
+
+@pytest.mark.parametrize("thetas", [_uniform(256), np.linspace(0.0, 2.0 * math.pi, 33)],
+                         ids=["uniform", "other"])
+@pytest.mark.parametrize("indices", [[0], [0, 2, 4], [1, 3]])
+def test_one_sector_states_sweep_to_zero_energies(indices, thetas):
+    data = ent.pses_sweep(ho_slater(indices), thetas)  # no EmptyBlock
+    assert data.energies.shape == (len(thetas), len(indices))
+    assert np.all(data.energies == 0.0) and not np.any(np.signbit(data.energies))
+    assert np.all(data.entropy == len(indices) * math.log(2.0))
+
+
+@pytest.mark.parametrize("indices", [[0, 1], [0, 1, 2, 3]])
+@pytest.mark.parametrize("grid", ["uniform", "other"])
+def test_paired_schmidt_values_keep_the_gram_bound(indices, grid, monkeypatch):
+    # sigma = 1/2 + 1e-6 puts mu = 1 + 1e-6 beyond the clamp's slack
+    state = ho_slater(indices)
+    n = len(indices) // 2
+
+    def escaping(ps, arg):
+        angles = arg // 2 if grid == "uniform" else len(arg)
+        blocks = np.zeros((angles, n, n), dtype=complex)
+        blocks[:, 0, 0] = 0.5 + 1e-6
+        return blocks
+
+    monkeypatch.setattr(ent, "half_turn_blocks" if grid == "uniform" else "even_odd_blocks",
+                        escaping)
+    thetas = _uniform(16) if grid == "uniform" else _uniform(16) + 0.1
+    with pytest.raises(overlap.GramBoundError):
+        ent.pses_sweep(state, thetas)
+
+
+def test_single_pair_blocks_take_no_svd(monkeypatch):
+    # one row or one column: sigma is its norm
+    monkeypatch.setattr(np.linalg, "svd", _refused)
+    for state in (interpolated_state(0.3, 1.0), ho_slater([0, 1, 2]), ho_slater([1, 2, 4, 6])):
+        ps = parity_sort(state)
+        assert min(ps.n_even, ps.n_odd) == 1
+        for thetas in (_uniform(64), _uniform(64) + 0.1):
+            data = ent.pses_sweep(state, thetas)
+            mu, _, entropy = _per_angle(state, thetas)
+            with np.errstate(over="ignore"):
+                assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
+            assert np.max(np.abs(data.entropy - entropy)) < 1e-12
