@@ -13,8 +13,9 @@ classifies the gapped spectra; unequal counts force |N_e - N_o| exact
 zero-energy flat bands instead.  The Schmidt values themselves are
 mu = 1/2 +- sigma_i(m(theta)), one pair per singular value of m, plus
 the flat bands at exactly 1/2; entanglement.pses_sweep takes them from
-one batched SVD of the blocks (half_turn_blocks on its uniform grid,
-even_odd_blocks elsewhere).  They are the values of the parity-sorted
+one batched SVD of the blocks, which it evaluates from the state's
+harmonics (overlap.evaluate_half_turn on its uniform grid,
+evaluate_gramians elsewhere).  They are the values of the parity-sorted
 state: each sector is re-orthonormalized on its own basis parity, so a
 state orthonormal only to within delta (SlaterState admits 1e-8), or
 with a wrong-parity part of amplitude a (|lambda| = 1 - 2 a^2 for its
@@ -56,9 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import (GramianHarmonics, evaluate_gramians, evaluate_half_turn,
-                      gramian_harmonics, half_turn_gramians, harmonic_rows,
-                      rotated_gramians)
+from .overlap import GramianHarmonics, evaluate_gramians, evaluate_half_turn, gramian_harmonics
 from .states import SlaterState
 
 __all__ = [
@@ -76,8 +75,6 @@ __all__ = [
     "detect_gap_closings",
     "minimum_block_gap",
     "block_determinants",
-    "even_odd_blocks",
-    "half_turn_blocks",
 ]
 
 PARITY_TOL = 1e-8
@@ -120,16 +117,16 @@ class ParitySortedState:
         return SlaterState(self.coeffs)
 
     @cached_property
-    def harmonics(self) -> GramianHarmonics | None:
-        """Harmonics of the even-odd Gramian block, built on first use.
+    def harmonics(self) -> GramianHarmonics:
+        """Harmonics of the even-odd block m(theta), made on first use.
 
-        None when one build would exceed the overlap module's workspace
-        budget; the block is then rebuilt in row blocks on every call.
+        Their coefficients are held or rebuilt per evaluation by the overlap
+        module's rule (overlap.gramian_harmonics).  Raises EmptyBlock when a
+        parity sector is empty.
         """
-        even, odd = self.coeffs[: self.n_even], self.coeffs[self.n_even :]
-        if harmonic_rows(len(odd), self.coeffs.shape[1]) < len(even):
-            return None
-        return gramian_harmonics(even, odd)
+        if self.n_even == 0 or self.n_odd == 0:
+            raise EmptyBlock("both parity sectors must be occupied")
+        return gramian_harmonics(self.coeffs[: self.n_even], self.coeffs[self.n_even :])
 
     @cached_property
     def grid_determinants(self) -> np.ndarray:
@@ -227,52 +224,27 @@ def _sort_by_parity(state: SlaterState) -> ParitySortedState:
                              n_even=n_even, n_odd=n_odd)
 
 
-def _require_both_sectors(ps: ParitySortedState) -> None:
-    if ps.n_even == 0 or ps.n_odd == 0:
-        raise EmptyBlock("both parity sectors must be occupied")
-
-
-def even_odd_blocks(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
-    """(K, N_e, N_o) stack of the even-odd blocks m(theta), one per theta."""
-    _require_both_sectors(ps)
-    if ps.harmonics is None:
-        return rotated_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], thetas)
-    return evaluate_gramians(ps.harmonics, thetas)
-
-
-def half_turn_blocks(ps: ParitySortedState, count: int) -> np.ndarray:
-    """(K/2, N_e, N_o) blocks m(2 pi j / K), j < K/2, K = count even.
-
-    From one inverse FFT per block entry (overlap.evaluate_half_turn) of the
-    kept harmonics, or of row blocks when none are kept.
-    """
-    _require_both_sectors(ps)
-    if ps.harmonics is None:
-        return half_turn_gramians(ps.coeffs[: ps.n_even], ps.coeffs[ps.n_even :], count)
-    return evaluate_half_turn(ps.harmonics, count)
-
-
 def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
     """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian."""
-    return even_odd_blocks(ps, [theta])[0]
+    return evaluate_gramians(ps.harmonics, [theta])[0]
 
 
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
     """det m(theta) on a grid: one det over the stacked N_e x N_o blocks."""
-    return np.linalg.det(even_odd_blocks(ps, thetas))
+    return np.linalg.det(evaluate_gramians(ps.harmonics, thetas))
 
 
 def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
     """det m(pi j / G) for j = 0 .. G, G = grid_size, from one inverse FFT per entry.
 
     The angles pi j / G, j < G, are the first half of the DFT grid of
-    K = 2G angles, so their blocks come from the half-turn FFT of the kept
-    harmonics (or of row blocks, when none are kept).  The endpoint needs
-    no block: m(pi) = -m(0), so det m(pi) = (-1)^{N_e} det m(0).
+    K = 2G angles, so their blocks come from the half-turn FFT of the
+    state's harmonics.  The endpoint needs no block: m(pi) = -m(0), so
+    det m(pi) = (-1)^{N_e} det m(0).
     """
     if ps.n_even != ps.n_odd:
         raise EmptyBlock("det m needs equally many even and odd orbitals")
-    dets = np.linalg.det(half_turn_blocks(ps, 2 * grid_size))
+    dets = np.linalg.det(evaluate_half_turn(ps.harmonics, 2 * grid_size))
     return np.append(dets, (-1) ** ps.n_even * dets[0])
 
 
@@ -403,10 +375,11 @@ def _det_lower_bounds(ps: ParitySortedState, centres: np.ndarray) -> np.ndarray:
     ||m'||_2, and by Weyl's inequality no singular value of m moves by more
     than L h within a distance h of the centre.  The bound is
     prod_i max(0, sigma_i - L h), the sigma_i those of m at the centre.  It
-    is 0 everywhere when no harmonics are kept.
+    is 0 everywhere when the coefficients are not held: L would cost a
+    rebuild of them.
     """
     harm = ps.harmonics
-    if harm is None:
+    if harm.coeffs is None:
         return np.zeros(len(centres))
     lipschitz = np.abs(harm.orders) @ np.linalg.norm(harm.coeffs, axis=1)
     sigma = np.linalg.svd(evaluate_gramians(harm, centres), compute_uv=False)
@@ -428,8 +401,9 @@ def detect_gap_closings(ps: ParitySortedState) -> list[float]:
     |det m| over its bracket (_det_lower_bounds) exceeds 2 * DIP_THRESHOLD,
     the factor 2 a margin for roundoff: refinement could only have found a
     value above the bound, so the result is the same as refining every
-    minimum.  When the state keeps no harmonics no bound is known and every
-    minimum is refined.  Returns an empty list for gapped states.
+    minimum.  When the state's harmonics do not hold their coefficients no
+    bound is known and every minimum is refined.  Returns an empty list for
+    gapped states.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
     minima = _grid_minima(ps)

@@ -36,11 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chiral import (NotInversionSymmetric, ParitySortedState, even_odd_blocks,
-                     half_turn_blocks, parity_sort)
+from .chiral import NotInversionSymmetric, ParitySortedState, parity_sort
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
-from .overlap import (clamp_unit_interval, half_turn_gramians, rotated_gramians,  # noqa
-                      rotated_overlap)
+from .overlap import (clamp_unit_interval, evaluate_gramians, evaluate_half_turn,  # noqa
+                      half_turn_gramians, rotated_gramians, rotated_overlap)
 from .states import SlaterState
 
 __all__ = [
@@ -160,13 +159,13 @@ def _paired_schmidt_values(ps: ParitySortedState, thetas: np.ndarray,
 
     The Gramian is 1/2 + [[0, m], [m^H, 0]], so mu = 1/2 +- sigma_i(m), with
     |N_e - N_o| more at exactly 1/2.  ``half_turn`` takes the first half of
-    the uniform grid ``thetas`` from half_turn_blocks; otherwise every theta
-    is evaluated.
+    the uniform grid ``thetas`` from evaluate_half_turn of the state's
+    harmonics; otherwise every theta is evaluated.
     """
     angles = len(thetas) // 2 if half_turn else len(thetas)
     if ps.n_even and ps.n_odd:
-        blocks = half_turn_blocks(ps, len(thetas)) if half_turn else even_odd_blocks(ps, thetas)
-        sigma = _singular_values(blocks)
+        sigma = _singular_values(evaluate_half_turn(ps.harmonics, len(thetas)) if half_turn
+                                 else evaluate_gramians(ps.harmonics, thetas))
     else:
         sigma = np.zeros((angles, 0))
     flat = np.full((angles, abs(ps.n_even - ps.n_odd)), 0.5)
@@ -197,13 +196,14 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     On the uniform grid theta_j = 2 pi j / K with K even (exactly
     ``np.linspace(0, 2 pi, K, endpoint=False)``) the Gramians or blocks of
     the first half turn come from one inverse FFT per entry
-    (half_turn_gramians, chiral.half_turn_blocks), and the second half from
-    the subsystem swap: rotating the cut by pi exchanges x >= 0 and x <= 0,
-    so mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the energies
-    -energies[j, ::-1] and the entropy of angle j, bitwise.  The swap
-    assumes conj(L) L^T = I; a state whose rows are orthonormal only to
-    within delta can see mu(theta + pi) differ from a direct evaluation by
-    up to delta.  Every other grid is evaluated angle by angle.
+    (half_turn_gramians, or evaluate_half_turn of the even-odd harmonics),
+    and the second half from the subsystem swap: rotating the cut by pi
+    exchanges x >= 0 and x <= 0, so mu(theta + pi) = 1 - mu(theta), and
+    angle j + K/2 gets the energies -energies[j, ::-1] and the entropy of
+    angle j, bitwise.  The swap assumes conj(L) L^T = I; a state whose rows
+    are orthonormal only to within delta can see mu(theta + pi) differ from
+    a direct evaluation by up to delta.  Every other grid is evaluated
+    angle by angle.
     """
     thetas = np.asarray(thetas, dtype=float)
     count = thetas.size

@@ -60,11 +60,15 @@ to bin (k mod K) // 2 (lags beyond K fold onto the same bins), one inverse
 FFT of length K/2 per entry sums the bins, and angle j is multiplied by
 the twiddle e^{2 pi i j / K}: O(N_L N_R K log K) instead of O(N_L N_R M K).
 The second half turn needs no Gramian of its own: O(theta + pi) =
-conj(L) R^T - O(theta), the left cut.  Both functions take left rows in
-blocks whose FFT workspace fits HARMONIC_BYTES; ``evaluate_gramians`` takes
-angles in blocks of ANGLE_BLOCK, so memory stays bounded on long grids and
-wide states.  Each of its angles' values is its own vector-matrix product,
-so it does not depend on which other angles share a call.
+conj(L) R^T - O(theta), the left cut.  A ``GramianHarmonics`` holds its
+coefficients when one build fits HARMONIC_BYTES; otherwise ``coeffs`` is
+None, and each evaluation rebuilds them harmonic_rows left rows at a time
+(one table lookup and one transform of the right rows per evaluation), each
+block with the bits of a held build of its own rows.  ``evaluate_gramians``
+takes angles in blocks of ANGLE_BLOCK, so memory stays bounded on long
+grids and wide states.  Each of its angles' values is its own
+vector-matrix product, so it does not depend on which other angles share a
+call.
 
 A cut translated to x >= t has no closed form and is done by panelled
 Gauss-Legendre quadrature in the reconstructed position representation.
@@ -131,16 +135,18 @@ class HOOverlapTable:
 
 @dataclass(frozen=True)
 class GramianHarmonics:
-    """O(theta) = half + sum_k coeffs[k] e^{i orders[k] theta} for one pair of row sets.
+    """O(theta) = half + sum_k coeffs[k] e^{i orders[k] theta} for the rows (left, right).
 
-    ``half`` is 1/2 conj(L) R^T (N_L x N_R), ``orders`` the odd lags
-    -top .. top ascending (top the largest odd number below M), and
-    ``coeffs`` the matching C_k, one flattened N_L * N_R row per lag.
+    ``orders`` are the odd lags -top .. top ascending (top the largest odd
+    number below M), ``half`` is 1/2 conj(L) R^T and ``coeffs`` the matching
+    C_k, one flattened N_L * N_R row per lag; both None when not held.
     """
 
-    half: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     orders: np.ndarray
-    coeffs: np.ndarray
+    half: np.ndarray | None
+    coeffs: np.ndarray | None
 
 
 _master_table: HOOverlapTable | None = None
@@ -220,7 +226,7 @@ def _fft_length(basis_size: int) -> int:
 
 
 def harmonic_rows(n_right: int, basis_size: int) -> int:
-    """Left rows per gramian_harmonics call whose workspace fits HARMONIC_BYTES.
+    """Left rows per harmonics build whose workspace fits HARMONIC_BYTES.
 
     Per left row the build holds three N_R x P complex arrays (the product
     spectrum, its inverse FFT and the gathered lags); at least one row.
@@ -228,8 +234,10 @@ def harmonic_rows(n_right: int, basis_size: int) -> int:
     return max(1, HARMONIC_BYTES // (48 * max(1, n_right) * _fft_length(basis_size)))
 
 
-def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
-    """Every Fourier coefficient of the right-cut Gramian of rows (L, R) over theta.
+def _harmonic_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray, rows: int):
+    """(first row, held harmonics) for each block of ``rows`` left rows (an
+    empty left set is one empty block), from one table lookup and one
+    transform of R.
 
     C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k) for odd k, the
     correlations taken for all lags by FFTs of length P >= 2M - 1.
@@ -238,14 +246,35 @@ def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
     table = ho_overlap_table(m)
     a, b = table.phi0, table.dphi0
     p = _fft_length(m)
-    orders = np.arange(1 - m, m)
-    orders = orders[orders % 2 == 1]
-    la, lb = (np.fft.fft(left * g, p).conj()[:, None, :] for g in (a, b))
     ra, rb = (np.fft.fft(right * g, p)[None, :, :] for g in (a, b))
-    lags = np.fft.ifft(la * rb - lb * ra)[:, :, orders % p] / (2.0 * orders)
-    coeffs = np.moveaxis(lags, 2, 0).reshape(len(orders), len(left) * len(right))
-    half = 0.5 * (left.conj() @ right.T)
-    return GramianHarmonics(half=half, orders=orders, coeffs=np.ascontiguousarray(coeffs))
+    for k in range(0, max(1, len(left)), rows):
+        block = left[k : k + rows]
+        la, lb = (np.fft.fft(block * g, p).conj()[:, None, :] for g in (a, b))
+        lags = np.fft.ifft(la * rb - lb * ra)[:, :, orders % p] / (2.0 * orders)
+        coeffs = np.moveaxis(lags, 2, 0).reshape(len(orders), len(block) * len(right))
+        yield k, GramianHarmonics(block, right, orders, 0.5 * (block.conj() @ right.T),
+                                  np.ascontiguousarray(coeffs))
+
+
+def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
+    """The Fourier series over theta of the right-cut Gramian of rows (L, R).
+
+    The coefficients are built and held when one build fits HARMONIC_BYTES;
+    otherwise nothing is built here, and each evaluation rebuilds them.
+    """
+    m = left.shape[1]
+    orders = np.arange(1 - m + m % 2, m, 2)  # the odd lags below M
+    if harmonic_rows(len(right), m) < len(left):
+        return GramianHarmonics(left, right, orders, None, None)
+    ((_, held),) = _harmonic_blocks(left, right, orders, max(1, len(left)))
+    return held
+
+
+def _blocks(h: GramianHarmonics):
+    """(first row, held harmonics) per block of left rows: h itself, or a rebuild."""
+    if h.coeffs is not None:
+        return [(0, h)]
+    return _harmonic_blocks(h.left, h.right, h.orders, harmonic_rows(len(h.right), h.left.shape[1]))
 
 
 def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
@@ -270,44 +299,33 @@ def evaluate_gramians(h: GramianHarmonics, thetas, side: str = "right") -> np.nd
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     thetas = np.asarray(thetas, dtype=float)
-    n_l, n_r = h.half.shape
-    out = np.empty((len(thetas), n_l, n_r), dtype=complex)
-    flat = out.reshape(len(thetas), 1, n_l * n_r)
+    out = np.empty((len(thetas), len(h.left), len(h.right)), dtype=complex)
     cols = max(1, COLUMN_BYTES // (16 * max(1, len(h.orders))))
-    for k in range(0, len(thetas), ANGLE_BLOCK):
-        pos = _odd_phases(thetas[k : k + ANGLE_BLOCK], len(h.orders) // 2)
-        e = np.concatenate((pos[:, ::-1].conj(), pos), axis=1)[:, None, :]  # lags -top .. top
-        # one vector-matrix product per angle (a single gemm over the block
-        # would make an angle's bits depend on its neighbours), on column
-        # blocks of the harmonics that stay in cache across the block's angles
-        for j in range(0, n_l * n_r, cols):
-            np.matmul(e, h.coeffs[:, j : j + cols], out=flat[k : k + ANGLE_BLOCK, :, j : j + cols])
-    if side == "right":
-        out += h.half
-    else:
-        np.subtract(h.half, out, out=out)
-    return out
-
-
-def _by_row_blocks(left: np.ndarray, right: np.ndarray, count: int, evaluate) -> np.ndarray:
-    """(count, N_L, N_R) stack of ``evaluate(gramian_harmonics(block, right))``
-    over blocks of harmonic_rows left rows."""
-    rows = harmonic_rows(len(right), left.shape[1])
-    if rows >= len(left):
-        return evaluate(gramian_harmonics(left, right))
-    out = np.empty((count, len(left), len(right)), dtype=complex)
-    for k in range(0, len(left), rows):
-        out[:, k : k + rows] = evaluate(gramian_harmonics(left[k : k + rows], right))
+    for first, block in _blocks(h):
+        part = out[:, first : first + len(block.left)]
+        flat = part.reshape(len(thetas), 1, block.half.size)  # a view: each angle's rows are contiguous
+        for k in range(0, len(thetas), ANGLE_BLOCK):
+            pos = _odd_phases(thetas[k : k + ANGLE_BLOCK], len(h.orders) // 2)
+            e = np.concatenate((pos[:, ::-1].conj(), pos), axis=1)[:, None, :]  # lags -top .. top
+            # one vector-matrix product per angle (a single gemm over the block
+            # would make an angle's bits depend on its neighbours), on column
+            # blocks of the harmonics that stay in cache across the block's angles
+            for j in range(0, flat.shape[2], cols):
+                np.matmul(e, block.coeffs[:, j : j + cols],
+                          out=flat[k : k + ANGLE_BLOCK, :, j : j + cols])
+        if side == "right":
+            part += block.half
+        else:
+            np.subtract(block.half, part, out=part)
     return out
 
 
 def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "right") -> np.ndarray:
     """(K, N_L, N_R) stack of conj(L) e^{-i n theta} T e^{i n theta} R^T over K thetas.
 
-    ``side`` as in evaluate_gramians; the harmonics are built for blocks of
-    harmonic_rows left rows and evaluated at every theta.
+    ``side`` as in evaluate_gramians, which sums the harmonics of (L, R).
     """
-    return _by_row_blocks(left, right, len(thetas), lambda h: evaluate_gramians(h, thetas, side))
+    return evaluate_gramians(gramian_harmonics(left, right), thetas, side)
 
 
 def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
@@ -321,6 +339,11 @@ def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
     """
     if count < 2 or count % 2:
         raise ValueError("count must be a positive even number")
+    if h.coeffs is None:  # rebuilt block by block into one stack
+        out = np.empty((count // 2, len(h.left), len(h.right)), dtype=complex)
+        for first, block in _blocks(h):
+            out[:, first : first + len(block.left)] = evaluate_half_turn(block, count)
+        return out
     half_k = count // 2
     bins = np.zeros((half_k, h.coeffs.shape[1]), dtype=complex)
     slots = (h.orders % count) // 2
@@ -337,10 +360,10 @@ def half_turn_gramians(left: np.ndarray, right: np.ndarray, count: int) -> np.nd
     """(K/2, N_L, N_R) right-cut Gramians at theta_j = 2 pi j / K, j < K/2, K = count even.
 
     The same values as rotated_gramians on that grid, to roundoff, at
-    O(N_L N_R K log K) instead of O(N_L N_R M K); left rows in the same blocks.
-    The other half turn is the left cut: O(theta + pi) = conj(L) R^T - O(theta).
+    O(N_L N_R K log K) instead of O(N_L N_R M K).  The other half turn is
+    the left cut: O(theta + pi) = conj(L) R^T - O(theta).
     """
-    return _by_row_blocks(left, right, count // 2, lambda h: evaluate_half_turn(h, count))
+    return evaluate_half_turn(gramian_harmonics(left, right), count)
 
 
 def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> np.ndarray:

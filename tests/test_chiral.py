@@ -167,6 +167,23 @@ def test_winding_raises_at_closed_gap():
         chiral.winding_number(ps, grid_size=4096)
 
 
+def test_winding_at_the_grid_cap_finds_a_zero_between_grid_points(monkeypatch):
+    # the base grid misses the zero, bisection stops at the cap, and the
+    # golden search on the largest phase step finds it
+    monkeypatch.setattr(chiral, "GRID_CAP", 260)
+    ps = chiral.parity_sort(interpolated_state(T_CRIT, 1.0))
+    assert np.min(np.abs(ps.grid_determinants)) > chiral.DET_FLOOR
+    with pytest.raises(chiral.GapClosed, match="near theta = 2.070796"):
+        chiral.winding_scan(ps)
+
+
+def test_winding_at_the_grid_cap_without_a_zero_is_too_coarse(monkeypatch):
+    # 40 levels wind 20 times over [0, pi]: 8 intervals cannot resolve it
+    monkeypatch.setattr(chiral, "GRID_CAP", 16)
+    with pytest.raises(chiral.GridTooCoarse):
+        chiral.winding_scan(chiral.parity_sort(ho_slater(range(40))), grid_size=8)
+
+
 @pytest.mark.parametrize("t, nu", [(0.6082, -1), (0.60817, 1)])
 def test_winding_bisects_only_the_intervals_with_large_steps(t, nu, monkeypatch):
     # gapped close to T_CRIT (min |det m| 2e-5 and 3e-6): the dip is narrower
@@ -357,7 +374,7 @@ def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
     want = chiral.block_determinants(kept, thetas)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     ps = chiral.parity_sort(SlaterState(state.coeffs.copy()))  # the same object would be remembered
-    assert ps.harmonics is None
+    assert ps.harmonics.coeffs is None
     assert np.max(np.abs(chiral.block_determinants(ps, thetas) - want)) < 1e-13
     assert chiral.winding_number(ps) == chiral.winding_number(kept)
 
@@ -444,7 +461,7 @@ def test_grid_determinants_from_row_blocks(well_states, monkeypatch):
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     for name in ("well-double_well", "random-1000", "ho-900-919"):
         ps = chiral.parity_sort(states[name].as_state())
-        assert ps.harmonics is None
+        assert ps.harmonics.coeffs is None
         _assert_grid_matches_per_angle(ps)
 
 
@@ -568,7 +585,7 @@ def test_every_bracket_is_refined_without_harmonics(well_states, monkeypatch):
     refined = _counting(monkeypatch, "_golden_minima")
     for name, state in states.items():
         ps = chiral.parity_sort(state)
-        assert ps.harmonics is None
+        assert ps.harmonics.coeffs is None
         # the row-block Gramians round differently: the closings agree to the refinement width
         assert chiral.detect_gap_closings(ps) == pytest.approx(want[name], abs=1e-8), name
         assert refined[-1] == len(chiral._grid_minima(ps)), name

@@ -69,6 +69,17 @@ def test_spectrum_asymmetric_state_reports_null_chiral_data(tmp_path):
     assert meta["nu_e"] is None and meta["n_even"] is None
 
 
+def test_spectrum_at_a_closed_gap_reports_null_winding(tmp_path):
+    # T_CRIT, phi = 2 pi / 3: the winding is undefined, the spectrum is not
+    t_crit = (2.0 / math.pi) * math.atan(math.sqrt(2.0))
+    rc = main(["spectrum", "--interpolated", f"{t_crit!r},{2 * math.pi / 3!r}",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "spectrum_meta.json").read_text())
+    assert meta["inversion_symmetric"] is True
+    assert meta["nu_e"] is None
+
+
 def test_spectrum_deterministic_output(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -346,6 +357,13 @@ def test_config_error_exit_codes(tmp_path, capsys, monkeypatch):
         if config is not None:
             cfg.write_text(json.dumps(config))
             argv = argv + ["--config", str(cfg)]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), (argv, err)
+    # a config file that cannot be read, and one that holds no JSON object
+    cfg.write_text("[1]")
+    for path in (tmp_path / "missing.json", cfg):
+        argv = ["spectrum", "--ho-slater", "0,1", "--config", str(path)]
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), (argv, err)

@@ -282,7 +282,7 @@ def test_other_grids_take_the_chiral_path_angle_by_angle_bitwise(grid, monkeypat
     sigma = np.linalg.svd(overlap.evaluate_gramians(ps.harmonics, thetas), compute_uv=False)
     mu = overlap.clamp_unit_interval(np.concatenate(
         (0.5 + sigma, np.full((len(sigma), 1), 0.5), 0.5 - sigma[:, ::-1]), axis=1))
-    monkeypatch.setattr(chiral, "half_turn_blocks", _refused)
+    monkeypatch.setattr(ent, "evaluate_half_turn", _refused)
     data = ent.pses_sweep(state, thetas)
     assert np.array_equal(data.energies, ent.entanglement_energies(mu))
     assert np.array_equal(data.entropy, ent.entanglement_entropy(mu))
@@ -319,7 +319,7 @@ def test_chiral_sweep_without_kept_harmonics(name, monkeypatch):
     # blocks too wide to keep: every sweep rebuilds them in row blocks
     state = SlaterState(_chiral_oracle_states()[name].coeffs.copy())
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    assert parity_sort(state).harmonics is None
+    assert parity_sort(state).harmonics.coeffs is None
     for thetas in (_uniform(256), _uniform(64) + 0.1):
         data = ent.pses_sweep(state, thetas)
         mu, _, entropy = _per_angle(state, thetas)
@@ -356,7 +356,7 @@ def test_uniform_chiral_sweep_takes_one_svd_over_half_a_turn(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     monkeypatch.setattr(ent, "schmidt_values", _refused)
-    monkeypatch.setattr(chiral, "evaluate_gramians", _refused)
+    monkeypatch.setattr(ent, "evaluate_gramians", _refused)
     monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
     state = sweep_state("poschl_teller")
     data = ent.pses_sweep(state, _uniform(256))
@@ -440,7 +440,7 @@ def test_paired_schmidt_values_keep_the_gram_bound(indices, grid, monkeypatch):
         blocks[:, 0, 0] = 0.5 + 1e-6
         return blocks
 
-    monkeypatch.setattr(ent, "half_turn_blocks" if grid == "uniform" else "even_odd_blocks",
+    monkeypatch.setattr(ent, "evaluate_half_turn" if grid == "uniform" else "evaluate_gramians",
                         escaping)
     thetas = _uniform(16) if grid == "uniform" else _uniform(16) + 0.1
     with pytest.raises(overlap.GramBoundError):

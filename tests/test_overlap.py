@@ -200,6 +200,27 @@ def test_half_turn_left_row_blocks_match(monkeypatch):
     assert np.max(np.abs(blocked - _dense_gramians(left, right, thetas))) < 1e-13
 
 
+def test_row_block_rebuild_is_one_pass_with_the_held_bits(monkeypatch):
+    # one table lookup and one right-row transform per evaluation, each
+    # block with the bits of a held build of its own rows
+    rng = np.random.default_rng(62)
+    left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
+    held = [np.concatenate([build(left[k : k + 1], right) for k in range(5)], axis=1)
+            for build in (lambda l, r: overlap.rotated_gramians(l, r, thetas),
+                          lambda l, r: overlap.half_turn_gramians(l, r, 64))]
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    assert overlap.gramian_harmonics(left, right).coeffs is None
+    lookups = []
+    table = overlap.ho_overlap_table
+    monkeypatch.setattr(overlap, "ho_overlap_table", lambda m: lookups.append(m) or table(m))
+    rebuilt = [overlap.rotated_gramians(left, right, thetas),
+               overlap.half_turn_gramians(left, right, 64)]
+    assert lookups == [300, 300]
+    for got, want in zip(rebuilt, held):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
 def test_closed_form_matches_oracle(m, n):
     assert overlap.ho_halfspace_overlap(m, n) == pytest.approx(
