@@ -40,11 +40,12 @@ A gap-closing scan refines a grid minimum only if a Weyl bound lets it
 dip: with m(theta) = half + sum_k C_k e^{ik theta}, L = sum_k |k| ||C_k||_F
 bounds ||m'||_2, so within h = pi / DEFAULT_GRID of a grid point every
 singular value of m stays within L h of its value there and
-|det m| >= prod_i max(0, sigma_i - L h).  Gapped wells, whose minima sit
-orders of magnitude above DIP_THRESHOLD, are certified without a single
-refinement; near-critical states, states with a large L h (many
-harmonics, a wide basis) and states whose |det m| is small everywhere keep
-every bracket.
+|det m| >= prod_i max(0, sigma_i - L h), for every state: overlap.lag_norms
+gives ||C_k||_F whether the harmonics are held or rebuilt.  Gapped wells,
+whose minima sit orders of magnitude above DIP_THRESHOLD, are certified
+without a single refinement; near-critical states, states with a large L h
+(many harmonics, a wide basis) and states whose |det m| is small everywhere
+keep every bracket.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import GramianHarmonics, evaluate_gramians, evaluate_half_turn, gramian_harmonics
+from .overlap import (GramianHarmonics, evaluate_gramians, evaluate_half_turn, gramian_harmonics,
+                      lag_norms)
 from .states import SlaterState
 
 __all__ = [
@@ -374,14 +376,10 @@ def _det_lower_bounds(ps: ParitySortedState, centres: np.ndarray) -> np.ndarray:
     m'(theta) = sum_k i k C_k e^{ik theta}, so L = sum_k |k| ||C_k||_F bounds
     ||m'||_2, and by Weyl's inequality no singular value of m moves by more
     than L h within a distance h of the centre.  The bound is
-    prod_i max(0, sigma_i - L h), the sigma_i those of m at the centre.  It
-    is 0 everywhere when the coefficients are not held: L would cost a
-    rebuild of them.
+    prod_i max(0, sigma_i - L h), the sigma_i those of m at the centre.
     """
     harm = ps.harmonics
-    if harm.coeffs is None:
-        return np.zeros(len(centres))
-    lipschitz = np.abs(harm.orders) @ np.linalg.norm(harm.coeffs, axis=1)
+    lipschitz = np.abs(harm.orders) @ lag_norms(harm)
     sigma = np.linalg.svd(evaluate_gramians(harm, centres), compute_uv=False)
     return np.prod(np.maximum(sigma - lipschitz * math.pi / DEFAULT_GRID, 0.0), axis=1)
 
@@ -401,9 +399,7 @@ def detect_gap_closings(ps: ParitySortedState) -> list[float]:
     |det m| over its bracket (_det_lower_bounds) exceeds 2 * DIP_THRESHOLD,
     the factor 2 a margin for roundoff: refinement could only have found a
     value above the bound, so the result is the same as refining every
-    minimum.  When the state's harmonics do not hold their coefficients no
-    bound is known and every minimum is refined.  Returns an empty list for
-    gapped states.
+    minimum.  Returns an empty list for gapped states.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
     minima = _grid_minima(ps)

@@ -15,7 +15,8 @@ Rotating the cut by pi maps x to -x and swaps the two subsystems, so
 mu(theta + pi) = 1 - mu(theta) and epsilon(theta + pi) = -epsilon(theta).
 ``pses_sweep`` uses this on the uniform grid theta_j = 2 pi j / K, K even:
 it solves only the first half turn, whose Gramians come from one inverse
-FFT per entry, and mirrors the second.
+FFT per entry (overlap.evaluate_half_turn), and mirrors the second; any
+other grid goes to overlap.evaluate_gramians.
 
 For an inversion-symmetric state ``pses_sweep`` needs no N x N eigensolve.
 In parity-sorted orbitals (chiral.parity_sort) the Gramian is
@@ -39,7 +40,7 @@ import numpy as np
 from .chiral import NotInversionSymmetric, ParitySortedState, parity_sort
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
 from .overlap import (clamp_unit_interval, evaluate_gramians, evaluate_half_turn,  # noqa
-                      half_turn_gramians, rotated_gramians, rotated_overlap)
+                      gramian_harmonics, rotated_overlap)
 from .states import SlaterState
 
 __all__ = [
@@ -153,19 +154,15 @@ def _singular_values(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.svd(blocks, compute_uv=False)
 
 
-def _paired_schmidt_values(ps: ParitySortedState, thetas: np.ndarray,
-                           half_turn: bool) -> np.ndarray:
+def _paired_schmidt_values(ps: ParitySortedState, evaluate, angles: int) -> np.ndarray:
     """Schmidt values of a parity-sorted state from the singular values of m.
 
     The Gramian is 1/2 + [[0, m], [m^H, 0]], so mu = 1/2 +- sigma_i(m), with
-    |N_e - N_o| more at exactly 1/2.  ``half_turn`` takes the first half of
-    the uniform grid ``thetas`` from evaluate_half_turn of the state's
-    harmonics; otherwise every theta is evaluated.
+    |N_e - N_o| more at exactly 1/2.  ``evaluate`` sums the blocks of
+    ``angles`` angles from the state's harmonics.
     """
-    angles = len(thetas) // 2 if half_turn else len(thetas)
     if ps.n_even and ps.n_odd:
-        sigma = _singular_values(evaluate_half_turn(ps.harmonics, len(thetas)) if half_turn
-                                 else evaluate_gramians(ps.harmonics, thetas))
+        sigma = _singular_values(evaluate(ps.harmonics))
     else:
         sigma = np.zeros((angles, 0))
     flat = np.full((angles, abs(ps.n_even - ps.n_odd)), 0.5)
@@ -193,31 +190,37 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     Any other state takes the general path, the eigenvalues of the N x N
     Gramian.
 
+    One evaluator, picked from the grid, sums the harmonics of either path:
+    gramian_harmonics(C, C), or the parity-sorted state's even-odd ones.
     On the uniform grid theta_j = 2 pi j / K with K even (exactly
-    ``np.linspace(0, 2 pi, K, endpoint=False)``) the Gramians or blocks of
-    the first half turn come from one inverse FFT per entry
-    (half_turn_gramians, or evaluate_half_turn of the even-odd harmonics),
-    and the second half from the subsystem swap: rotating the cut by pi
-    exchanges x >= 0 and x <= 0, so mu(theta + pi) = 1 - mu(theta), and
+    ``np.linspace(0, 2 pi, K, endpoint=False)``) the evaluator is
+    evaluate_half_turn: the Gramians or blocks of the first half turn come
+    from one inverse FFT per entry, and the second half from the subsystem
+    swap: rotating the cut by pi exchanges x >= 0 and x <= 0, so
+    mu(theta + pi) = 1 - mu(theta), and
     angle j + K/2 gets the energies -energies[j, ::-1] and the entropy of
     angle j, bitwise.  The swap assumes conj(L) L^T = I; a state whose rows
     are orthonormal only to within delta can see mu(theta + pi) differ from
     a direct evaluation by up to delta.  Every other grid is evaluated
-    angle by angle.
+    angle by angle (evaluate_gramians).  Raises ValueError unless ``thetas``
+    is a 1-D array of finite angles.
     """
     thetas = np.asarray(thetas, dtype=float)
-    count = thetas.size
+    if thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
+        raise ValueError(f"thetas must be a 1-D array of finite angles, not {thetas!r}")
+    count = len(thetas)
     half_turn = bool(count % 2 == 0 and count and np.array_equal(
         thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)))
+
+    def evaluate(h):
+        return evaluate_half_turn(h, count) if half_turn else evaluate_gramians(h, thetas)
+
     try:
         ps = parity_sort(state)
     except NotInversionSymmetric:
-        if half_turn:
-            mu = schmidt_values(half_turn_gramians(state.coeffs, state.coeffs, count))
-        else:
-            mu = schmidt_values(rotated_gramians(state.coeffs, state.coeffs, thetas))
+        mu = schmidt_values(evaluate(gramian_harmonics(state.coeffs, state.coeffs)))
     else:
-        mu = _paired_schmidt_values(ps, thetas, half_turn)
+        mu = _paired_schmidt_values(ps, evaluate, count // 2 if half_turn else count)
     if half_turn:
         half = entanglement_energies(mu)
         energies = np.concatenate((half, 0.0 - half[:, ::-1]))

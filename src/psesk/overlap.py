@@ -44,31 +44,34 @@ by a rank-2 current through the cut's boundary, and the C_k are its Fourier
 coefficients divided by i k.  The left cut x <= 0 has table 1 - T, so its
 Gramian is conj(L) R^T - O(theta).
 
-``gramian_harmonics`` computes every C_k at once: FFTs of length P >= 2M - 1
-of the four boundary-weighted row sets, a product per (a, b) pair and one
-inverse FFT per pair, O((N_L + N_R) P log P + N_L N_R P log P) per build.
+Every caller builds the harmonics of its row sets once
+(``gramian_harmonics``) and evaluates them.  The build takes the constant
+term 1/2 conj(L) R^T as one product over all left rows and every C_k at
+once: FFTs of length P >= 2M - 1 of the four boundary-weighted row sets, a
+product per (a, b) pair and one inverse FFT per pair,
+O((N_L + N_R) P log P + N_L N_R P log P).
 ``evaluate_gramians`` sums the series, O(N_L N_R M) per angle, where the
 dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs O(N_L M^2).
-``rotated_gramians`` composes the two; callers that revisit one pair of row
-sets (the winding and gap-closing searches) keep the harmonics instead.
 On the uniform grid theta_j = 2 pi j / K (K even) the series is a DFT, and
-``evaluate_half_turn`` sums the first half turn, j < K/2, from one pair's
-harmonics (``half_turn_gramians`` composes it with the build, as
-``rotated_gramians`` does ``evaluate_gramians``): with k = 2q + 1,
+``evaluate_half_turn`` sums the first half turn, j < K/2: with k = 2q + 1,
 e^{ik theta_j} = e^{2 pi i j / K} e^{2 pi i j q / (K/2)}, so each C_k is added
 to bin (k mod K) // 2 (lags beyond K fold onto the same bins), one inverse
 FFT of length K/2 per entry sums the bins, and angle j is multiplied by
 the twiddle e^{2 pi i j / K}: O(N_L N_R K log K) instead of O(N_L N_R M K).
 The second half turn needs no Gramian of its own: O(theta + pi) =
-conj(L) R^T - O(theta), the left cut.  A ``GramianHarmonics`` holds its
-coefficients when one build fits HARMONIC_BYTES; otherwise ``coeffs`` is
-None, and each evaluation rebuilds them harmonic_rows left rows at a time
-(one table lookup and one transform of the right rows per evaluation), each
-block with the bits of a held build of its own rows.  ``evaluate_gramians``
-takes angles in blocks of ANGLE_BLOCK, so memory stays bounded on long
-grids and wide states.  Each of its angles' values is its own
-vector-matrix product, so it does not depend on which other angles share a
-call.
+conj(L) R^T - O(theta), the left cut.
+
+A ``GramianHarmonics`` holds its coefficients when one build fits
+HARMONIC_BYTES; otherwise ``coeffs`` is None.  Both evaluations, and
+``lag_norms`` (||C_k||_F per lag), run one loop over blocks of left rows'
+C_k: the held coefficients are one block; otherwise each call rebuilds them
+harmonic_rows left rows at a time, with one table lookup and one transform
+of the right rows.  A left row's C_k come from that row alone and the
+constant term is added once at the end, so the half turn has the same bits
+either way.  ``evaluate_gramians`` takes angles in blocks of ANGLE_BLOCK,
+so memory stays bounded on long grids and wide states.  Each of its angles'
+values is its own vector-matrix product, so it does not depend on which
+other angles share a call.
 
 A cut translated to x >= t has no closed form and is done by panelled
 Gauss-Legendre quadrature in the reconstructed position representation.
@@ -93,15 +96,14 @@ __all__ = [
     "ho_halfspace_overlap",
     "ho_overlap_table",
     "overlap_quadrature_oracle",
-    "rotated_gramians",
     "rotated_overlap",
     "translated_overlap",
     "clamp_unit_interval",
     "evaluate_gramians",
     "evaluate_half_turn",
     "gramian_harmonics",
-    "half_turn_gramians",
     "harmonic_rows",
+    "lag_norms",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
@@ -139,13 +141,13 @@ class GramianHarmonics:
 
     ``orders`` are the odd lags -top .. top ascending (top the largest odd
     number below M), ``half`` is 1/2 conj(L) R^T and ``coeffs`` the matching
-    C_k, one flattened N_L * N_R row per lag; both None when not held.
+    C_k, one flattened N_L * N_R row per lag, or None when not held.
     """
 
     left: np.ndarray
     right: np.ndarray
     orders: np.ndarray
-    half: np.ndarray | None
+    half: np.ndarray
     coeffs: np.ndarray | None
 
 
@@ -234,13 +236,14 @@ def harmonic_rows(n_right: int, basis_size: int) -> int:
     return max(1, HARMONIC_BYTES // (48 * max(1, n_right) * _fft_length(basis_size)))
 
 
-def _harmonic_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray, rows: int):
-    """(first row, held harmonics) for each block of ``rows`` left rows (an
-    empty left set is one empty block), from one table lookup and one
-    transform of R.
+def _coefficient_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray, rows: int):
+    """(columns, C_k) for each block of ``rows`` left rows (an empty left set
+    is one empty block), from one table lookup and one transform of R.
 
     C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k) for odd k, the
-    correlations taken for all lags by FFTs of length P >= 2M - 1.
+    correlations taken for all lags by FFTs of length P >= 2M - 1.  A block's
+    C_k fill ``columns`` of the flattened N_L * N_R entries, one row per lag;
+    each left row's come from that row alone, whatever ``rows`` is.
     """
     m = left.shape[1]
     table = ho_overlap_table(m)
@@ -252,29 +255,40 @@ def _harmonic_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray, ro
         la, lb = (np.fft.fft(block * g, p).conj()[:, None, :] for g in (a, b))
         lags = np.fft.ifft(la * rb - lb * ra)[:, :, orders % p] / (2.0 * orders)
         coeffs = np.moveaxis(lags, 2, 0).reshape(len(orders), len(block) * len(right))
-        yield k, GramianHarmonics(block, right, orders, 0.5 * (block.conj() @ right.T),
-                                  np.ascontiguousarray(coeffs))
+        yield slice(k * len(right), (k + len(block)) * len(right)), np.ascontiguousarray(coeffs)
 
 
 def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
     """The Fourier series over theta of the right-cut Gramian of rows (L, R).
 
-    The coefficients are built and held when one build fits HARMONIC_BYTES;
-    otherwise nothing is built here, and each evaluation rebuilds them.
+    The constant term is always held.  The coefficients are built and held
+    when one build fits HARMONIC_BYTES; otherwise nothing more is built
+    here, and each evaluation rebuilds them.
     """
     m = left.shape[1]
     orders = np.arange(1 - m + m % 2, m, 2)  # the odd lags below M
-    if harmonic_rows(len(right), m) < len(left):
-        return GramianHarmonics(left, right, orders, None, None)
-    ((_, held),) = _harmonic_blocks(left, right, orders, max(1, len(left)))
-    return held
+    coeffs = None
+    if harmonic_rows(len(right), m) >= len(left):
+        ((_, coeffs),) = _coefficient_blocks(left, right, orders, max(1, len(left)))
+    return GramianHarmonics(left, right, orders, 0.5 * (left.conj() @ right.T), coeffs)
 
 
 def _blocks(h: GramianHarmonics):
-    """(first row, held harmonics) per block of left rows: h itself, or a rebuild."""
+    """(columns, C_k) per block of left rows: the held coefficients as one
+    block, or a rebuild in blocks of harmonic_rows rows."""
     if h.coeffs is not None:
-        return [(0, h)]
-    return _harmonic_blocks(h.left, h.right, h.orders, harmonic_rows(len(h.right), h.left.shape[1]))
+        return [(slice(None), h.coeffs)]
+    return _coefficient_blocks(h.left, h.right, h.orders,
+                               harmonic_rows(len(h.right), h.left.shape[1]))
+
+
+def lag_norms(h: GramianHarmonics) -> np.ndarray:
+    """||C_k||_F for each lag of ``orders``: from the held coefficients, or
+    summed over one rebuild pass."""
+    squares = np.zeros(len(h.orders))
+    for _, coeffs in _blocks(h):
+        squares += np.add.reduce((coeffs.conj() * coeffs).real, axis=1)
+    return np.sqrt(squares)
 
 
 def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
@@ -300,32 +314,23 @@ def evaluate_gramians(h: GramianHarmonics, thetas, side: str = "right") -> np.nd
         raise ValueError("side must be 'right' or 'left'")
     thetas = np.asarray(thetas, dtype=float)
     out = np.empty((len(thetas), len(h.left), len(h.right)), dtype=complex)
+    flat = out.reshape(len(thetas), 1, h.half.size)  # a view: each angle's entries are contiguous
     cols = max(1, COLUMN_BYTES // (16 * max(1, len(h.orders))))
-    for first, block in _blocks(h):
-        part = out[:, first : first + len(block.left)]
-        flat = part.reshape(len(thetas), 1, block.half.size)  # a view: each angle's rows are contiguous
+    for columns, coeffs in _blocks(h):
+        part = flat[:, :, columns]
         for k in range(0, len(thetas), ANGLE_BLOCK):
             pos = _odd_phases(thetas[k : k + ANGLE_BLOCK], len(h.orders) // 2)
             e = np.concatenate((pos[:, ::-1].conj(), pos), axis=1)[:, None, :]  # lags -top .. top
             # one vector-matrix product per angle (a single gemm over the block
             # would make an angle's bits depend on its neighbours), on column
             # blocks of the harmonics that stay in cache across the block's angles
-            for j in range(0, flat.shape[2], cols):
-                np.matmul(e, block.coeffs[:, j : j + cols],
-                          out=flat[k : k + ANGLE_BLOCK, :, j : j + cols])
-        if side == "right":
-            part += block.half
-        else:
-            np.subtract(block.half, part, out=part)
+            for j in range(0, coeffs.shape[1], cols):
+                np.matmul(e, coeffs[:, j : j + cols], out=part[k : k + ANGLE_BLOCK, :, j : j + cols])
+    if side == "right":
+        out += h.half
+    else:
+        np.subtract(h.half, out, out=out)
     return out
-
-
-def rotated_gramians(left: np.ndarray, right: np.ndarray, thetas, side: str = "right") -> np.ndarray:
-    """(K, N_L, N_R) stack of conj(L) e^{-i n theta} T e^{i n theta} R^T over K thetas.
-
-    ``side`` as in evaluate_gramians, which sums the harmonics of (L, R).
-    """
-    return evaluate_gramians(gramian_harmonics(left, right), thetas, side)
 
 
 def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
@@ -334,41 +339,29 @@ def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
 
     C_k goes to bin (k mod K) // 2, one inverse FFT of length K/2 per entry
     sums the bins, and angle j is multiplied by the twiddle e^{2 pi i j / K}
-    (module docstring).  The bins and their transform coexist, so the peak
-    is about twice the returned stack.
+    (module docstring).  Each block of left rows is binned and transformed
+    in its columns of the output, so the peak is the stack plus one block's
+    transform: about twice the stack when the coefficients are held.
     """
     if count < 2 or count % 2:
         raise ValueError("count must be a positive even number")
-    if h.coeffs is None:  # rebuilt block by block into one stack
-        out = np.empty((count // 2, len(h.left), len(h.right)), dtype=complex)
-        for first, block in _blocks(h):
-            out[:, first : first + len(block.left)] = evaluate_half_turn(block, count)
-        return out
     half_k = count // 2
-    bins = np.zeros((half_k, h.coeffs.shape[1]), dtype=complex)
+    out = np.zeros((half_k, h.half.size), dtype=complex)
     slots = (h.orders % count) // 2
-    for s in range(0, len(slots), half_k):  # K/2 consecutive odd lags fill distinct bins
-        bins[slots[s : s + half_k]] += h.coeffs[s : s + half_k]
-    out = np.fft.ifft(bins, axis=0, norm="forward")
+    for columns, coeffs in _blocks(h):
+        bins = out[:, columns]
+        for s in range(0, len(slots), half_k):  # K/2 consecutive odd lags fill distinct bins
+            bins[slots[s : s + half_k]] += coeffs[s : s + half_k]
+        bins[...] = np.fft.ifft(bins, axis=0, norm="forward")
     out *= np.exp(2j * math.pi / count * np.arange(half_k))[:, None]
     out = out.reshape(half_k, *h.half.shape)
     out += h.half
     return out
 
 
-def half_turn_gramians(left: np.ndarray, right: np.ndarray, count: int) -> np.ndarray:
-    """(K/2, N_L, N_R) right-cut Gramians at theta_j = 2 pi j / K, j < K/2, K = count even.
-
-    The same values as rotated_gramians on that grid, to roundoff, at
-    O(N_L N_R K log K) instead of O(N_L N_R M K).  The other half turn is
-    the left cut: O(theta + pi) = conj(L) R^T - O(theta).
-    """
-    return evaluate_half_turn(gramian_harmonics(left, right), count)
-
-
 def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> np.ndarray:
-    """N x N cut Gramian after rotating the cut by theta (``side`` as in rotated_gramians)."""
-    return rotated_gramians(state.coeffs, state.coeffs, [theta], side)[0]
+    """N x N cut Gramian after rotating the cut by theta (``side`` as in evaluate_gramians)."""
+    return evaluate_gramians(gramian_harmonics(state.coeffs, state.coeffs), [theta], side)[0]
 
 
 def translated_overlap(state: SlaterState, offset: float) -> np.ndarray:
@@ -377,23 +370,29 @@ def translated_overlap(state: SlaterState, offset: float) -> np.ndarray:
     Quadrature in the position representation reconstructed from the
     oscillator coefficients; the integration window ends at X = sqrt(4 M) + 10,
     where every basis function is negligible, and takes about 4 M points over
-    [0, X] with at least 24 per unit panel (the oracle's rule).
+    [0, X] with at least 24 per unit panel (the oracle's rule).  Offsets at or
+    beyond X give zeros, and offsets at or below -X start the window at -X:
+    -inf gives the full-line Gramian.  A NaN offset raises ValueError.
     """
+    if math.isnan(offset):
+        raise ValueError(f"offset {offset!r} is not a number")
     m = state.basis_size
     x_cut = math.sqrt(4.0 * m) + 10.0
     if offset >= x_cut:
         return np.zeros((state.n_particles, state.n_particles), dtype=complex)
-    nodes, weights = _panelled_legendre(offset, x_cut, max(24, -(-4 * m // math.ceil(x_cut))))
+    nodes, weights = _panelled_legendre(max(offset, -x_cut), x_cut,
+                                        max(24, -(-4 * m // math.ceil(x_cut))))
     psi = state.coeffs @ ho_stack(m - 1, nodes).astype(complex)
     o = (psi.conj() * weights) @ psi.T
     return 0.5 * (o + o.conj().T)
 
 
 def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
-    """Clamp Gramian eigenvalues to [0, 1]; excursions beyond GRAM_CLAMP_TOL are bugs."""
+    """Clamp Gramian eigenvalues to [0, 1]; excursions beyond GRAM_CLAMP_TOL,
+    and NaN, are bugs."""
     values = np.asarray(values, dtype=float)
     low, high = values.min(initial=0.0), values.max(initial=1.0)
-    if low < -GRAM_CLAMP_TOL or high > 1.0 + GRAM_CLAMP_TOL:
+    if not (low >= -GRAM_CLAMP_TOL and high <= 1.0 + GRAM_CLAMP_TOL):
         raise GramBoundError(f"overlap spectrum [{low:.3e}, {high:.3e}] escapes [0,1] "
                              f"beyond {GRAM_CLAMP_TOL:.0e}")
     return np.clip(values, 0.0, 1.0)

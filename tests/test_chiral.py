@@ -577,19 +577,29 @@ def test_gapped_wells_and_flat_fillings_refine_nothing(well_states, monkeypatch)
 
 
 def test_every_bracket_is_refined_without_harmonics(well_states, monkeypatch):
+    # streamed harmonics get the Weyl bound too: the scan refines exactly the
+    # brackets of the held scan, and the rebuilt Gramians round within 1e-15
+    # of the held ones, so the closings agree to the refinement width
     states = {kind: ps.as_state() for kind, ps in well_states.items()}
     states["random-1000"] = _closing_oracle_states()["random-1000"]  # two closings
-    want = {name: chiral.detect_gap_closings(chiral.parity_sort(s)) for name, s in states.items()}
-    assert len(want["random-1000"]) == 2
-    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    refined = _counting(monkeypatch, "_golden_minima")
+    brackets = []
+    golden_minima = chiral._golden_minima
+    monkeypatch.setattr(chiral, "_golden_minima", lambda ps, refine, resolution:
+                        brackets.append(list(refine)) or golden_minima(ps, refine, resolution))
+    want = {}
     for name, state in states.items():
-        ps = chiral.parity_sort(state)
+        want[name] = (chiral.detect_gap_closings(chiral.parity_sort(state)), brackets[-1])
+    assert len(want["random-1000"][0]) == 2
+    # the bound drops the wells' grid minima
+    assert sum(len(want[kind][1]) for kind in well_states) == 0
+    assert sum(len(chiral._grid_minima(ps)) for ps in well_states.values()) > 0
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    for name, state in states.items():
+        ps = chiral.parity_sort(SlaterState(state.coeffs.copy()))
         assert ps.harmonics.coeffs is None
-        # the row-block Gramians round differently: the closings agree to the refinement width
-        assert chiral.detect_gap_closings(ps) == pytest.approx(want[name], abs=1e-8), name
-        assert refined[-1] == len(chiral._grid_minima(ps)), name
-    assert sum(refined) > len(want["random-1000"])
+        closings = chiral.detect_gap_closings(ps)
+        assert brackets[-1] == want[name][1], name
+        assert closings == pytest.approx(want[name][0], abs=1e-8), name
 
 
 # ------------------------------------------------- the remembered parity sort

@@ -57,7 +57,7 @@ def test_hermitian_check_is_blocked_and_bitwise_unchanged():
     # the copy is checked and symmetrised in place: no stack-sized temporaries
     state = ho_slater([0, 1])
     thetas = np.linspace(0.0, 2.0 * math.pi, 2**16, endpoint=False)
-    stack = overlap.rotated_gramians(state.coeffs, state.coeffs, thetas)
+    stack = overlap.evaluate_gramians(overlap.gramian_harmonics(state.coeffs, state.coeffs), thetas)
     tracemalloc.start()
     try:
         got = ent._hermitian(stack)
@@ -198,7 +198,8 @@ def _uniform(k):
 
 def _per_angle(state, thetas):
     """The sweep's numbers angle by angle: the oracle of the half-turn path."""
-    mu = ent.schmidt_values(overlap.rotated_gramians(state.coeffs, state.coeffs, thetas))
+    h = overlap.gramian_harmonics(state.coeffs, state.coeffs)
+    mu = ent.schmidt_values(overlap.evaluate_gramians(h, thetas))
     return mu, ent.entanglement_energies(mu), ent.entanglement_entropy(mu)
 
 
@@ -206,7 +207,8 @@ def _general_sweep(state, k):
     """The half-turn route of the general path, mu of the N x N Gramians and
     the subsystem swap, called directly (pses_sweep takes the chiral path
     for an inversion-symmetric state)."""
-    mu = ent.schmidt_values(overlap.half_turn_gramians(state.coeffs, state.coeffs, k))
+    h = overlap.gramian_harmonics(state.coeffs, state.coeffs)
+    mu = ent.schmidt_values(overlap.evaluate_half_turn(h, k))
     half = ent.entanglement_energies(mu)
     return np.concatenate((half, -half[:, ::-1])), np.tile(ent.entanglement_entropy(mu), 2)
 
@@ -303,6 +305,15 @@ def _other_grid(grid):
     }[grid]
 
 
+@pytest.mark.parametrize("thetas", [np.zeros((2, 2)), [math.nan, 0.2], [0.1, -math.inf], 0.3])
+@pytest.mark.parametrize("name", ["chiral", "general"])
+def test_sweep_rejects_grids_that_are_not_finite_angles(name, thetas):
+    state = ho_slater([0, 1]) if name == "chiral" else sweep_state("rosen_morse")
+    assert _symmetric(state) == (name == "chiral")
+    with pytest.raises(ValueError, match="1-D array of finite angles"):
+        ent.pses_sweep(state, thetas)
+
+
 def test_uniform_sweep_left_row_blocks_match(monkeypatch):
     state = sweep_state("random-1000")
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
@@ -337,6 +348,7 @@ def test_uniform_sweep_solves_half_a_turn(monkeypatch):
         return schmidt(o)
 
     monkeypatch.setattr(ent, "schmidt_values", recorded)
+    monkeypatch.setattr(ent, "evaluate_gramians", _refused)
     monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
     state = sweep_state("rosen_morse")
     data = ent.pses_sweep(state, _uniform(256))
@@ -381,7 +393,7 @@ def _chiral_oracle_states():
 
 def test_chiral_sweep_matches_the_general_eigensolve():
     # criterion 3 holds on the chiral path by construction; this is its oracle:
-    # the N x N Gramians of rotated_gramians and their eigenvalues, angle by angle
+    # the N x N Gramians of evaluate_gramians and their eigenvalues, angle by angle
     rng = np.random.default_rng(28)
     grids = (_uniform(64), rng.uniform(0.0, 2.0 * math.pi, 16))
     for name, state in _chiral_oracle_states().items():

@@ -99,7 +99,7 @@ def test_translated_at_origin_matches_rotated_gramians_at_max_basis():
     rng = np.random.default_rng(1024)
     a = random_unitary_rows(rng, 3, 1024)
     o_t = overlap.translated_overlap(SlaterState(a), 0.0)
-    o_r = overlap.rotated_gramians(a, a, [0.0])[0]
+    o_r = overlap.evaluate_gramians(overlap.gramian_harmonics(a, a), [0.0])[0]
     assert np.max(np.abs(o_t - o_r)) < 1e-11
 
 
@@ -110,7 +110,7 @@ def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
     rng = np.random.default_rng(m)
     a = random_unitary_rows(rng, 4, m)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=6)
-    stack = overlap.rotated_gramians(a, a, thetas)
+    stack = overlap.evaluate_gramians(overlap.gramian_harmonics(a, a), thetas)
     assert stack.shape == (6, 4, 4)
     for theta, o in zip(thetas, stack):
         rotated = SlaterState(a * np.exp(1j * np.arange(m) * theta))
@@ -142,7 +142,7 @@ def test_boundary_current_kernel_matches_dense_product(m, side):
         left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
         for k in (0, 1, 7):
             thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=k)
-            got = overlap.rotated_gramians(left, right, thetas, side)
+            got = overlap.evaluate_gramians(overlap.gramian_harmonics(left, right), thetas, side)
             assert got.shape == (k, n_l, n_r)
             want = _dense_gramians(left, right, thetas, side)
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13
@@ -165,10 +165,11 @@ def test_left_row_blocks_match_dense_product(monkeypatch):
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     assert overlap.harmonic_rows(3, 60) == 1
+    h = overlap.gramian_harmonics(left, right)
     for side in ("right", "left"):
-        got = overlap.rotated_gramians(left, right, thetas, side)
+        got = overlap.evaluate_gramians(h, thetas, side)
         assert np.max(np.abs(got - _dense_gramians(left, right, thetas, side))) < 1e-13
-    assert overlap.rotated_gramians(left, right, []).shape == (0, 5, 3)
+    assert overlap.evaluate_gramians(h, []).shape == (0, 5, 3)
 
 
 @pytest.mark.parametrize("m", [1, 3, 100, 1000])
@@ -177,48 +178,72 @@ def test_half_turn_gramians_match_per_angle_kernel(m):
     rng = np.random.default_rng(m + 7)
     for n_l, n_r in ((3, 2), (1, 4), (0, 3), (2, 0)):
         left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
+        h = overlap.gramian_harmonics(left, right)
         for k in (2, 4, 16, 256, 4096):
             thetas = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-            got = overlap.half_turn_gramians(left, right, k)
+            got = overlap.evaluate_half_turn(h, k)
             assert got.shape == (k // 2, n_l, n_r)
-            want = overlap.rotated_gramians(left, right, thetas[: k // 2])
+            want = overlap.evaluate_gramians(h, thetas[: k // 2])
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13, (n_l, n_r, k)
     for count in (0, 7):
         with pytest.raises(ValueError):
-            overlap.half_turn_gramians(left, right, count)
+            overlap.evaluate_half_turn(h, count)
 
 
 def test_half_turn_left_row_blocks_match(monkeypatch):
     rng = np.random.default_rng(61)
     left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
-    whole = overlap.half_turn_gramians(left, right, 64)
+    whole = overlap.evaluate_half_turn(overlap.gramian_harmonics(left, right), 64)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     assert overlap.harmonic_rows(3, 300) == 1
-    blocked = overlap.half_turn_gramians(left, right, 64)
+    blocked = overlap.evaluate_half_turn(overlap.gramian_harmonics(left, right), 64)
     assert np.max(np.abs(blocked - whole)) < 1e-15
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:32]
     assert np.max(np.abs(blocked - _dense_gramians(left, right, thetas))) < 1e-13
 
 
 def test_row_block_rebuild_is_one_pass_with_the_held_bits(monkeypatch):
-    # one table lookup and one right-row transform per evaluation, each
-    # block with the bits of a held build of its own rows
+    # one table lookup and one right-row transform per evaluation; one
+    # constant term for all left rows, so the half turn keeps the held bits
+    # and the per-angle sum differs only by the BLAS panel widths
     rng = np.random.default_rng(62)
     left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
-    held = [np.concatenate([build(left[k : k + 1], right) for k in range(5)], axis=1)
-            for build in (lambda l, r: overlap.rotated_gramians(l, r, thetas),
-                          lambda l, r: overlap.half_turn_gramians(l, r, 64))]
+    held = overlap.gramian_harmonics(left, right)
+    want = [overlap.evaluate_gramians(held, thetas), overlap.evaluate_half_turn(held, 64),
+            overlap.lag_norms(held)]
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    assert overlap.gramian_harmonics(left, right).coeffs is None
+    streamed = overlap.gramian_harmonics(left, right)
+    assert streamed.coeffs is None
+    assert streamed.half.tobytes() == held.half.tobytes()
     lookups = []
     table = overlap.ho_overlap_table
     monkeypatch.setattr(overlap, "ho_overlap_table", lambda m: lookups.append(m) or table(m))
-    rebuilt = [overlap.rotated_gramians(left, right, thetas),
-               overlap.half_turn_gramians(left, right, 64)]
-    assert lookups == [300, 300]
-    for got, want in zip(rebuilt, held):
-        assert got.tobytes() == want.tobytes()
+    got = [overlap.evaluate_gramians(streamed, thetas), overlap.evaluate_half_turn(streamed, 64),
+           overlap.lag_norms(streamed)]
+    assert lookups == [300, 300, 300]
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-15
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.max(np.abs(got[2] - want[2])) <= 1e-15 * np.max(want[2])
+
+
+def test_streamed_half_turn_memory(monkeypatch):
+    # each block is binned and transformed in its slice of the output: no
+    # full-width bins beside the returned stack
+    rng = np.random.default_rng(63)
+    left, right = _unit_rows(rng, 8, 300), _unit_rows(rng, 8, 300)
+    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
+    h = overlap.gramian_harmonics(left, right)
+    assert h.coeffs is None
+    overlap.ho_overlap_table(300)
+    tracemalloc.start()
+    try:
+        out = overlap.evaluate_half_turn(h, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2048, 8, 8)
+    assert peak <= 1.5 * out.nbytes
 
 
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
@@ -289,6 +314,19 @@ def test_translated_limits():
     assert np.max(np.abs(o_empty)) < 1e-8
 
 
+def test_translated_offsets_beyond_the_window():
+    # offsets at or below -X start the window at -X: -inf is the full line
+    s = random_slater(np.random.default_rng(16), 3, 20)
+    far = math.sqrt(4 * s.basis_size) + 10.0
+    full = overlap.translated_overlap(s, -far)
+    assert np.max(np.abs(full - np.eye(3))) < 1e-10
+    for offset in (-math.inf, -far - 1.0, -1e300):
+        assert overlap.translated_overlap(s, offset).tobytes() == full.tobytes()
+    assert not np.any(overlap.translated_overlap(s, math.inf))
+    with pytest.raises(ValueError, match="offset nan"):
+        overlap.translated_overlap(s, math.nan)
+
+
 def test_translated_at_origin_matches_rotation_zero():
     rng = np.random.default_rng(15)
     s = random_slater(rng, 3, 10)
@@ -313,6 +351,12 @@ def test_clamp_rejects_large_excursion():
     clamped = overlap.clamp_unit_interval(np.array([-1e-12, 1.0 + 1e-12]))
     assert clamped[0] == 0.0
     assert clamped[1] == 1.0
+
+
+def test_clamp_rejects_nan():
+    for values in ([math.nan, 0.5], [0.5, math.nan], [math.nan]):
+        with pytest.raises(overlap.GramBoundError):
+            overlap.clamp_unit_interval(np.array(values))
 
 
 def test_entanglement_energy_of_first_pair():
