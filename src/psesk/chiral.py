@@ -27,25 +27,18 @@ eps * e^|epsilon|.
 parity_sort remembers its last result for its state object, so the sweep
 and the scans of one state share one sort, its harmonics and its grid.
 
-The scans (winding, gap closings, minimum gap) start from det m on the
-uniform grid theta_j = pi j / G, the first half of the DFT grid of 2G
-angles: its blocks come from one inverse FFT per block entry
-(overlap.evaluate_half_turn), and the endpoint from m(pi) = -m(0); each
-parity-sorted state keeps the DEFAULT_GRID determinants, so the three scans
-share one grid.  The points they refine (bisection midpoints,
-golden-section probes) go through block_determinants, one angle at a time
-or stacked, with the same bits either way.
-
-A gap-closing scan refines a grid minimum only if a Weyl bound lets it
-dip: with m(theta) = half + sum_k C_k e^{ik theta}, L = sum_k |k| ||C_k||_F
-bounds ||m'||_2, so within h = pi / DEFAULT_GRID of a grid point every
-singular value of m stays within L h of its value there and
-|det m| >= prod_i max(0, sigma_i - L h), for every state: overlap.lag_norms
-gives ||C_k||_F whether the harmonics are held or rebuilt.  Gapped wells,
-whose minima sit orders of magnitude above DIP_THRESHOLD, are certified
-without a single refinement; near-critical states, states with a large L h
-(many harmonics, a wide basis) and states whose |det m| is small everywhere
-keep every bracket.
+The scans start from det m on the uniform grid theta_j = pi j / G, the
+first half of the DFT grid of 2G angles: its blocks come from one inverse
+FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
+m(pi) = -m(0).  The winding and the gap closings come from one phase scan
+of that grid: det m can wind only through a zero, and a zero is what a gap
+closing is.  The scan bisects every interval whose phase step is >= pi/2
+(or undefined, at an exact zero) and evaluates only the midpoints, through
+block_determinants; a bad interval narrower than RESOLUTION holds a zero
+and is bisected no further.  Each parity-sorted state keeps its
+DEFAULT_GRID determinants and its scan of them, so the winding and the
+closings share one scan, and the minimum gap refines the same grid's
+smallest |det m| by golden section.
 """
 
 from __future__ import annotations
@@ -58,8 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import (GramianHarmonics, evaluate_gramians, evaluate_half_turn, gramian_harmonics,
-                      lag_norms)
+from .overlap import GramianHarmonics, evaluate_gramians, evaluate_half_turn, gramian_harmonics
 from .states import SlaterState
 
 __all__ = [
@@ -81,12 +73,9 @@ __all__ = [
 
 PARITY_TOL = 1e-8
 DET_FLOOR = 1e-10
-DIP_THRESHOLD = 1e-6
-# roundoff ripple of a constant |det m|, per block row, in units of eps * max|det m|
-RIPPLE_ULPS = 8
 DEFAULT_GRID = 256
 GRID_CAP = 16384
-# golden-section brackets of |det m| minima are refined to this width
+# a bad phase step this narrow holds a zero; golden-section brackets end this narrow
 RESOLUTION = 1e-10
 
 
@@ -95,7 +84,7 @@ class NotInversionSymmetric(Exception):
 
 
 class GapClosed(Exception):
-    """det m vanished somewhere on the winding grid."""
+    """det m vanished, or fell below DET_FLOOR, on the winding grid."""
 
 
 class GridTooCoarse(Exception):
@@ -140,6 +129,11 @@ class ParitySortedState:
         dets = _grid_determinants(self, DEFAULT_GRID)
         dets.flags.writeable = False
         return dets
+
+    @cached_property
+    def phase_scan(self) -> tuple[int | None, int, float, tuple[float, ...]]:
+        """The phase scan of grid_determinants (_phase_scan), run on first use."""
+        return _phase_scan(self, DEFAULT_GRID)
 
 
 def inversion_matrix(state: SlaterState) -> np.ndarray:
@@ -250,44 +244,67 @@ def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
     return np.append(dets, (-1) ** ps.n_even * dets[0])
 
 
-def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
-    """(winding, intervals in the final grid, min |det m| seen) over theta in [0, pi].
+def _phase_scan(
+    ps: ParitySortedState, grid_size: int
+) -> tuple[int | None, int, float, tuple[float, ...]]:
+    """(winding or None, intervals in the final grid, min |det m| seen, closings).
 
-    Phase-unwraps det m from a uniform grid of ``grid_size`` intervals, taken
-    from the half-turn FFT (_grid_determinants; at DEFAULT_GRID the state's
-    kept grid_determinants); every interval whose wrapped
-    step is >= pi/2 is bisected and only its midpoint evaluated by
-    block_determinants, until no such step is left or the grid would exceed
-    GRID_CAP intervals.  The grid's endpoint is det m(pi) = (-1)^{N_e}
-    det m(0), from m(pi) = -m(0), so the total is an exact multiple of pi
-    and rounding to an integer is safe once the steps are small.  The base
-    grid peaks at about twice its (grid_size, N_e, N_e) complex stack (the
-    FFT bins and their transform), at most 2.2 times.
+    Phase-unwraps det m from a uniform grid of ``grid_size`` intervals over
+    [0, pi], taken from the half-turn FFT (_grid_determinants; at
+    DEFAULT_GRID the state's kept grid_determinants).  Every bad interval,
+    whose wrapped step is >= pi/2 or NaN (a det that is exactly 0), is
+    bisected and only its midpoint evaluated by block_determinants, until
+    each bad interval left is narrower than RESOLUTION, or the grid would
+    exceed GRID_CAP intervals.  A phase that turns by about pi within
+    RESOLUTION is a zero of det m: the closings are those intervals'
+    midpoints mod pi, merged circularly within 1e-6.  The winding is None
+    while any bad interval is left; otherwise the total step, an exact
+    multiple of pi since det m(pi) = (-1)^{N_e} det m(0), is rounded, which
+    is safe once every step is small.  The base grid peaks at about twice
+    its (grid_size, N_e, N_e) complex stack (the FFT bins and their
+    transform), at most 2.2 times.
     """
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
     dets = ps.grid_determinants if grid_size == DEFAULT_GRID else _grid_determinants(ps, grid_size)
     while True:
-        min_det = float(np.min(np.abs(dets)))
-        if min_det < DET_FLOOR:
-            raise GapClosed(
-                f"|det m| < {DET_FLOOR:.0e} on the grid; winding undefined"
-            )
-        steps = np.angle(dets[1:] / dets[:-1])
-        bad = np.flatnonzero(np.abs(steps) >= math.pi / 2.0)
-        if not len(bad):
-            return int(round(float(np.sum(steps)) / math.pi)), len(steps), min_det
-        if len(steps) + len(bad) > GRID_CAP:
-            # a zero between grid points masquerades as an unresolvable step
-            j = int(np.argmax(np.abs(steps)))
-            (theta_star,), (det_star,) = _golden_minima(ps, [(thetas[j], thetas[j + 1])], 1e-12)
-            if det_star < DET_FLOOR:
-                raise GapClosed(
-                    f"|det m| < {DET_FLOOR:.0e} near theta = {theta_star:.6f}"
-                )
-            raise GridTooCoarse(f"phase steps still >= pi/2 at {len(steps)} intervals")
-        mids = 0.5 * (thetas[bad] + thetas[bad + 1])
-        thetas = np.insert(thetas, bad + 1, mids)
-        dets = np.insert(dets, bad + 1, block_determinants(ps, mids))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(dets[1:] / dets[:-1])
+        bad = ~(np.abs(steps) < math.pi / 2.0)
+        zeros = bad & (np.diff(thetas) < RESOLUTION)
+        split = np.flatnonzero(bad & ~zeros)
+        if not len(split) or len(steps) + len(split) > GRID_CAP:
+            break
+        mids = 0.5 * (thetas[split] + thetas[split + 1])
+        thetas = np.insert(thetas, split + 1, mids)
+        dets = np.insert(dets, split + 1, block_determinants(ps, mids))
+    nu = None if bad.any() else int(round(float(np.sum(steps)) / math.pi))
+    closings: list[float] = []
+    z = np.flatnonzero(zeros)
+    for c in sorted(0.5 * (thetas[z] + thetas[z + 1]) % math.pi):
+        if not closings or c - closings[-1] > 1e-6:
+            closings.append(float(c))
+    if len(closings) > 1 and closings[0] + math.pi - closings[-1] <= 1e-6:
+        closings.pop()
+    return nu, len(steps), float(np.min(np.abs(dets))), tuple(closings)
+
+
+def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
+    """(winding, intervals in the final grid, min |det m| seen) over theta in [0, pi].
+
+    From the phase scan of a uniform grid of ``grid_size`` intervals
+    (_phase_scan; at DEFAULT_GRID the state's kept phase_scan).  Raises
+    GapClosed when min |det m| < DET_FLOOR or the scan found a closing, and
+    GridTooCoarse when the scan stopped at GRID_CAP with a bad step left.
+    """
+    nu, intervals, min_det, closings = (
+        ps.phase_scan if grid_size == DEFAULT_GRID else _phase_scan(ps, grid_size))
+    if min_det < DET_FLOOR:
+        raise GapClosed(f"|det m| < {DET_FLOOR:.0e} on the grid; winding undefined")
+    if closings:
+        raise GapClosed(f"det m vanishes near theta = {closings[0]:.6f}; winding undefined")
+    if nu is None:
+        raise GridTooCoarse(f"phase steps still >= pi/2 at {intervals} intervals")
+    return nu, intervals, min_det
 
 
 def winding_number(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> int:
@@ -300,122 +317,40 @@ def flat_band_count(ps: ParitySortedState) -> int:
     return abs(ps.n_even - ps.n_odd)
 
 
-def _golden_minima(
-    ps: ParitySortedState, brackets: Sequence[tuple[float, float]], resolution: float
-) -> tuple[list[float], np.ndarray]:
-    """Golden-section minima of |det m| in every (lo, hi) bracket, in lockstep.
-
-    Each pass probes the one new interior point of every bracket still wider
-    than ``resolution`` with a single block_determinants call; a bracket that
-    is narrow enough freezes, so each follows exactly the iterates of a
-    scalar golden-section search.  Returns (theta*, |det m(theta*)|) per
-    bracket, theta* being the final midpoint.
-    """
-    if not brackets:
-        return [], np.zeros(0)
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    # per bracket: [a, b, c, d, f(c), f(d)] with a < c < d < b
-    search = [[lo, hi, hi - g * (hi - lo), lo + g * (hi - lo)] for lo, hi in brackets]
-    f = np.abs(block_determinants(ps, [t for s in search for t in s[2:]]))
-    for k, s in enumerate(search):
-        s += [f[2 * k], f[2 * k + 1]]
-    active = [s for s in search if s[1] - s[0] > resolution]
-    while active:
-        slots = []
-        for s in active:
-            a, b, c, d, fc, fd = s
-            if fc < fd:
-                s[:] = a, d, d - g * (d - a), c, None, fc
-                slots.append(2)
-            else:
-                s[:] = c, b, d, c + g * (b - c), fd, None
-                slots.append(3)
-        f = np.abs(block_determinants(ps, [s[k] for s, k in zip(active, slots)]))
-        for s, k, value in zip(active, slots, f):
-            s[k + 2] = value
-        active = [s for s in active if s[1] - s[0] > resolution]
-    thetas = [0.5 * (s[0] + s[1]) for s in search]
-    return thetas, np.abs(block_determinants(ps, thetas))
-
-
 def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
     """(theta*, min |det m|) over the fundamental domain [0, pi).
 
-    Scan of the DEFAULT_GRID angles pi j / DEFAULT_GRID, j < DEFAULT_GRID,
-    from the half-turn FFT (_grid_determinants), followed by golden-section
-    refinement around the best point.
+    The smallest |det m| of the DEFAULT_GRID angles pi j / DEFAULT_GRID,
+    j < DEFAULT_GRID (grid_determinants), refined by golden section over
+    its two neighbouring intervals until the bracket is at most RESOLUTION
+    wide; theta* is the final bracket's midpoint.
     """
     thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    dets = np.abs(ps.grid_determinants[:-1])
-    i = int(np.argmin(dets))
+    centre = thetas[int(np.argmin(np.abs(ps.grid_determinants[:-1])))]
     step = math.pi / DEFAULT_GRID
-    (theta_star,), (det_star,) = _golden_minima(
-        ps, [(thetas[i] - step, thetas[i] + step)], RESOLUTION
-    )
-    return theta_star % math.pi, float(det_star)
-
-
-def _grid_minima(ps: ParitySortedState) -> np.ndarray:
-    """Indices j < DEFAULT_GRID of the |det m| grid minima worth refining.
-
-    The strict local minima of the circular grid, less the ripples of a flat
-    |det m|: a minimum above DIP_THRESHOLD that lies within RIPPLE_ULPS * N_e
-    ulps of max |det m| of both neighbours.
-    """
-    dets = np.abs(ps.grid_determinants[:-1])
-    left, right = np.roll(dets, 1), np.roll(dets, -1)
-    minima = (dets <= left) & (dets <= right) & ((dets < left) | (dets < right))
-    ripple = RIPPLE_ULPS * ps.n_even * np.finfo(float).eps * np.max(dets, initial=0.0)
-    minima &= (dets < DIP_THRESHOLD) | (left - dets > ripple) | (right - dets > ripple)
-    return np.flatnonzero(minima)
-
-
-def _det_lower_bounds(ps: ParitySortedState, centres: np.ndarray) -> np.ndarray:
-    """Lower bounds on |det m(theta)| for |theta - centre| <= pi / DEFAULT_GRID.
-
-    m'(theta) = sum_k i k C_k e^{ik theta}, so L = sum_k |k| ||C_k||_F bounds
-    ||m'||_2, and by Weyl's inequality no singular value of m moves by more
-    than L h within a distance h of the centre.  The bound is
-    prod_i max(0, sigma_i - L h), the sigma_i those of m at the centre.
-    """
-    harm = ps.harmonics
-    lipschitz = np.abs(harm.orders) @ lag_norms(harm)
-    sigma = np.linalg.svd(evaluate_gramians(harm, centres), compute_uv=False)
-    return np.prod(np.maximum(sigma - lipschitz * math.pi / DEFAULT_GRID, 0.0), axis=1)
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = centre - step, centre + step
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = np.abs(block_determinants(ps, [c, d]))
+    while b - a > RESOLUTION:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            (fc,) = np.abs(block_determinants(ps, [c]))
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            (fd,) = np.abs(block_determinants(ps, [d]))
+    theta = 0.5 * (a + b)
+    return theta % math.pi, float(np.abs(block_determinants(ps, [theta]))[0])
 
 
 def detect_gap_closings(ps: ParitySortedState) -> list[float]:
-    """Angles in [0, pi) where |det m| dips below DIP_THRESHOLD.
+    """Angles in [0, pi) where det m vanishes: the closings of the state's
+    phase scan (_phase_scan) of the DEFAULT_GRID grid.
 
-    |det m| is pi-periodic (m picks up a global sign under a half turn), so
-    a grid of DEFAULT_GRID angles over [0, pi), from the half-turn FFT
-    (_grid_determinants), is treated circularly; every
-    strict local minimum is refined to RESOLUTION by golden section and kept
-    if the refined value is below the threshold.  A zero never lands on a
-    grid point, which is why the grid values alone cannot be compared
-    against the threshold.  A minimum above it that lies within roundoff of
-    both neighbours (RIPPLE_ULPS * N_e ulps of max |det m|) is a ripple of a
-    flat |det m| and is not refined, nor is one whose Weyl lower bound on
-    |det m| over its bracket (_det_lower_bounds) exceeds 2 * DIP_THRESHOLD,
-    the factor 2 a margin for roundoff: refinement could only have found a
-    value above the bound, so the result is the same as refining every
-    minimum.  Returns an empty list for gapped states.
+    A closing is a bad phase step resolved to an interval narrower than
+    RESOLUTION.  Returns an empty list for gapped states; the list may be
+    incomplete for a state whose scan stopped at GRID_CAP.
     """
-    thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    minima = _grid_minima(ps)
-    minima = minima[_det_lower_bounds(ps, thetas[minima]) <= 2.0 * DIP_THRESHOLD]
-    n = len(thetas)
-    brackets = [
-        (thetas[i - 1] if i > 0 else thetas[0] - (thetas[1] - thetas[0]),
-         thetas[i + 1] if i + 1 < n else thetas[-1] + (thetas[-1] - thetas[-2]))
-        for i in minima
-    ]
-    refined, dets = _golden_minima(ps, brackets, RESOLUTION)
-    closings = sorted(t % math.pi for t, det in zip(refined, dets) if det < DIP_THRESHOLD)
-    merged: list[float] = []
-    for c in closings:
-        if not merged or (c - merged[-1]) > 1e-6:
-            merged.append(c)
-    if len(merged) > 1 and (merged[0] + math.pi - merged[-1]) <= 1e-6:
-        merged.pop()
-    return merged
+    return list(ps.phase_scan[3])

@@ -109,7 +109,7 @@ KEYS = {
     "state": Key(None, lambda v: v is None or type(v) is dict and len(v) == 1
                  and v.keys() <= STATE_KINDS.keys(),
                  f"null or an object naming one of {', '.join(STATE_KINDS)}", (), {}),
-    "winding_grid": Key(256, _size(1), f"an integer in [1, {MAX_POINTS}]",
+    "winding_grid": Key(256, _size(256), f"an integer in [256, {MAX_POINTS}]",
                         ("spectrum", "winding"), INT),
     "t_points": Key(81, _size(1), f"an integer in [1, {MAX_POINTS}]", ("entropy-surface",), INT),
     "grid_points": Key(161, _size(2), f"an integer in [2, {MAX_POINTS}]", ("wigner",), INT),

@@ -62,13 +62,12 @@ The second half turn needs no Gramian of its own: O(theta + pi) =
 conj(L) R^T - O(theta), the left cut.
 
 A ``GramianHarmonics`` holds its coefficients when one build fits
-HARMONIC_BYTES; otherwise ``coeffs`` is None.  Both evaluations, and
-``lag_norms`` (||C_k||_F per lag), run one loop over blocks of left rows'
-C_k: the held coefficients are one block; otherwise each call rebuilds them
-harmonic_rows left rows at a time, with one table lookup and one transform
-of the right rows.  A left row's C_k come from that row alone and the
-constant term is added once at the end, so the half turn has the same bits
-either way.  ``evaluate_gramians`` takes angles in blocks of ANGLE_BLOCK,
+HARMONIC_BYTES; otherwise ``coeffs`` is None.  Both evaluations run one
+loop over blocks of left rows' C_k: the held coefficients are one block;
+otherwise each call rebuilds them harmonic_rows left rows at a time, with
+one table lookup and one transform of the right rows.  A left row's C_k
+come from that row alone and the constant term is added once at the end,
+so the half turn has the same bits either way.  ``evaluate_gramians`` takes angles in blocks of ANGLE_BLOCK,
 so memory stays bounded on long grids and wide states.  Each of its angles'
 values is its own vector-matrix product, so it does not depend on which
 other angles share a call.
@@ -103,7 +102,6 @@ __all__ = [
     "evaluate_half_turn",
     "gramian_harmonics",
     "harmonic_rows",
-    "lag_norms",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
@@ -280,15 +278,6 @@ def _blocks(h: GramianHarmonics):
         return [(slice(None), h.coeffs)]
     return _coefficient_blocks(h.left, h.right, h.orders,
                                harmonic_rows(len(h.right), h.left.shape[1]))
-
-
-def lag_norms(h: GramianHarmonics) -> np.ndarray:
-    """||C_k||_F for each lag of ``orders``: from the held coefficients, or
-    summed over one rebuild pass."""
-    squares = np.zeros(len(h.orders))
-    for _, coeffs in _blocks(h):
-        squares += np.add.reduce((coeffs.conj() * coeffs).real, axis=1)
-    return np.sqrt(squares)
 
 
 def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:

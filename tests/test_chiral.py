@@ -168,13 +168,39 @@ def test_winding_raises_at_closed_gap():
 
 
 def test_winding_at_the_grid_cap_finds_a_zero_between_grid_points(monkeypatch):
-    # the base grid misses the zero, bisection stops at the cap, and the
-    # golden search on the largest phase step finds it
-    monkeypatch.setattr(chiral, "GRID_CAP", 260)
+    # the base grid misses the zero; bisection narrows the interval holding
+    # it to RESOLUTION within the default cap, while a cap that stops the
+    # bisection first leaves a bad step and no closing
     ps = chiral.parity_sort(interpolated_state(T_CRIT, 1.0))
     assert np.min(np.abs(ps.grid_determinants)) > chiral.DET_FLOOR
-    with pytest.raises(chiral.GapClosed, match="near theta = 2.070796"):
+    with pytest.raises(chiral.GapClosed):
         chiral.winding_scan(ps)
+    assert chiral.detect_gap_closings(ps) == [pytest.approx((math.pi + 1.0) / 2.0, abs=1e-9)]
+    monkeypatch.setattr(chiral, "GRID_CAP", 260)
+    capped = chiral.parity_sort(interpolated_state(T_CRIT, 1.0))
+    with pytest.raises(chiral.GridTooCoarse):
+        chiral.winding_scan(capped)
+    assert chiral.detect_gap_closings(capped) == []
+
+
+def test_zero_on_a_grid_point_is_one_closing():
+    # at phi = 0 det m is exactly 0 at the grid point pi/2: its phase steps
+    # are NaN, which count as bad, and no warning escapes
+    ps = chiral.parity_sort(interpolated_state(T_CRIT, 0.0))
+    assert ps.grid_determinants[chiral.DEFAULT_GRID // 2] == 0.0
+    closings = chiral.detect_gap_closings(ps)
+    assert len(closings) == 1
+    assert abs(closings[0] - math.pi / 2.0) < 1e-9
+    with pytest.raises(chiral.GapClosed):
+        chiral.winding_scan(ps)
+
+
+def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
+    # det m of levels 0 and 1001 is a single frequency, e^{1001 i theta} up to
+    # a constant: 256 intervals step by 3.9 pi each, which wraps to -0.09 pi
+    ps = chiral.parity_sort(ho_slater([0, 1001], basis_size=1024))
+    assert chiral.winding_scan(ps)[0] == -23
+    assert chiral.winding_scan(ps, 1024)[0] == 1001
 
 
 def test_winding_at_the_grid_cap_without_a_zero_is_too_coarse(monkeypatch):
@@ -314,7 +340,7 @@ def _grid_brackets(ps, n_grid=256, dets=None):
             for i in np.flatnonzero(minima)]
 
 
-def _lockstep_states():
+def _scan_states():
     u = random_unitary_rows(np.random.default_rng(12), 12, 12)
     pt = potentials.bound_states(potentials.potential("poschl_teller"), 6)
     return {
@@ -326,30 +352,20 @@ def _lockstep_states():
 
 @pytest.mark.parametrize("name", ["interpolated-critical", "oscillator-0-11-mixed",
                                   "poschl-teller-6"])
-def test_lockstep_refiner_matches_scalar_golden_section(name, monkeypatch):
-    ps = chiral.parity_sort(_lockstep_states()[name])
-    brackets = _grid_brackets(ps)
-    reference = [_scalar_golden(ps, lo, hi, 1e-10) for lo, hi in brackets]
-    thetas, dets = chiral._golden_minima(ps, brackets, 1e-10)
-    assert thetas == [t for t, _ in reference]
-    assert dets.tolist() == [d for _, d in reference]
-
-    want = sorted(t % math.pi for t, d in reference if d < chiral.DIP_THRESHOLD)
-    calls = []
-    block_determinants = chiral.block_determinants
-
-    def counted(ps, thetas):
-        calls.append(len(thetas))
-        return block_determinants(ps, thetas)
-
-    monkeypatch.setattr(chiral, "block_determinants", counted)
-    got = chiral.detect_gap_closings(ps)
-    assert got == want  # no two reference closings lie within the merge distance
-    assert len(calls) <= 45
+def test_minimum_block_gap_matches_scalar_golden_section(name):
+    ps = chiral.parity_sort(_scan_states()[name])
+    thetas = np.linspace(0.0, math.pi, chiral.DEFAULT_GRID, endpoint=False)
+    centre = thetas[int(np.argmin(np.abs(ps.grid_determinants[:-1])))]
+    step = math.pi / chiral.DEFAULT_GRID
+    theta, det = _scalar_golden(ps, centre - step, centre + step, chiral.RESOLUTION)
+    assert chiral.minimum_block_gap(ps) == (theta % math.pi, det)
+    # the phase scan finds the zero that the golden search finds
+    closings = chiral.detect_gap_closings(ps)
     if name == "interpolated-critical":
-        assert len(got) == 1
-    if name == "oscillator-0-11-mixed":
-        assert len(brackets) > 24
+        assert len(closings) == 1
+        assert abs(closings[0] - theta % math.pi) < 1e-9
+    else:
+        assert closings == []
 
 
 def test_winding_and_closings_build_the_harmonics_once(monkeypatch):
@@ -361,14 +377,14 @@ def test_winding_and_closings_build_the_harmonics_once(monkeypatch):
         return build(left, right)
 
     monkeypatch.setattr(chiral, "gramian_harmonics", counted)
-    ps = chiral.parity_sort(_lockstep_states()["oscillator-0-11-mixed"])
+    ps = chiral.parity_sort(_scan_states()["oscillator-0-11-mixed"])
     assert chiral.winding_scan(ps)[0] == 6
     assert chiral.detect_gap_closings(ps) == []
     assert calls == [6]
 
 
 def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
-    state = _lockstep_states()["poschl-teller-6"]
+    state = _scan_states()["poschl-teller-6"]
     thetas = np.linspace(0.0, math.pi, 33)
     kept = chiral.parity_sort(state)
     want = chiral.block_determinants(kept, thetas)
@@ -381,7 +397,7 @@ def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
 
 def test_flat_determinant_ripples_are_not_refined(monkeypatch):
     # pure oscillator levels: |det m| is constant, its grid minima are roundoff
-    ps = chiral.parity_sort(_lockstep_states()["oscillator-0-11-mixed"])
+    ps = chiral.parity_sort(_scan_states()["oscillator-0-11-mixed"])
     assert len(_grid_brackets(ps)) > 24
     calls = []
     block_determinants = chiral.block_determinants
@@ -524,38 +540,34 @@ def _closing_oracle_states():
     return states
 
 
-def test_gap_closings_match_golden_section_on_every_grid_minimum():
-    # the oracle refines every strict minimum of the scan's own grid: none is
-    # dropped, neither as a ripple nor by the Weyl bound
-    found = {}
+def test_winding_raises_gap_closed_exactly_at_closings_or_the_floor():
+    closed = set()
     for name, state in _closing_oracle_states().items():
         ps = chiral.parity_sort(state)
+        want = bool(chiral.detect_gap_closings(ps)) or ps.phase_scan[2] < chiral.DET_FLOOR
+        try:
+            chiral.winding_scan(ps)
+        except chiral.GapClosed:
+            closed.add(name)
+        assert (name in closed) == want, name
+    assert closed == {"critical-1.0", "critical-0.3"}
+
+
+def test_determinant_dips_that_are_not_zeros_are_not_closings():
+    # a golden search on every strict |det m| minimum of the grid finds dips
+    # below 1e-6, but the chiral gap sigma_min(m) stays open at each of them:
+    # |det m| = prod sigma_i is small because the block is wide, or the
+    # sigma_i are all moderately small, not because the block is singular
+    states = _closing_oracle_states()
+    for name, least in (("random-1000", 1), ("ho-0-39", 50)):
+        ps = chiral.parity_sort(states[name])
         brackets = _grid_brackets(ps, dets=np.abs(ps.grid_determinants[:-1]))
-        reference = [_scalar_golden(ps, lo, hi, chiral.RESOLUTION) for lo, hi in brackets]
-        want = sorted(t % math.pi for t, d in reference if d < chiral.DIP_THRESHOLD)
-        assert chiral.detect_gap_closings(ps) == want, name
-        found[name] = len(want)
-    assert found["critical-1.0"] == found["critical-0.3"] == 1
-    assert found["random-1000"] > 0
-    assert found["ho-0-39"] > 50  # |det m| <= 2^-20 < DIP_THRESHOLD everywhere
-
-
-def test_det_lower_bound_holds_inside_every_bracket(well_states):
-    rng = np.random.default_rng(41)
-    states = dict(well_states)
-    for m in (4, 8, 12, 40, 100):
-        for n in (1, 2):
-            states[f"random-{m}-{n}"] = chiral.parity_sort(random_symmetric_slater(rng, n, n, m))
-    thetas = np.linspace(0.0, math.pi, chiral.DEFAULT_GRID, endpoint=False)
-    half_width = math.pi / chiral.DEFAULT_GRID
-    positive = 0
-    for name, ps in states.items():
-        centres = thetas[chiral._grid_minima(ps)]
-        for centre, bound in zip(centres, chiral._det_lower_bounds(ps, centres)):
-            probes = np.linspace(centre - half_width, centre + half_width, 65)
-            assert np.min(np.abs(chiral.block_determinants(ps, probes))) >= bound, name
-            positive += bound > 0.0
-    assert positive > 20
+        dips = [t for t, d in (_scalar_golden(ps, lo, hi, chiral.RESOLUTION) for lo, hi in brackets)
+                if d < 1e-6]
+        assert len(dips) >= least, name
+        blocks = overlap.evaluate_gramians(ps.harmonics, dips)
+        assert np.min(np.linalg.svd(blocks, compute_uv=False)) >= 1e-4, name
+        assert chiral.detect_gap_closings(ps) == [], name
 
 
 def _counting(monkeypatch, name):
@@ -567,39 +579,29 @@ def _counting(monkeypatch, name):
 
 
 def test_gapped_wells_and_flat_fillings_refine_nothing(well_states, monkeypatch):
-    states = dict(well_states)
-    states["oscillator-0-11-mixed"] = chiral.parity_sort(_lockstep_states()["oscillator-0-11-mixed"])
-    assert sum(len(chiral._grid_minima(ps)) for ps in well_states.values()) > 0
+    # fresh sorts, so no scan is remembered from another test
+    states = {kind: chiral.parity_sort(ps.as_state()) for kind, ps in well_states.items()}
+    states["oscillator-0-11-mixed"] = chiral.parity_sort(_scan_states()["oscillator-0-11-mixed"])
+    assert sum(len(_grid_brackets(ps, dets=np.abs(ps.grid_determinants[:-1])))
+               for ps in states.values()) > 0
     calls = _counting(monkeypatch, "block_determinants")
     for name, ps in states.items():
         assert chiral.detect_gap_closings(ps) == [], name
     assert calls == []
 
 
-def test_every_bracket_is_refined_without_harmonics(well_states, monkeypatch):
-    # streamed harmonics get the Weyl bound too: the scan refines exactly the
-    # brackets of the held scan, and the rebuilt Gramians round within 1e-15
-    # of the held ones, so the closings agree to the refinement width
+def test_scans_agree_without_held_harmonics(well_states, monkeypatch):
+    # rebuilt Gramians round within 1e-15 of held ones: the same windings,
+    # grids and closings
     states = {kind: ps.as_state() for kind, ps in well_states.items()}
-    states["random-1000"] = _closing_oracle_states()["random-1000"]  # two closings
-    brackets = []
-    golden_minima = chiral._golden_minima
-    monkeypatch.setattr(chiral, "_golden_minima", lambda ps, refine, resolution:
-                        brackets.append(list(refine)) or golden_minima(ps, refine, resolution))
-    want = {}
-    for name, state in states.items():
-        want[name] = (chiral.detect_gap_closings(chiral.parity_sort(state)), brackets[-1])
-    assert len(want["random-1000"][0]) == 2
-    # the bound drops the wells' grid minima
-    assert sum(len(want[kind][1]) for kind in well_states) == 0
-    assert sum(len(chiral._grid_minima(ps)) for ps in well_states.values()) > 0
+    states["random-1000"] = _closing_oracle_states()["random-1000"]
+    want = {name: chiral.parity_sort(state).phase_scan for name, state in states.items()}
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     for name, state in states.items():
         ps = chiral.parity_sort(SlaterState(state.coeffs.copy()))
         assert ps.harmonics.coeffs is None
-        closings = chiral.detect_gap_closings(ps)
-        assert brackets[-1] == want[name][1], name
-        assert closings == pytest.approx(want[name][0], abs=1e-8), name
+        got = ps.phase_scan
+        assert got[:2] == want[name][:2] and got[3] == want[name][3], name
 
 
 # ------------------------------------------------- the remembered parity sort

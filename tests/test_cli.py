@@ -1,7 +1,9 @@
 import json
 import math
 import re
+import runpy
 import shlex
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -285,6 +287,7 @@ BAD_INPUTS = [
     (["wigner", "--ho-slater", "0,100000"], None),
     (["spectrum"], {"state": {"ho_slater": [0, 100000]}}),
     (["winding", "--ho-slater", "0,1", "--winding-grid", "0"], None),
+    (["winding", "--ho-slater", "0,1", "--winding-grid", "255"], None),
     (["entropy-surface", "--interpolated", "0,1", "--t-points", "0"], None),
     (["solve-potential", "--potential", "sho", "--levels", "0"], None),
     (["solve-potential", "--potential", "sho", "--particles", "0"], None),
@@ -465,11 +468,11 @@ def test_frft_check_passes(capsys):
 FUZZ_COMMANDS = ["spectrum", "winding", "entropy-surface", "wigner", "solve-potential"]
 # small valid sizes keep a run that succeeds to milliseconds
 SMALL = {"theta_points": 16, "grid_points": 9, "t_points": 2, "basis": 12, "levels": 2,
-         "winding_grid": 16}
+         "winding_grid": 256}
 # valid flag values; --out values stay inside the working directory
 FLAG_VALUES = {
     "--out": ["o", "o/p"], "--theta-points": ["16", "64"], "--basis": ["4", "12", "40"],
-    "--format": ["csv", "json"], "--gnuplot": [], "--winding-grid": ["1", "64"],
+    "--format": ["csv", "json"], "--gnuplot": [], "--winding-grid": ["256", "1024"],
     "--t-points": ["1", "3"], "--grid-points": ["2", "41"], "--grid-half-width": ["2.5", "6", "40"],
     "--levels": ["1", "3"], "--ho-slater": ["0", "0,1", "1,2,3,4"],
     "--interpolated": ["0.3,1", "0.61,2.0944"], "--potential": ["sho", "double_well", "rosen_morse"],
@@ -484,7 +487,7 @@ CONFIG_VALUES = {
     "basis": st.integers(1, 40), "t_points": st.integers(1, 3), "levels": st.integers(1, 4),
     "grid_points": st.integers(2, 41),
     "grid_half_width": st.one_of(st.floats(0.5, 8), st.sampled_from([1e200, 10**400])),
-    "winding_grid": st.sampled_from([1, 16, 64]),
+    "winding_grid": st.sampled_from([256, 512, 1024]),
     "state": st.one_of(
         st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True).map(
             lambda v: {"ho_slater": sorted(v)}),
@@ -662,6 +665,19 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
             assert "nu_E = 2" in out, argv
 
 
+@pytest.mark.parametrize("script", ["entropy_polar", "flat_band_spectra",
+                                    "potential_well_spectra", "wigner_gallery"])
+def test_scripts_exit_nonzero_when_a_command_fails(script, tmp_path, monkeypatch):
+    # an output directory below a plain file cannot be written: every command exits 2
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    path = Path(__file__).parents[1] / "scripts" / f"{script}.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(blocked)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(path), run_name="__main__")
+    assert stop.value.code == 2
+
+
 WELL = {"--potential", "--potential-expr", "--particles"}
 FLAG_SETS = {
     "spectrum": {"--out", "--theta-points", "--basis", "--format", "--gnuplot", "--winding-grid",
@@ -718,7 +734,7 @@ RUNS = {
 }
 # a good and a bad value of each key that some command does not read
 OTHER_KEYS = {"theta_points": (16, 15), "basis": (12, 0), "format": ("json", "xml"),
-              "gnuplot": (True, "no"), "winding_grid": (16, 0), "t_points": (2, 0),
+              "gnuplot": (True, "no"), "winding_grid": (256, 255), "t_points": (2, 0),
               "grid_points": (9, 1), "grid_half_width": (2.0, -1.0), "levels": (2, 0)}
 
 

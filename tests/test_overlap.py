@@ -210,8 +210,7 @@ def test_row_block_rebuild_is_one_pass_with_the_held_bits(monkeypatch):
     left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
     held = overlap.gramian_harmonics(left, right)
-    want = [overlap.evaluate_gramians(held, thetas), overlap.evaluate_half_turn(held, 64),
-            overlap.lag_norms(held)]
+    want = [overlap.evaluate_gramians(held, thetas), overlap.evaluate_half_turn(held, 64)]
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     streamed = overlap.gramian_harmonics(left, right)
     assert streamed.coeffs is None
@@ -219,12 +218,10 @@ def test_row_block_rebuild_is_one_pass_with_the_held_bits(monkeypatch):
     lookups = []
     table = overlap.ho_overlap_table
     monkeypatch.setattr(overlap, "ho_overlap_table", lambda m: lookups.append(m) or table(m))
-    got = [overlap.evaluate_gramians(streamed, thetas), overlap.evaluate_half_turn(streamed, 64),
-           overlap.lag_norms(streamed)]
-    assert lookups == [300, 300, 300]
+    got = [overlap.evaluate_gramians(streamed, thetas), overlap.evaluate_half_turn(streamed, 64)]
+    assert lookups == [300, 300]
     assert np.max(np.abs(got[0] - want[0])) <= 1e-15
     assert got[1].tobytes() == want[1].tobytes()
-    assert np.max(np.abs(got[2] - want[2])) <= 1e-15 * np.max(want[2])
 
 
 def test_streamed_half_turn_memory(monkeypatch):
