@@ -16,13 +16,13 @@ the flat bands at exactly 1/2; entanglement.pses_sweep takes them from
 one batched SVD of the blocks, which it evaluates from the state's
 harmonics (overlap.evaluate_half_turn on its uniform grid,
 evaluate_gramians elsewhere).  They are the values of the parity-sorted
-state: each sector is re-orthonormalized on its own basis parity, so a
-state orthonormal only to within delta (SlaterState admits 1e-8), or
-with a wrong-parity part of amplitude a (|lambda| = 1 - 2 a^2 for its
-inversion eigenvalue, so PARITY_TOL admits a up to 7e-5), moves by up to
-that much; and 1/2 - sigma near 0 loses relative accuracy like any small
-eigenvalue, an energy |epsilon| carrying a relative error of about
-eps * e^|epsilon|.
+state, whose sectors are right singular vectors of the coefficients' even
+and odd basis columns: a state orthonormal only to within delta
+(SlaterState admits 1e-8), or with a wrong-parity part of amplitude a
+(|lambda| = 1 - 2 a^2 for its inversion eigenvalue, so PARITY_TOL admits
+a up to 7e-5), moves by up to that much; and 1/2 - sigma near 0 loses
+relative accuracy like any small eigenvalue, an energy |epsilon| carrying
+a relative error of about eps * e^|epsilon|.
 
 parity_sort remembers its last result for its state object, so the sweep
 and the scans of one state share one sort, its harmonics and its grid.
@@ -31,11 +31,12 @@ The scans start from det m on the uniform grid theta_j = pi j / G, the
 first half of the DFT grid of 2G angles: its blocks come from one inverse
 FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
 m(pi) = -m(0).  The winding and the gap closings come from one phase scan
-of that grid: det m can wind only through a zero, and a zero is what a gap
-closing is.  The scan bisects every interval whose phase step is >= pi/2
-(or undefined, at an exact zero) and evaluates only the midpoints, through
-block_determinants; a bad interval narrower than RESOLUTION holds a zero
-and is bisected no further.  Each parity-sorted state keeps its
+of that grid: det m can wind only through a zero, where the chiral gap
+sigma_min(m) closes.  The scan bisects every interval whose phase step is
+>= pi/2 (or undefined, at an exact zero) and evaluates only the midpoints,
+through block_determinants; a bad interval narrower than RESOLUTION holds
+a zero and is bisected no further, and an angle whose gap is below
+DET_FLOOR is a closing too.  Each parity-sorted state keeps its
 DEFAULT_GRID determinants and its scan of them, so the winding and the
 closings share one scan, and the minimum gap refines the same grid's
 smallest |det m| by golden section.
@@ -84,11 +85,18 @@ class NotInversionSymmetric(Exception):
 
 
 class GapClosed(Exception):
-    """det m vanished, or fell below DET_FLOOR, on the winding grid."""
+    """The chiral gap closed on the winding grid, at the angles ``closings``."""
+
+    def __init__(self, closings: Sequence[float]):
+        super().__init__(closings)
+        self.closings = closings
+
+    def __str__(self) -> str:
+        return f"det m vanishes near theta = {self.closings[0]:.6f}; winding undefined"
 
 
 class GridTooCoarse(Exception):
-    """Phase steps stayed >= pi/2 with the grid at its interval cap."""
+    """Phase steps stayed >= pi/2 after GRID_CAP bisection midpoints."""
 
 
 class EmptyBlock(Exception):
@@ -147,19 +155,6 @@ def inversion_matrix(state: SlaterState) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the row space of ``block``.
-
-    Householder QR of block^H with the R diagonal made real positive, so
-    degenerate parity eigenspaces come out reproducibly phased.
-    """
-    q, r = np.linalg.qr(block.conj().T)
-    d = np.diag(r).copy()
-    d[d == 0] = 1.0
-    q = q * (np.abs(d) / d).conj()
-    return q.conj().T
-
-
 _last_sort: tuple[weakref.ref, ParitySortedState] | None = None
 
 
@@ -176,11 +171,14 @@ def _forget_sort(ref: weakref.ref) -> None:
 def parity_sort(state: SlaterState) -> ParitySortedState:
     """Rotate the orbitals into inversion eigenstates and sort even first.
 
-    Raises NotInversionSymmetric when any eigenvalue of the inversion matrix
-    is farther than PARITY_TOL from +-1 (the span mixes parities, e.g. bound
-    states of an asymmetric well); callers then skip the chiral analysis.
-    Each sector is re-orthonormalized on its own basis parity only, so its
-    coefficients on the other parity are exactly zero.
+    A mode's squared singular value s^2 on the even basis columns
+    C[:, 0::2] is (1 + lambda) / 2, lambda its inversion eigenvalue (which
+    counts a defect d in a row's squared norm twice, as 1 + 2d).  Raises
+    NotInversionSymmetric when any lambda is farther than PARITY_TOL from
+    +-1 (the span mixes parities, e.g. bound states of an asymmetric well);
+    callers then skip the chiral analysis.  The even sector is the top N_e
+    right singular vectors of C[:, 0::2], the odd sector the top N_o of
+    C[:, 1::2]: orthonormal rows, exactly zero on the other parity.
 
     The last result is remembered for its state object, matched by
     identity: pses_sweep sorts the state, and a chiral scan of the same
@@ -200,22 +198,20 @@ def parity_sort(state: SlaterState) -> ParitySortedState:
 
 
 def _sort_by_parity(state: SlaterState) -> ParitySortedState:
-    inv = inversion_matrix(state)
-    lam, vecs = np.linalg.eigh(inv)
+    _, s_even, even = np.linalg.svd(state.coeffs[:, 0::2], full_matrices=False)
+    _, _, odd = np.linalg.svd(state.coeffs[:, 1::2], full_matrices=False)
+    # the modes beyond the even block's rank have no even part: lam = -1
+    lam = np.append(2.0 * s_even**2 - 1.0, -np.ones(state.n_particles - len(s_even)))
     if np.max(np.abs(np.abs(lam) - 1.0)) > PARITY_TOL:
         raise NotInversionSymmetric(
             f"inversion eigenvalues {np.sort(lam).round(8).tolist()} "
             f"are not within {PARITY_TOL:.0e} of +-1"
         )
-    # eigh sorts lam ascending, so the odd rows (lam near -1) come first
-    n_odd = int(np.count_nonzero(lam < 0.0))
-    n_even = len(lam) - n_odd
-    rotated = vecs.conj().T @ state.coeffs
-    coeffs = np.zeros_like(rotated)
-    if n_even:
-        coeffs[:n_even, 0::2] = _orthonormal_rows(rotated[n_odd:, 0::2])
-    if n_odd:
-        coeffs[n_even:, 1::2] = _orthonormal_rows(rotated[:n_odd, 1::2])
+    n_even = int(np.count_nonzero(lam > 0.0))
+    n_odd = len(lam) - n_even
+    coeffs = np.zeros_like(state.coeffs)
+    coeffs[:n_even, 0::2] = even[:n_even]
+    coeffs[n_even:, 1::2] = odd[:n_odd]
     return ParitySortedState(coeffs=coeffs, parity=np.repeat([1, -1], [n_even, n_odd]),
                              n_even=n_even, n_odd=n_odd)
 
@@ -254,15 +250,17 @@ def _phase_scan(
     DEFAULT_GRID the state's kept grid_determinants).  Every bad interval,
     whose wrapped step is >= pi/2 or NaN (a det that is exactly 0), is
     bisected and only its midpoint evaluated by block_determinants, until
-    each bad interval left is narrower than RESOLUTION, or the grid would
-    exceed GRID_CAP intervals.  A phase that turns by about pi within
-    RESOLUTION is a zero of det m: the closings are those intervals'
-    midpoints mod pi, merged circularly within 1e-6.  The winding is None
-    while any bad interval is left; otherwise the total step, an exact
-    multiple of pi since det m(pi) = (-1)^{N_e} det m(0), is rounded, which
-    is safe once every step is small.  The base grid peaks at about twice
-    its (grid_size, N_e, N_e) complex stack (the FFT bins and their
-    transform), at most 2.2 times.
+    each bad interval left is narrower than RESOLUTION, or the midpoints
+    would exceed GRID_CAP.  The winding is None while any bad interval is
+    left; otherwise the total step, an exact multiple of pi since
+    det m(pi) = (-1)^{N_e} det m(0), is rounded, safe once every step is
+    small.  The closings (mod pi, merged circularly within 1e-6, a zero
+    keeping its angle) are the zeros of det m, the bad intervals narrower
+    than RESOLUTION, and the evaluated angles where the chiral gap
+    sigma_min(m) < DET_FLOOR; m takes an SVD only where the bound
+    sigma_min >= 2^{N_e - 1} |det m| (every sigma_i <= 1/2) is below it.
+    The base grid peaks at about twice its (grid_size, N_e, N_e) complex
+    stack (the FFT bins and their transform), at most 2.2 times.
     """
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
     dets = ps.grid_determinants if grid_size == DEFAULT_GRID else _grid_determinants(ps, grid_size)
@@ -272,20 +270,23 @@ def _phase_scan(
         bad = ~(np.abs(steps) < math.pi / 2.0)
         zeros = bad & (np.diff(thetas) < RESOLUTION)
         split = np.flatnonzero(bad & ~zeros)
-        if not len(split) or len(steps) + len(split) > GRID_CAP:
+        if not len(split) or len(steps) + len(split) > grid_size + GRID_CAP:
             break
         mids = 0.5 * (thetas[split] + thetas[split + 1])
         thetas = np.insert(thetas, split + 1, mids)
         dets = np.insert(dets, split + 1, block_determinants(ps, mids))
     nu = None if bad.any() else int(round(float(np.sum(steps)) / math.pi))
-    closings: list[float] = []
     z = np.flatnonzero(zeros)
-    for c in sorted(0.5 * (thetas[z] + thetas[z + 1]) % math.pi):
-        if not closings or c - closings[-1] > 1e-6:
+    found = [0.5 * (thetas[z] + thetas[z + 1])]  # the zeros first, so a cluster keeps their angle
+    low = thetas[np.ldexp(np.abs(dets), ps.n_even - 1) < DET_FLOOR]
+    if len(low):
+        sigma_min = np.linalg.svd(evaluate_gramians(ps.harmonics, low), compute_uv=False)[:, -1]
+        found.append(low[sigma_min < DET_FLOOR])
+    closings: list[float] = []
+    for c in np.concatenate(found) % math.pi:
+        if all(abs((c - k + math.pi / 2.0) % math.pi - math.pi / 2.0) > 1e-6 for k in closings):
             closings.append(float(c))
-    if len(closings) > 1 and closings[0] + math.pi - closings[-1] <= 1e-6:
-        closings.pop()
-    return nu, len(steps), float(np.min(np.abs(dets))), tuple(closings)
+    return nu, len(steps), float(np.min(np.abs(dets))), tuple(sorted(closings))
 
 
 def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
@@ -293,15 +294,13 @@ def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[
 
     From the phase scan of a uniform grid of ``grid_size`` intervals
     (_phase_scan; at DEFAULT_GRID the state's kept phase_scan).  Raises
-    GapClosed when min |det m| < DET_FLOOR or the scan found a closing, and
-    GridTooCoarse when the scan stopped at GRID_CAP with a bad step left.
+    GapClosed, carrying the scan's closings, exactly when the scan found
+    one, and GridTooCoarse when it stopped at GRID_CAP with a bad step left.
     """
     nu, intervals, min_det, closings = (
         ps.phase_scan if grid_size == DEFAULT_GRID else _phase_scan(ps, grid_size))
-    if min_det < DET_FLOOR:
-        raise GapClosed(f"|det m| < {DET_FLOOR:.0e} on the grid; winding undefined")
     if closings:
-        raise GapClosed(f"det m vanishes near theta = {closings[0]:.6f}; winding undefined")
+        raise GapClosed(closings)
     if nu is None:
         raise GridTooCoarse(f"phase steps still >= pi/2 at {intervals} intervals")
     return nu, intervals, min_det

@@ -435,10 +435,9 @@ def cmd_winding(cfg: dict) -> int:
         return 0
     try:
         nu, k_used, min_det = chiral.winding_scan(ps, grid_size=cfg["winding_grid"])
-    except GapClosed:
-        closings = [float(c) for c in chiral.detect_gap_closings(ps)]
+    except GapClosed as exc:
         write_outputs(cfg, "winding", "winding", {**report, "nu_E": None, "K_used": None,
-                                                  "min_abs_det": 0.0, "closings": closings})
+                                                  "min_abs_det": 0.0, "closings": exc.closings})
         print("gap closed; winding undefined", file=sys.stderr)
         return 4
     write_outputs(cfg, "winding", "winding", {**report, "nu_E": nu, "K_used": k_used,

@@ -23,11 +23,11 @@ In parity-sorted orbitals (chiral.parity_sort) the Gramian is
 O(theta) = 1/2 + [[0, m], [m^H, 0]] with m the N_e x N_o even-odd block,
 so mu = 1/2 +- sigma_i(m(theta)), plus |N_e - N_o| values at exactly 1/2,
 the zero-energy flat bands.  The values are those of the parity-sorted
-state, whose sectors parity_sort re-orthonormalizes: a state orthonormal
-only to within delta moves by up to delta.  Near mu = 0 the values
-1/2 - sigma carry the same absolute roundoff as an eigenvalue, so an
-energy loses relative accuracy as eps * e^|epsilon|, as on the general
-path.
+state, whose sectors are singular vectors of its even and odd basis
+columns: a state orthonormal only to within delta moves by up to delta.
+Near mu = 0 the values 1/2 - sigma carry the same absolute roundoff as an
+eigenvalue, so an energy loses relative accuracy as eps * e^|epsilon|, as
+on the general path.
 """
 
 from __future__ import annotations
@@ -179,14 +179,14 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     N_e x N_o even-odd block, plus |N_e - N_o| flat bands at exactly 1/2
     (energy 0).  One batched SVD of the blocks replaces the N x N
     eigensolve, and the parity sort is the one the chiral scans of the same
-    state object reuse.  Its numbers are those of the parity-sorted state:
-    parity_sort re-orthonormalizes each sector on its own basis parity, so
-    a state whose rows are orthonormal only to within delta (SlaterState
-    admits 1e-8), or whose inversion eigenvalues lie delta_P from +-1
-    (PARITY_TOL admits 1e-8), gets the spectrum of a state that differs by
-    up to about delta, or sqrt(delta_P / 2) in each orbital.  The tail loss
-    of 1/2 - sigma near 0 is that of mu near 0 on the general path: an
-    energy |epsilon| carries a relative error of about eps * e^|epsilon|.
+    state object reuse.  Its numbers are those of the parity-sorted state,
+    whose sectors are singular vectors on their own basis parity: a state
+    whose rows are orthonormal only to within delta (SlaterState admits
+    1e-8), or whose inversion eigenvalues lie delta_P from +-1 (PARITY_TOL
+    admits 1e-8), gets the spectrum of a state that differs by up to about
+    delta, or sqrt(delta_P / 2) in each orbital.  The tail loss of
+    1/2 - sigma near 0 is that of mu near 0 on the general path: an energy
+    |epsilon| carries a relative error of about eps * e^|epsilon|.
     Any other state takes the general path, the eigenvalues of the N x N
     Gramian.
 

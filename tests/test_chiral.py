@@ -82,6 +82,18 @@ def test_parity_sort_deterministic_with_exact_sectors():
     assert not np.any(ps.coeffs[ps.n_even :, 0::2])
 
 
+def test_parity_sort_keeps_the_span_of_mixed_well_fillings():
+    # the sorted rows span the input's to within 2e-12: the projector
+    # C^H C onto the occupied orbitals moves by no more than that
+    for kind in ("anharmonic", "double_well", "sho"):
+        rng = np.random.default_rng(46)
+        for n_even, n_odd in [(2, 5), (2, 2), (3, 3), (1, 6), (2, 6)] * 4:
+            state = mixed_well_filling(rng, kind, n_even, n_odd)
+            ps = chiral.parity_sort(state)
+            drift = ps.coeffs.conj().T @ ps.coeffs - state.coeffs.conj().T @ state.coeffs
+            assert np.max(np.abs(drift)) <= 2e-12, (kind, n_even, n_odd)
+
+
 def test_parity_sort_rejects_asymmetric_span():
     c = np.zeros((1, 3), dtype=complex)
     c[0, 0] = c[0, 1] = 1.0 / math.sqrt(2.0)
@@ -169,14 +181,14 @@ def test_winding_raises_at_closed_gap():
 
 def test_winding_at_the_grid_cap_finds_a_zero_between_grid_points(monkeypatch):
     # the base grid misses the zero; bisection narrows the interval holding
-    # it to RESOLUTION within the default cap, while a cap that stops the
-    # bisection first leaves a bad step and no closing
+    # it to RESOLUTION within the default cap, while a cap on the midpoints
+    # that stops the bisection first leaves a bad step and no closing
     ps = chiral.parity_sort(interpolated_state(T_CRIT, 1.0))
     assert np.min(np.abs(ps.grid_determinants)) > chiral.DET_FLOOR
     with pytest.raises(chiral.GapClosed):
         chiral.winding_scan(ps)
     assert chiral.detect_gap_closings(ps) == [pytest.approx((math.pi + 1.0) / 2.0, abs=1e-9)]
-    monkeypatch.setattr(chiral, "GRID_CAP", 260)
+    monkeypatch.setattr(chiral, "GRID_CAP", 4)
     capped = chiral.parity_sort(interpolated_state(T_CRIT, 1.0))
     with pytest.raises(chiral.GridTooCoarse):
         chiral.winding_scan(capped)
@@ -184,15 +196,26 @@ def test_winding_at_the_grid_cap_finds_a_zero_between_grid_points(monkeypatch):
 
 
 def test_zero_on_a_grid_point_is_one_closing():
-    # at phi = 0 det m is exactly 0 at the grid point pi/2: its phase steps
-    # are NaN, which count as bad, and no warning escapes
+    # on these rows of interpolated_state(T_CRIT, 0) det m is exactly 0 at the
+    # grid point pi/2: its phase steps are NaN, which count as bad, the
+    # bisection resolves the zero, and no warning escapes
+    rows = np.array([[0.577350269189626, 0.0, 0.8164965809277263], [0.0, 1.0, 0.0]], dtype=complex)
+    exact = chiral.ParitySortedState(coeffs=rows, parity=np.array([1, -1]), n_even=1, n_odd=1)
+    assert exact.grid_determinants[chiral.DEFAULT_GRID // 2] == 0.0
+    # the sorted state's det there is roundoff, not 0, and one ulp above
+    # T_CRIT the phase scan sees no bad step at all (nu = -1): only the gap
+    # floor finds those closings
     ps = chiral.parity_sort(interpolated_state(T_CRIT, 0.0))
-    assert ps.grid_determinants[chiral.DEFAULT_GRID // 2] == 0.0
-    closings = chiral.detect_gap_closings(ps)
-    assert len(closings) == 1
-    assert abs(closings[0] - math.pi / 2.0) < 1e-9
-    with pytest.raises(chiral.GapClosed):
-        chiral.winding_scan(ps)
+    assert 0.0 < abs(ps.grid_determinants[chiral.DEFAULT_GRID // 2]) < chiral.DET_FLOOR
+    above = chiral.parity_sort(interpolated_state(math.nextafter(T_CRIT, 1.0), 0.0))
+    assert above.phase_scan[0] == -1
+    for state in (exact, ps, above):
+        closings = chiral.detect_gap_closings(state)
+        assert len(closings) == 1
+        assert abs(closings[0] - math.pi / 2.0) < 1e-9
+        with pytest.raises(chiral.GapClosed) as closed:
+            chiral.winding_scan(state)
+        assert closed.value.closings == tuple(closings)
 
 
 def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
@@ -201,6 +224,28 @@ def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
     ps = chiral.parity_sort(ho_slater([0, 1001], basis_size=1024))
     assert chiral.winding_scan(ps)[0] == -23
     assert chiral.winding_scan(ps, 1024)[0] == 1001
+
+
+def test_a_grid_at_the_cap_still_bisects():
+    # GRID_CAP bounds the midpoints, not the base grid: the dip near
+    # 5 pi / 6 is narrower than this grid's spacing too
+    ps = chiral.parity_sort(interpolated_state(0.6082, PHI))
+    nu, intervals, _ = chiral.winding_scan(ps, chiral.GRID_CAP)
+    assert nu == -1
+    assert chiral.GRID_CAP < intervals <= 2 * chiral.GRID_CAP
+
+
+def test_wide_fillings_wind_with_an_open_gap():
+    # |det m| <= 2^-N_e falls below DET_FLOOR, but the chiral gap
+    # sigma_min(m) >= 2^{N_e - 1} |det m| stays open
+    ps = chiral.parity_sort(ho_slater(range(68)))
+    nu, _, min_det = chiral.winding_scan(ps)
+    assert (nu, chiral.detect_gap_closings(ps)) == (34, [])
+    assert min_det < chiral.DET_FLOOR < 2.0**33 * min_det
+    ps = chiral.parity_sort(random_symmetric_slater(np.random.default_rng(5), 30, 30, 1024))
+    nu, _, min_det = chiral.winding_scan(ps)
+    assert nu == 14
+    assert 2.0**29 * min_det < chiral.DET_FLOOR  # here the bound alone cannot tell
 
 
 def test_winding_at_the_grid_cap_without_a_zero_is_too_coarse(monkeypatch):
@@ -544,7 +589,7 @@ def test_winding_raises_gap_closed_exactly_at_closings_or_the_floor():
     closed = set()
     for name, state in _closing_oracle_states().items():
         ps = chiral.parity_sort(state)
-        want = bool(chiral.detect_gap_closings(ps)) or ps.phase_scan[2] < chiral.DET_FLOOR
+        want = bool(chiral.detect_gap_closings(ps))  # zeros, and angles below the floor
         try:
             chiral.winding_scan(ps)
         except chiral.GapClosed:

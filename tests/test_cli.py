@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from psesk import cli
+from psesk import chiral, cli
 from psesk.cli import COMMANDS, KEYS, STATE_FLAGS, build_parser, main, resolve_config
 from psesk.phasespace import wigner_mn
 from psesk.states import ho_slater
@@ -160,6 +160,38 @@ def test_winding_resolves_a_narrow_open_gap(tmp_path, capsys):
     report = json.loads((tmp_path / "winding.json").read_text())
     assert report["nu_E"] == -1
     assert 256 < report["K_used"] < 300
+
+
+@pytest.mark.parametrize("state, nu", [
+    (["--ho-slater", ",".join(map(str, range(68)))], 34),
+    (["--potential", "double_well", "--particles", "70", "--basis", "1024"], 35),
+])
+def test_winding_of_a_wide_ground_filling(tmp_path, capsys, state, nu):
+    # min |det m| is 3e-11 and 1.4e-11, below the gap floor, but the chiral
+    # gap sigma_min(m) >= 2^{N_e - 1} |det m| stays open
+    rc = main(["winding", *state, "--out", str(tmp_path)])
+    assert rc == 0
+    assert f"nu_E = {nu}" in capsys.readouterr().out
+
+
+def test_winding_one_ulp_above_the_critical_point_names_its_closing(tmp_path):
+    rc = main(["winding", "--interpolated", "0.6081734479693929,0", "--out", str(tmp_path)])
+    assert rc == 4
+    assert json.loads((tmp_path / "winding.json").read_text())["closings"] == [math.pi / 2]
+
+
+def test_winding_closings_come_from_the_requested_grid(tmp_path, monkeypatch):
+    grids = []
+    grid_determinants = chiral._grid_determinants
+    monkeypatch.setattr(chiral, "_grid_determinants",
+                        lambda ps, grid_size: grids.append(grid_size) or grid_determinants(ps, grid_size))
+    t_crit = (2.0 / math.pi) * math.atan(math.sqrt(2.0))
+    rc = main(["winding", "--interpolated", f"{t_crit},2.0944", "--winding-grid", "4096",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert grids == [4096]
+    closings = json.loads((tmp_path / "winding.json").read_text())["closings"]
+    assert closings == [pytest.approx((math.pi + 2.0944) / 2, abs=1e-4)]
 
 
 def test_entropy_surface_argmax(tmp_path):

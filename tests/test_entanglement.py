@@ -366,11 +366,12 @@ def test_uniform_chiral_sweep_takes_one_svd_over_half_a_turn(monkeypatch):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    state = sweep_state("poschl_teller")
+    parity_sort(state)  # the sort's own SVDs; the sweep then reuses the remembered sort
     monkeypatch.setattr(np.linalg, "svd", recorded)
     monkeypatch.setattr(ent, "schmidt_values", _refused)
     monkeypatch.setattr(ent, "evaluate_gramians", _refused)
     monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
-    state = sweep_state("poschl_teller")
     data = ent.pses_sweep(state, _uniform(256))
     assert shapes == [(128, 4, 3)]
     assert data.energies.shape == (256, 7)
@@ -461,12 +462,13 @@ def test_paired_schmidt_values_keep_the_gram_bound(indices, grid, monkeypatch):
 
 def test_single_pair_blocks_take_no_svd(monkeypatch):
     # one row or one column: sigma is its norm
-    monkeypatch.setattr(np.linalg, "svd", _refused)
     for state in (interpolated_state(0.3, 1.0), ho_slater([0, 1, 2]), ho_slater([1, 2, 4, 6])):
-        ps = parity_sort(state)
+        ps = parity_sort(state)  # the sort's own SVDs; the sweeps then reuse the remembered sort
         assert min(ps.n_even, ps.n_odd) == 1
         for thetas in (_uniform(64), _uniform(64) + 0.1):
-            data = ent.pses_sweep(state, thetas)
+            with monkeypatch.context() as spy:
+                spy.setattr(np.linalg, "svd", _refused)
+                data = ent.pses_sweep(state, thetas)
             mu, _, entropy = _per_angle(state, thetas)
             with np.errstate(over="ignore"):
                 assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
