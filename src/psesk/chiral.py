@@ -24,8 +24,10 @@ a up to 7e-5), moves by up to that much; and 1/2 - sigma near 0 loses
 relative accuracy like any small eigenvalue, an energy |epsilon| carrying
 a relative error of about eps * e^|epsilon|.
 
-parity_sort remembers its last result for its state object, so the sweep
-and the scans of one state share one sort, its harmonics and its grid.
+parity_sort remembers its last result in a weak dictionary keyed by the
+state object, so the sweep and the scans of one state share one sort, its
+harmonics and its grid.  The state's rows, the sort's and the harmonics
+are read-only, so what the memo shares cannot change under it.
 
 The scans start from det m on the uniform grid theta_j = pi j / G, the
 first half of the DFT grid of 2G angles: its blocks come from one inverse
@@ -85,11 +87,13 @@ class NotInversionSymmetric(Exception):
 
 
 class GapClosed(Exception):
-    """The chiral gap closed on the winding grid, at the angles ``closings``."""
+    """The chiral gap closed on the winding grid, at the angles ``closings``;
+    ``min_abs_det`` is the smallest |det m| the scan saw."""
 
-    def __init__(self, closings: Sequence[float]):
-        super().__init__(closings)
+    def __init__(self, closings: Sequence[float], min_abs_det: float):
+        super().__init__(closings, min_abs_det)
         self.closings = closings
+        self.min_abs_det = min_abs_det
 
     def __str__(self) -> str:
         return f"det m vanishes near theta = {self.closings[0]:.6f}; winding undefined"
@@ -103,17 +107,13 @@ class EmptyBlock(Exception):
     """No even-odd block exists (one parity sector is empty)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParitySortedState:
     """Orthonormal parity-eigenstate rows, even-parity rows first."""
 
     coeffs: np.ndarray
-    parity: np.ndarray
     n_even: int
     n_odd: int
-
-    def as_state(self) -> SlaterState:
-        return SlaterState(self.coeffs)
 
     @cached_property
     def harmonics(self) -> GramianHarmonics:
@@ -155,53 +155,44 @@ def inversion_matrix(state: SlaterState) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-_last_sort: tuple[weakref.ref, ParitySortedState] | None = None
-
-
-def _forget_sort(ref: weakref.ref) -> None:
-    """Drop the remembered sort once its state has been collected.
-
-    Threads that race on the memo can only lose it, which costs a re-sort.
-    """
-    global _last_sort
-    if _last_sort is not None and _last_sort[0] is ref:
-        _last_sort = None
+_sorts: weakref.WeakKeyDictionary[SlaterState, ParitySortedState] = weakref.WeakKeyDictionary()
 
 
 def parity_sort(state: SlaterState) -> ParitySortedState:
     """Rotate the orbitals into inversion eigenstates and sort even first.
 
-    A mode's squared singular value s^2 on the even basis columns
-    C[:, 0::2] is (1 + lambda) / 2, lambda its inversion eigenvalue (which
-    counts a defect d in a row's squared norm twice, as 1 + 2d).  Raises
+    The squared singular values of the even basis columns C[:, 0::2] pair
+    with those of the odd columns C[:, 1::2], the largest even weight w_e
+    with the smallest odd weight w_o: w_e + w_o = 1 for orthonormal rows,
+    and lambda = (w_e - w_o) / (w_e + w_o) is the mode's inversion
+    eigenvalue, in which a defect in the rows' norms cancels.  Raises
     NotInversionSymmetric when any lambda is farther than PARITY_TOL from
     +-1 (the span mixes parities, e.g. bound states of an asymmetric well);
     callers then skip the chiral analysis.  The even sector is the top N_e
     right singular vectors of C[:, 0::2], the odd sector the top N_o of
     C[:, 1::2]: orthonormal rows, exactly zero on the other parity.
 
-    The last result is remembered for its state object, matched by
-    identity: pses_sweep sorts the state, and a chiral scan of the same
-    object then gets the same ParitySortedState, with the harmonics and the
-    det m grid it has built.  Only a weak reference to the state is held,
-    and the result is dropped when the state is collected; an equal state
-    that is another object is sorted afresh.  The state's coefficients are
-    taken to be unchanged between the calls.
+    The last result is remembered for its state object: pses_sweep sorts
+    the state, and a chiral scan of the same object then gets the same
+    ParitySortedState, with the harmonics and det m grid it has built.  The
+    state is held weakly; an equal state that is another object is sorted
+    afresh.
     """
-    global _last_sort
-    last = _last_sort
-    if last is not None and last[0]() is state:
-        return last[1]
-    ps = _sort_by_parity(state)
-    _last_sort = (weakref.ref(state, _forget_sort), ps)
+    ps = _sorts.get(state)
+    if ps is None:
+        ps = _sort_by_parity(state)
+        _sorts.clear()
+        _sorts[state] = ps
     return ps
 
 
 def _sort_by_parity(state: SlaterState) -> ParitySortedState:
     _, s_even, even = np.linalg.svd(state.coeffs[:, 0::2], full_matrices=False)
-    _, _, odd = np.linalg.svd(state.coeffs[:, 1::2], full_matrices=False)
-    # the modes beyond the even block's rank have no even part: lam = -1
-    lam = np.append(2.0 * s_even**2 - 1.0, -np.ones(state.n_particles - len(s_even)))
+    _, s_odd, odd = np.linalg.svd(state.coeffs[:, 1::2], full_matrices=False)
+    w_even, w_odd = np.zeros((2, state.n_particles))  # 0 past a block's rank
+    w_even[: len(s_even)] = s_even**2
+    w_odd[len(w_odd) - len(s_odd) :] = s_odd[::-1] ** 2
+    lam = (w_even - w_odd) / (w_even + w_odd)
     if np.max(np.abs(np.abs(lam) - 1.0)) > PARITY_TOL:
         raise NotInversionSymmetric(
             f"inversion eigenvalues {np.sort(lam).round(8).tolist()} "
@@ -212,8 +203,8 @@ def _sort_by_parity(state: SlaterState) -> ParitySortedState:
     coeffs = np.zeros_like(state.coeffs)
     coeffs[:n_even, 0::2] = even[:n_even]
     coeffs[n_even:, 1::2] = odd[:n_odd]
-    return ParitySortedState(coeffs=coeffs, parity=np.repeat([1, -1], [n_even, n_odd]),
-                             n_even=n_even, n_odd=n_odd)
+    coeffs.flags.writeable = False
+    return ParitySortedState(coeffs=coeffs, n_even=n_even, n_odd=n_odd)
 
 
 def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
@@ -294,13 +285,14 @@ def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[
 
     From the phase scan of a uniform grid of ``grid_size`` intervals
     (_phase_scan; at DEFAULT_GRID the state's kept phase_scan).  Raises
-    GapClosed, carrying the scan's closings, exactly when the scan found
-    one, and GridTooCoarse when it stopped at GRID_CAP with a bad step left.
+    GapClosed, carrying the scan's closings and min |det m|, exactly when
+    the scan found one, and GridTooCoarse when it stopped at GRID_CAP with
+    a bad step left.
     """
     nu, intervals, min_det, closings = (
         ps.phase_scan if grid_size == DEFAULT_GRID else _phase_scan(ps, grid_size))
     if closings:
-        raise GapClosed(closings)
+        raise GapClosed(closings, min_det)
     if nu is None:
         raise GridTooCoarse(f"phase steps still >= pi/2 at {intervals} intervals")
     return nu, intervals, min_det

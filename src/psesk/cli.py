@@ -24,15 +24,13 @@ import numpy as np
 
 from . import chiral, entanglement, phasespace, potentials
 from .chiral import GapClosed, NotInversionSymmetric
-from .hobasis import DEFAULT_BASIS_SIZE, TruncationError, ho_stack
+from .hobasis import DEFAULT_BASIS_SIZE, ho_stack
 from .overlap import GramBoundError
 from .states import SlaterState, ho_slater, interpolated_state
 
 NUMERIC_ERRORS = (
-    TruncationError,
     GramBoundError,
     entanglement.NonHermitian,
-    entanglement.SingularOverlap,
     NotInversionSymmetric,
     chiral.GridTooCoarse,
     chiral.EmptyBlock,
@@ -437,7 +435,8 @@ def cmd_winding(cfg: dict) -> int:
         nu, k_used, min_det = chiral.winding_scan(ps, grid_size=cfg["winding_grid"])
     except GapClosed as exc:
         write_outputs(cfg, "winding", "winding", {**report, "nu_E": None, "K_used": None,
-                                                  "min_abs_det": 0.0, "closings": exc.closings})
+                                                  "min_abs_det": exc.min_abs_det,
+                                                  "closings": exc.closings})
         print("gap closed; winding undefined", file=sys.stderr)
         return 4
     write_outputs(cfg, "winding", "winding", {**report, "nu_E": nu, "K_used": k_used,

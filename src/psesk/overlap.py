@@ -261,14 +261,16 @@ def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
 
     The constant term is always held.  The coefficients are built and held
     when one build fits HARMONIC_BYTES; otherwise nothing more is built
-    here, and each evaluation rebuilds them.
+    here, and each evaluation rebuilds them.  Both are held read-only.
     """
     m = left.shape[1]
     orders = np.arange(1 - m + m % 2, m, 2)  # the odd lags below M
-    coeffs = None
+    half, coeffs = 0.5 * (left.conj() @ right.T), None
     if harmonic_rows(len(right), m) >= len(left):
         ((_, coeffs),) = _coefficient_blocks(left, right, orders, max(1, len(left)))
-    return GramianHarmonics(left, right, orders, 0.5 * (left.conj() @ right.T), coeffs)
+        coeffs.flags.writeable = False
+    half.flags.writeable = False
+    return GramianHarmonics(left, right, orders, half, coeffs)
 
 
 def _blocks(h: GramianHarmonics):

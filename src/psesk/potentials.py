@@ -182,7 +182,7 @@ class BoundStateSet:
 
     def as_slater(self) -> SlaterState:
         """The Slater state filling every level of the set."""
-        return SlaterState(self.states.astype(complex))
+        return SlaterState(self.states)
 
 
 def _continuum_threshold(sampler: Sampler) -> float:

@@ -1,5 +1,8 @@
 """Slater-determinant states as orthonormal coefficient rows over the
-oscillator basis, plus the named state families used throughout."""
+oscillator basis, plus the named state families used throughout.
+
+A state holds a read-only copy of the rows it is given, and states compare
+by identity (``==`` is ``is``), so a state can key a dictionary."""
 
 from __future__ import annotations
 
@@ -13,14 +16,15 @@ __all__ = ["SlaterState", "ho_slater", "interpolated_state"]
 ORTHONORMALITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlaterState:
     """N orthonormal single-particle states, rows of an N x M matrix."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
+        c = np.array(self.coeffs, dtype=complex, ndmin=2)  # always a copy
+        c.flags.writeable = False
         gram = c @ c.conj().T
         dev = np.max(np.abs(gram - np.eye(c.shape[0])))
         if not dev <= ORTHONORMALITY_TOL:  # a NaN deviation fails too

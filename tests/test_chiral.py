@@ -40,7 +40,6 @@ def test_inversion_eigenvalues_pm_one_for_symmetric_states():
 def test_parity_sort_identity_case():
     ps = chiral.parity_sort(ho_slater([0, 1]))
     assert (ps.n_even, ps.n_odd) == (1, 1)
-    assert list(ps.parity) == [1, -1]
     assert abs(ps.coeffs[0, 0]) == pytest.approx(1.0)
     assert abs(ps.coeffs[1, 1]) == pytest.approx(1.0)
 
@@ -48,7 +47,6 @@ def test_parity_sort_identity_case():
 def test_parity_sort_reorders_even_first():
     ps = chiral.parity_sort(ho_slater([0, 1, 2]))
     assert (ps.n_even, ps.n_odd) == (2, 1)
-    assert list(ps.parity) == [1, 1, -1]
     # odd row is phi_1
     assert abs(ps.coeffs[2, 1]) == pytest.approx(1.0)
 
@@ -200,7 +198,7 @@ def test_zero_on_a_grid_point_is_one_closing():
     # grid point pi/2: its phase steps are NaN, which count as bad, the
     # bisection resolves the zero, and no warning escapes
     rows = np.array([[0.577350269189626, 0.0, 0.8164965809277263], [0.0, 1.0, 0.0]], dtype=complex)
-    exact = chiral.ParitySortedState(coeffs=rows, parity=np.array([1, -1]), n_even=1, n_odd=1)
+    exact = chiral.ParitySortedState(coeffs=rows, n_even=1, n_odd=1)
     assert exact.grid_determinants[chiral.DEFAULT_GRID // 2] == 0.0
     # the sorted state's det there is roundoff, not 0, and one ulp above
     # T_CRIT the phase scan sees no bad step at all (nu = -1): only the gap
@@ -313,7 +311,7 @@ def test_anticommutation_with_parity_grading():
     ps = chiral.parity_sort(random_symmetric_slater(rng, 3, 2, 14))
     grading = np.diag([1.0] * ps.n_even + [-1.0] * ps.n_odd)
     for theta in (0.0, 0.9, 2.2):
-        o = rotated_overlap(ps.as_state(), theta)
+        o = rotated_overlap(SlaterState(ps.coeffs), theta)
         m_big = 2.0 * o - np.eye(ps.n_even + ps.n_odd)
         anti = m_big @ grading + grading @ m_big
         assert np.max(np.abs(anti)) < 1e-10
@@ -323,7 +321,7 @@ def test_zero_mode_count_respects_rank_bound():
     rng = np.random.default_rng(35)
     ps = chiral.parity_sort(random_symmetric_slater(rng, 4, 2, 16))
     for theta in np.linspace(0, math.pi, 9):
-        eps = entanglement_energies(schmidt_values(rotated_overlap(ps.as_state(), theta)))
+        eps = entanglement_energies(schmidt_values(rotated_overlap(SlaterState(ps.coeffs), theta)))
         zeros = int(np.sum(np.abs(eps) < 1e-8))
         assert zeros >= chiral.flat_band_count(ps)
 
@@ -521,7 +519,7 @@ def test_grid_determinants_from_row_blocks(well_states, monkeypatch):
     states = _grid_oracle_states(well_states)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     for name in ("well-double_well", "random-1000", "ho-900-919"):
-        ps = chiral.parity_sort(states[name].as_state())
+        ps = chiral.parity_sort(SlaterState(states[name].coeffs))
         assert ps.harmonics.coeffs is None
         _assert_grid_matches_per_angle(ps)
 
@@ -625,7 +623,7 @@ def _counting(monkeypatch, name):
 
 def test_gapped_wells_and_flat_fillings_refine_nothing(well_states, monkeypatch):
     # fresh sorts, so no scan is remembered from another test
-    states = {kind: chiral.parity_sort(ps.as_state()) for kind, ps in well_states.items()}
+    states = {kind: chiral.parity_sort(SlaterState(ps.coeffs)) for kind, ps in well_states.items()}
     states["oscillator-0-11-mixed"] = chiral.parity_sort(_scan_states()["oscillator-0-11-mixed"])
     assert sum(len(_grid_brackets(ps, dets=np.abs(ps.grid_determinants[:-1])))
                for ps in states.values()) > 0
@@ -638,7 +636,7 @@ def test_gapped_wells_and_flat_fillings_refine_nothing(well_states, monkeypatch)
 def test_scans_agree_without_held_harmonics(well_states, monkeypatch):
     # rebuilt Gramians round within 1e-15 of held ones: the same windings,
     # grids and closings
-    states = {kind: ps.as_state() for kind, ps in well_states.items()}
+    states = {kind: SlaterState(ps.coeffs) for kind, ps in well_states.items()}
     states["random-1000"] = _closing_oracle_states()["random-1000"]
     want = {name: chiral.parity_sort(state).phase_scan for name, state in states.items()}
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
@@ -687,4 +685,29 @@ def test_parity_sort_holds_no_reference_to_its_state():
     del state
     gc.collect()
     assert ref() is None
-    assert chiral._last_sort is None
+    assert not chiral._sorts  # the memo dropped its sort with the state
+
+
+def test_sort_and_harmonics_are_read_only():
+    ps = chiral.parity_sort(ho_slater([0, 1, 2, 3], 8))
+    for array in (ps.coeffs, ps.harmonics.half, ps.harmonics.coeffs):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+
+
+def test_editing_the_callers_rows_changes_neither_the_state_nor_its_winding():
+    rows = ho_slater([0, 1, 2, 3], 8).coeffs.copy()
+    state = SlaterState(rows)
+    assert chiral.winding_number(chiral.parity_sort(state)) == 2
+    rows[:] = ho_slater([0, 1, 2, 5], 8).coeffs
+    assert chiral.winding_number(chiral.parity_sort(SlaterState(rows))) == 4
+    # that sort replaced the memo, so this one is made afresh from the state's own rows
+    assert chiral.winding_number(chiral.parity_sort(state)) == 2
+
+
+def test_a_norm_defect_does_not_unbalance_the_sort():
+    # SlaterState admits a 1e-8 deviation; the even and odd weights of each
+    # mode both carry the defect, so it cancels in lambda
+    state = SlaterState(ho_slater([0, 1, 2, 3]).coeffs * math.sqrt(1.0 + 6e-9))
+    ps = chiral.parity_sort(state)
+    assert (ps.n_even, ps.n_odd) == (2, 2)

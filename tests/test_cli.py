@@ -177,7 +177,10 @@ def test_winding_of_a_wide_ground_filling(tmp_path, capsys, state, nu):
 def test_winding_one_ulp_above_the_critical_point_names_its_closing(tmp_path):
     rc = main(["winding", "--interpolated", "0.6081734479693929,0", "--out", str(tmp_path)])
     assert rc == 4
-    assert json.loads((tmp_path / "winding.json").read_text())["closings"] == [math.pi / 2]
+    report = json.loads((tmp_path / "winding.json").read_text())
+    assert report["closings"] == [math.pi / 2]
+    # the smallest |det m| the scan saw, roundoff above the zero
+    assert 0.0 < report["min_abs_det"] < chiral.DET_FLOOR
 
 
 def test_winding_closings_come_from_the_requested_grid(tmp_path, monkeypatch):

@@ -52,3 +52,20 @@ def test_rotate_by_unitary_keeps_orthonormality():
     r = s.rotate(u)
     assert isinstance(r, SlaterState)
     assert r.coeffs[0, 0] == pytest.approx(1 / math.sqrt(2))
+
+
+def test_state_holds_a_read_only_copy_of_its_rows():
+    rows = ho_slater([0, 1, 2, 3], 8).coeffs.copy()
+    s = SlaterState(rows)
+    assert s.coeffs is not rows and not np.shares_memory(s.coeffs, rows)
+    rows[0, 0] = 7.0
+    assert s.coeffs[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        s.coeffs[0, 0] = 7.0
+
+
+def test_states_compare_by_identity_and_hash():
+    s = ho_slater([0, 1])
+    twin = SlaterState(s.coeffs)
+    assert s == s and s != twin
+    assert {s: 1, twin: 2}[s] == 1
