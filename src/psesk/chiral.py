@@ -32,16 +32,20 @@ are read-only, so what the memo shares cannot change under it.
 The scans start from det m on the uniform grid theta_j = pi j / G, the
 first half of the DFT grid of 2G angles: its blocks come from one inverse
 FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
-m(pi) = -m(0).  The winding and the gap closings come from one phase scan
-of that grid: det m can wind only through a zero, where the chiral gap
+m(pi) = -m(0).  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
+the entries of m have odd lags |k| < M, so no harmonic of m turns by more
+than pi per interval, nor det m of an adjacent filling by more than pi/2;
+a det m turning faster than 1.5 G, as for separated level groups, still
+aliases.  The winding and the gap closings come from one phase scan of
+that grid: det m can wind only through a zero, where the chiral gap
 sigma_min(m) closes.  The scan bisects every interval whose phase step is
 >= pi/2 (or undefined, at an exact zero) and evaluates only the midpoints,
 through block_determinants; a bad interval narrower than RESOLUTION holds
 a zero and is bisected no further, and an angle whose gap is below
-DET_FLOOR is a closing too.  Each parity-sorted state keeps its
-DEFAULT_GRID determinants and its scan of them, so the winding and the
-closings share one scan, and the minimum gap refines the same grid's
-smallest |det m| by golden section.
+DET_FLOOR is a closing too.  Each parity-sorted state keeps its grid's
+determinants and one scan of them, which the winding and the closings
+share; the minimum gap refines that grid's smallest |det m| by golden
+section.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ __all__ = [
 
 PARITY_TOL = 1e-8
 DET_FLOOR = 1e-10
-DEFAULT_GRID = 256
+DEFAULT_GRID = 256  # the fewest base-grid intervals of any state
 GRID_CAP = 16384
 # a bad phase step this narrow holds a zero; golden-section brackets end this narrow
 RESOLUTION = 1e-10
@@ -129,19 +133,20 @@ class ParitySortedState:
 
     @cached_property
     def grid_determinants(self) -> np.ndarray:
-        """det m(pi j / DEFAULT_GRID), j = 0 .. DEFAULT_GRID, computed on first use.
+        """det m(pi j / G), j = 0 .. G, G = max(DEFAULT_GRID, 2^ceil(log2 M)), made on first use.
 
         The base grid that every scan starts from, kept read-only; its
         blocks are not kept.
         """
-        dets = _grid_determinants(self, DEFAULT_GRID)
+        grid_size = max(DEFAULT_GRID, 1 << (self.coeffs.shape[1] - 1).bit_length())
+        dets = _grid_determinants(self, grid_size)
         dets.flags.writeable = False
         return dets
 
     @cached_property
     def phase_scan(self) -> tuple[int | None, int, float, tuple[float, ...]]:
         """The phase scan of grid_determinants (_phase_scan), run on first use."""
-        return _phase_scan(self, DEFAULT_GRID)
+        return _phase_scan(self, self.grid_determinants)
 
 
 def inversion_matrix(state: SlaterState) -> np.ndarray:
@@ -223,7 +228,9 @@ def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
     The angles pi j / G, j < G, are the first half of the DFT grid of
     K = 2G angles, so their blocks come from the half-turn FFT of the
     state's harmonics.  The endpoint needs no block: m(pi) = -m(0), so
-    det m(pi) = (-1)^{N_e} det m(0).
+    det m(pi) = (-1)^{N_e} det m(0).  The FFT bins and their transform
+    coexist: the peak is about twice the (G, N_e, N_e) complex stack, at
+    most 2.2 times.
     """
     if ps.n_even != ps.n_odd:
         raise EmptyBlock("det m needs equally many even and odd orbitals")
@@ -232,14 +239,13 @@ def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
 
 
 def _phase_scan(
-    ps: ParitySortedState, grid_size: int
+    ps: ParitySortedState, dets: np.ndarray
 ) -> tuple[int | None, int, float, tuple[float, ...]]:
     """(winding or None, intervals in the final grid, min |det m| seen, closings).
 
-    Phase-unwraps det m from a uniform grid of ``grid_size`` intervals over
-    [0, pi], taken from the half-turn FFT (_grid_determinants; at
-    DEFAULT_GRID the state's kept grid_determinants).  Every bad interval,
-    whose wrapped step is >= pi/2 or NaN (a det that is exactly 0), is
+    Phase-unwraps ``dets``, det m on the uniform grid of len(dets) - 1
+    intervals over [0, pi] (_grid_determinants).  Every bad interval, whose
+    wrapped step is >= pi/2 or NaN (a det that is exactly 0), is
     bisected and only its midpoint evaluated by block_determinants, until
     each bad interval left is narrower than RESOLUTION, or the midpoints
     would exceed GRID_CAP.  The winding is None while any bad interval is
@@ -250,11 +256,9 @@ def _phase_scan(
     than RESOLUTION, and the evaluated angles where the chiral gap
     sigma_min(m) < DET_FLOOR; m takes an SVD only where the bound
     sigma_min >= 2^{N_e - 1} |det m| (every sigma_i <= 1/2) is below it.
-    The base grid peaks at about twice its (grid_size, N_e, N_e) complex
-    stack (the FFT bins and their transform), at most 2.2 times.
     """
+    grid_size = len(dets) - 1
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
-    dets = ps.grid_determinants if grid_size == DEFAULT_GRID else _grid_determinants(ps, grid_size)
     while True:
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.angle(dets[1:] / dets[:-1])
@@ -280,17 +284,14 @@ def _phase_scan(
     return nu, len(steps), float(np.min(np.abs(dets))), tuple(sorted(closings))
 
 
-def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[int, int, float]:
+def winding_scan(ps: ParitySortedState) -> tuple[int, int, float]:
     """(winding, intervals in the final grid, min |det m| seen) over theta in [0, pi].
 
-    From the phase scan of a uniform grid of ``grid_size`` intervals
-    (_phase_scan; at DEFAULT_GRID the state's kept phase_scan).  Raises
-    GapClosed, carrying the scan's closings and min |det m|, exactly when
-    the scan found one, and GridTooCoarse when it stopped at GRID_CAP with
-    a bad step left.
+    From the state's phase_scan.  Raises GapClosed, carrying the scan's
+    closings and min |det m|, exactly when the scan found one, and
+    GridTooCoarse when it stopped at GRID_CAP with a bad step left.
     """
-    nu, intervals, min_det, closings = (
-        ps.phase_scan if grid_size == DEFAULT_GRID else _phase_scan(ps, grid_size))
+    nu, intervals, min_det, closings = ps.phase_scan
     if closings:
         raise GapClosed(closings, min_det)
     if nu is None:
@@ -298,9 +299,9 @@ def winding_scan(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> tuple[
     return nu, intervals, min_det
 
 
-def winding_number(ps: ParitySortedState, grid_size: int = DEFAULT_GRID) -> int:
+def winding_number(ps: ParitySortedState) -> int:
     """Winding of det m(theta) over theta in [0, pi] (see winding_scan)."""
-    return winding_scan(ps, grid_size)[0]
+    return winding_scan(ps)[0]
 
 
 def flat_band_count(ps: ParitySortedState) -> int:
@@ -311,14 +312,14 @@ def flat_band_count(ps: ParitySortedState) -> int:
 def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
     """(theta*, min |det m|) over the fundamental domain [0, pi).
 
-    The smallest |det m| of the DEFAULT_GRID angles pi j / DEFAULT_GRID,
-    j < DEFAULT_GRID (grid_determinants), refined by golden section over
-    its two neighbouring intervals until the bracket is at most RESOLUTION
-    wide; theta* is the final bracket's midpoint.
+    The smallest |det m| of the state's grid angles pi j / G, j < G
+    (grid_determinants), refined by golden section over its two
+    neighbouring intervals until the bracket is at most RESOLUTION wide;
+    theta* is the final bracket's midpoint.
     """
-    thetas = np.linspace(0.0, math.pi, DEFAULT_GRID, endpoint=False)
-    centre = thetas[int(np.argmin(np.abs(ps.grid_determinants[:-1])))]
-    step = math.pi / DEFAULT_GRID
+    dets = np.abs(ps.grid_determinants[:-1])
+    step = math.pi / len(dets)
+    centre = step * int(np.argmin(dets))
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = centre - step, centre + step
     c, d = b - g * (b - a), a + g * (b - a)
@@ -338,7 +339,7 @@ def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
 
 def detect_gap_closings(ps: ParitySortedState) -> list[float]:
     """Angles in [0, pi) where det m vanishes: the closings of the state's
-    phase scan (_phase_scan) of the DEFAULT_GRID grid.
+    phase scan of its grid (phase_scan).
 
     A closing is a bad phase step resolved to an interval narrower than
     RESOLUTION.  Returns an empty list for gapped states; the list may be

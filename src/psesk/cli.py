@@ -107,8 +107,6 @@ KEYS = {
     "state": Key(None, lambda v: v is None or type(v) is dict and len(v) == 1
                  and v.keys() <= STATE_KINDS.keys(),
                  f"null or an object naming one of {', '.join(STATE_KINDS)}", (), {}),
-    "winding_grid": Key(256, _size(256), f"an integer in [256, {MAX_POINTS}]",
-                        ("spectrum", "winding"), INT),
     "t_points": Key(81, _size(1), f"an integer in [1, {MAX_POINTS}]", ("entropy-surface",), INT),
     "grid_points": Key(161, _size(2), f"an integer in [2, {MAX_POINTS}]", ("wigner",), INT),
     "grid_half_width": Key(8.0, lambda v: _finite(v) and v > 0, "a finite number > 0",
@@ -364,7 +362,7 @@ def build_state(cfg: dict) -> tuple[SlaterState, dict]:
         raise ConfigError(f"bad state spec: {exc}") from exc
 
 
-def _chiral_metadata(state: SlaterState, winding_grid: int) -> dict:
+def _chiral_metadata(state: SlaterState) -> dict:
     meta: dict = {"n_even": None, "n_odd": None, "flat_bands": None,
                   "nu_e": None, "inversion_symmetric": False}
     try:
@@ -379,7 +377,7 @@ def _chiral_metadata(state: SlaterState, winding_grid: int) -> dict:
     )
     if ps.n_even == ps.n_odd and ps.n_even > 0:
         try:
-            meta["nu_e"] = chiral.winding_number(ps, grid_size=winding_grid)
+            meta["nu_e"] = chiral.winding_number(ps)
         except (GapClosed, chiral.GridTooCoarse):
             meta["nu_e"] = None
     return meta
@@ -410,7 +408,7 @@ def cmd_spectrum(cfg: dict) -> int:
         "basis_size": state.basis_size,
         "gap_min": _json_value(float(np.min(data.gap))),
         "entropy_file": f"entropy.{cfg['format']}",
-        **_chiral_metadata(state, cfg["winding_grid"]),
+        **_chiral_metadata(state),
     }
     write_outputs(cfg, "spectrum", "spectrum_meta", report, tables=[
         ("spectrum", ["theta", "level", "epsilon"], Blocks(data.energies.size, spectrum())),
@@ -432,7 +430,7 @@ def cmd_winding(cfg: dict) -> int:
         print(f"flat bands: {flat} (n_even={ps.n_even}, n_odd={ps.n_odd})")
         return 0
     try:
-        nu, k_used, min_det = chiral.winding_scan(ps, grid_size=cfg["winding_grid"])
+        nu, k_used, min_det = chiral.winding_scan(ps)
     except GapClosed as exc:
         write_outputs(cfg, "winding", "winding", {**report, "nu_E": None, "K_used": None,
                                                   "min_abs_det": exc.min_abs_det,

@@ -159,9 +159,14 @@ def test_winding_ground_and_excited(m):
     assert chiral.winding_number(es) == -m
 
 
+def _scan(ps, grid_size):
+    """The phase scan from a base grid of ``grid_size`` intervals, not the state's own."""
+    return chiral._phase_scan(ps, chiral._grid_determinants(ps, grid_size))
+
+
 def test_winding_grid_doubling_stable():
     ps = chiral.parity_sort(ho_slater([0, 1, 2, 3]))
-    assert chiral.winding_number(ps, grid_size=64) == chiral.winding_number(ps, grid_size=128)
+    assert _scan(ps, 64)[0] == _scan(ps, 128)[0] == chiral.winding_number(ps)
 
 
 def test_winding_sign_flips_across_critical_t():
@@ -173,8 +178,12 @@ def test_winding_sign_flips_across_critical_t():
 
 def test_winding_raises_at_closed_gap():
     ps = chiral.parity_sort(interpolated_state(T_CRIT, PHI))
-    with pytest.raises(chiral.GapClosed):
-        chiral.winding_number(ps, grid_size=4096)
+    with pytest.raises(chiral.GapClosed) as closed:
+        chiral.winding_number(ps)
+    # a finer base grid finds the same closing
+    finer = _scan(ps, 4096)[3]
+    assert len(finer) == len(closed.value.closings) == 1
+    assert abs(finer[0] - closed.value.closings[0]) < 1e-9
 
 
 def test_winding_at_the_grid_cap_finds_a_zero_between_grid_points(monkeypatch):
@@ -218,18 +227,61 @@ def test_zero_on_a_grid_point_is_one_closing():
 
 def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
     # det m of levels 0 and 1001 is a single frequency, e^{1001 i theta} up to
-    # a constant: 256 intervals step by 3.9 pi each, which wraps to -0.09 pi
+    # a constant: 256 intervals step by 3.9 pi each, which wraps to -0.09 pi;
+    # the state's own grid, 1024 intervals for M = 1024, steps by 0.98 pi
+    # each, and the scan bisects every one of them
     ps = chiral.parity_sort(ho_slater([0, 1001], basis_size=1024))
-    assert chiral.winding_scan(ps)[0] == -23
-    assert chiral.winding_scan(ps, 1024)[0] == 1001
+    assert _scan(ps, chiral.DEFAULT_GRID)[0] == -23
+    nu, intervals, _ = chiral.winding_scan(ps)
+    assert nu == 1001
+    assert intervals >= 1024
+
+
+@pytest.mark.parametrize("levels, nu", [([0, 601], 601), ([0, 2, 601, 603], 1202)])
+def test_windings_faster_than_the_floor_grid(levels, nu):
+    # M = 602 and 604 give these states 1024 intervals; from 256 intervals
+    # the scan aliases them to 89 and 178
+    assert chiral.winding_number(chiral.parity_sort(ho_slater(levels))) == nu
+
+
+def test_grid_size_comes_from_the_basis():
+    rng = np.random.default_rng(45)
+    for m in (1, 100, 256, 257, 1024):
+        if m == 1:  # one column holds no odd level: the sort's rows are given directly
+            ps = chiral.ParitySortedState(coeffs=np.array([[1.0], [0.0]], dtype=complex),
+                                          n_even=1, n_odd=1)
+        else:
+            ps = chiral.parity_sort(random_symmetric_slater(rng, 1, 1, m))
+        assert len(ps.grid_determinants) - 1 == max(256, 2 ** math.ceil(math.log2(m))), m
+
+
+def test_zero_padding_and_orbital_mixing_keep_the_winding_and_closings():
+    # padding the basis across M = 256 and 512 changes the state's grid, and
+    # mixing the orbitals changes det m by a constant phase: neither moves
+    # the winding or the closings
+    rng = np.random.default_rng(46)
+    for state in (ho_slater([0, 1, 2, 3]), interpolated_state(T_CRIT, PHI)):
+        want = chiral.parity_sort(state).phase_scan
+        n, basis = state.coeffs.shape
+        for m in (257, 1024):
+            rows = np.zeros((n, m), dtype=complex)
+            rows[:, :basis] = state.coeffs
+            for mixed in (rows, random_unitary_rows(rng, n, n) @ rows):
+                ps = chiral.parity_sort(SlaterState(mixed))
+                nu, _, _, closings = ps.phase_scan
+                assert len(ps.grid_determinants) - 1 == 2 ** math.ceil(math.log2(m))
+                assert nu == want[0]
+                assert len(closings) == len(want[3])
+                for got, was in zip(closings, want[3]):
+                    assert abs((got - was + math.pi / 2.0) % math.pi - math.pi / 2.0) < 1e-9
 
 
 def test_a_grid_at_the_cap_still_bisects():
     # GRID_CAP bounds the midpoints, not the base grid: the dip near
     # 5 pi / 6 is narrower than this grid's spacing too
     ps = chiral.parity_sort(interpolated_state(0.6082, PHI))
-    nu, intervals, _ = chiral.winding_scan(ps, chiral.GRID_CAP)
-    assert nu == -1
+    nu, intervals, _, closings = _scan(ps, chiral.GRID_CAP)
+    assert (nu, closings) == (-1, ())
     assert chiral.GRID_CAP < intervals <= 2 * chiral.GRID_CAP
 
 
@@ -242,15 +294,16 @@ def test_wide_fillings_wind_with_an_open_gap():
     assert min_det < chiral.DET_FLOOR < 2.0**33 * min_det
     ps = chiral.parity_sort(random_symmetric_slater(np.random.default_rng(5), 30, 30, 1024))
     nu, _, min_det = chiral.winding_scan(ps)
-    assert nu == 14
+    assert nu == 16  # as on every base grid from 512 to 4096 intervals
     assert 2.0**29 * min_det < chiral.DET_FLOOR  # here the bound alone cannot tell
 
 
 def test_winding_at_the_grid_cap_without_a_zero_is_too_coarse(monkeypatch):
     # 40 levels wind 20 times over [0, pi]: 8 intervals cannot resolve it
     monkeypatch.setattr(chiral, "GRID_CAP", 16)
-    with pytest.raises(chiral.GridTooCoarse):
-        chiral.winding_scan(chiral.parity_sort(ho_slater(range(40))), grid_size=8)
+    nu, intervals, _, closings = _scan(chiral.parity_sort(ho_slater(range(40))), 8)
+    assert (nu, closings) == (None, ())
+    assert intervals <= 8 + 16
 
 
 @pytest.mark.parametrize("t, nu", [(0.6082, -1), (0.60817, 1)])
@@ -372,6 +425,7 @@ def _scalar_golden(ps, lo, hi, resolution):
 
 
 def _grid_brackets(ps, n_grid=256, dets=None):
+    n_grid = n_grid if dets is None else len(dets)
     thetas = np.linspace(0.0, math.pi, n_grid, endpoint=False)
     if dets is None:
         dets = np.abs(chiral.block_determinants(ps, thetas))
@@ -549,7 +603,7 @@ def test_winding_scan_memory_on_a_long_grid():
     overlap.ho_overlap_table(100)
     tracemalloc.start()
     try:
-        assert chiral.winding_scan(ps, grid_size)[1] == grid_size
+        assert _scan(ps, grid_size)[1] == grid_size
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -568,8 +622,13 @@ def test_default_grid_is_computed_once_per_state(monkeypatch):
     chiral.minimum_block_gap(ps)
     assert grids == [chiral.DEFAULT_GRID]
     assert not ps.grid_determinants.flags.writeable
-    chiral.winding_scan(ps, 64)
-    assert grids == [chiral.DEFAULT_GRID, 64]
+    chiral.winding_number(ps)
+    assert grids == [chiral.DEFAULT_GRID]
+    # a wider basis makes a longer grid, once
+    wide = chiral.parity_sort(interpolated_state(0.3, PHI, basis_size=300))
+    chiral.winding_scan(wide)
+    chiral.minimum_block_gap(wide)
+    assert grids == [chiral.DEFAULT_GRID, 512]
 
 
 def _closing_oracle_states():

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from psesk import chiral, cli
+from psesk import chiral, cli, potentials
 from psesk.cli import COMMANDS, KEYS, STATE_FLAGS, build_parser, main, resolve_config
+from psesk.overlap import evaluate_gramians
 from psesk.phasespace import wigner_mn
 from psesk.states import ho_slater
 
@@ -174,6 +175,33 @@ def test_winding_of_a_wide_ground_filling(tmp_path, capsys, state, nu):
     assert f"nu_E = {nu}" in capsys.readouterr().out
 
 
+def test_winding_grid_comes_from_the_basis(tmp_path, capsys):
+    # det m is e^{1001 i theta} up to a constant: the state's grid of 1024
+    # intervals resolves what the 256-interval floor grid aliases to -23
+    rc = main(["winding", "--ho-slater", "0,1001", "--basis", "1024", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "nu_E = 1001" in capsys.readouterr().out
+    report = json.loads((tmp_path / "winding.json").read_text())
+    assert report["nu_E"] == 1001
+    assert report["K_used"] >= 1024
+
+
+def test_spectrum_gap_min_is_the_chiral_gap(tmp_path):
+    # for a balanced symmetric state the smallest |epsilon| at each angle is
+    # 2 artanh(2 sigma_min(m(theta)))
+    rc = main(["spectrum", "--potential", "poschl_teller", "--particles", "6",
+               "--theta-points", "64", "--out", str(tmp_path)])
+    assert rc == 0
+    gap_min = json.loads((tmp_path / "spectrum_meta.json").read_text())["gap_min"]
+    state = potentials.bound_states(potentials.potential("poschl_teller"), 6).as_slater()
+    ps = chiral.parity_sort(state)
+    assert ps.n_even == ps.n_odd == 3
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    sigma_min = np.linalg.svd(evaluate_gramians(ps.harmonics, thetas), compute_uv=False)[:, -1]
+    want = float(np.min(2.0 * np.arctanh(2.0 * sigma_min)))
+    assert abs(gap_min - want) <= 1e-10 * want
+
+
 def test_winding_one_ulp_above_the_critical_point_names_its_closing(tmp_path):
     rc = main(["winding", "--interpolated", "0.6081734479693929,0", "--out", str(tmp_path)])
     assert rc == 4
@@ -184,15 +212,16 @@ def test_winding_one_ulp_above_the_critical_point_names_its_closing(tmp_path):
 
 
 def test_winding_closings_come_from_the_requested_grid(tmp_path, monkeypatch):
+    # the report's closings come from the state's one grid, sized from its basis
     grids = []
     grid_determinants = chiral._grid_determinants
     monkeypatch.setattr(chiral, "_grid_determinants",
                         lambda ps, grid_size: grids.append(grid_size) or grid_determinants(ps, grid_size))
     t_crit = (2.0 / math.pi) * math.atan(math.sqrt(2.0))
-    rc = main(["winding", "--interpolated", f"{t_crit},2.0944", "--winding-grid", "4096",
+    rc = main(["winding", "--interpolated", f"{t_crit},2.0944", "--basis", "600",
                "--out", str(tmp_path)])
     assert rc == 4
-    assert grids == [4096]
+    assert grids == [1024]
     closings = json.loads((tmp_path / "winding.json").read_text())["closings"]
     assert closings == [pytest.approx((math.pi + 2.0944) / 2, abs=1e-4)]
 
@@ -502,12 +531,11 @@ def test_frft_check_passes(capsys):
 # frft-check takes no state and runs a fixed 0.6 s oracle suite
 FUZZ_COMMANDS = ["spectrum", "winding", "entropy-surface", "wigner", "solve-potential"]
 # small valid sizes keep a run that succeeds to milliseconds
-SMALL = {"theta_points": 16, "grid_points": 9, "t_points": 2, "basis": 12, "levels": 2,
-         "winding_grid": 256}
+SMALL = {"theta_points": 16, "grid_points": 9, "t_points": 2, "basis": 12, "levels": 2}
 # valid flag values; --out values stay inside the working directory
 FLAG_VALUES = {
     "--out": ["o", "o/p"], "--theta-points": ["16", "64"], "--basis": ["4", "12", "40"],
-    "--format": ["csv", "json"], "--gnuplot": [], "--winding-grid": ["256", "1024"],
+    "--format": ["csv", "json"], "--gnuplot": [],
     "--t-points": ["1", "3"], "--grid-points": ["2", "41"], "--grid-half-width": ["2.5", "6", "40"],
     "--levels": ["1", "3"], "--ho-slater": ["0", "0,1", "1,2,3,4"],
     "--interpolated": ["0.3,1", "0.61,2.0944"], "--potential": ["sho", "double_well", "rosen_morse"],
@@ -522,7 +550,6 @@ CONFIG_VALUES = {
     "basis": st.integers(1, 40), "t_points": st.integers(1, 3), "levels": st.integers(1, 4),
     "grid_points": st.integers(2, 41),
     "grid_half_width": st.one_of(st.floats(0.5, 8), st.sampled_from([1e200, 10**400])),
-    "winding_grid": st.sampled_from([256, 512, 1024]),
     "state": st.one_of(
         st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True).map(
             lambda v: {"ho_slater": sorted(v)}),
@@ -715,9 +742,9 @@ def test_scripts_exit_nonzero_when_a_command_fails(script, tmp_path, monkeypatch
 
 WELL = {"--potential", "--potential-expr", "--particles"}
 FLAG_SETS = {
-    "spectrum": {"--out", "--theta-points", "--basis", "--format", "--gnuplot", "--winding-grid",
-                 "--ho-slater", "--interpolated"} | WELL,
-    "winding": {"--out", "--basis", "--winding-grid", "--ho-slater", "--interpolated"} | WELL,
+    "spectrum": {"--out", "--theta-points", "--basis", "--format", "--gnuplot", "--ho-slater",
+                 "--interpolated"} | WELL,
+    "winding": {"--out", "--basis", "--ho-slater", "--interpolated"} | WELL,
     "entropy-surface": {"--out", "--theta-points", "--format", "--t-points", "--interpolated"},
     "wigner": {"--out", "--basis", "--format", "--gnuplot", "--grid-points", "--grid-half-width",
                "--ho-slater", "--interpolated", "--coherent"} | WELL,
@@ -742,7 +769,7 @@ def readme_flag_commands():
 def test_command_flag_sets():
     # every flag a command takes is one it reads, and --config comes with any flag
     want = {name: flags | {"--config"} if flags else flags for name, flags in FLAG_SETS.items()}
-    assert sum(len(flags - {"--config"}) for flags in want.values()) == 43
+    assert sum(len(flags - {"--config"}) for flags in want.values()) == 41
     subparsers = build_parser()._subparsers._group_actions[0].choices
     got = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
            for name, sub in subparsers.items()}
@@ -754,8 +781,8 @@ def test_command_flag_sets():
 
 # the config keys each command reads, besides its state
 READS = {
-    "spectrum": {"out", "theta_points", "basis", "format", "gnuplot", "winding_grid"},
-    "winding": {"out", "basis", "winding_grid"},
+    "spectrum": {"out", "theta_points", "basis", "format", "gnuplot"},
+    "winding": {"out", "basis"},
     "entropy-surface": {"out", "theta_points", "format", "t_points"},
     "wigner": {"out", "basis", "format", "gnuplot", "grid_points", "grid_half_width"},
     "solve-potential": {"out", "basis", "format", "levels"},
@@ -769,7 +796,7 @@ RUNS = {
 }
 # a good and a bad value of each key that some command does not read
 OTHER_KEYS = {"theta_points": (16, 15), "basis": (12, 0), "format": ("json", "xml"),
-              "gnuplot": (True, "no"), "winding_grid": (256, 255), "t_points": (2, 0),
+              "gnuplot": (True, "no"), "t_points": (2, 0),
               "grid_points": (9, 1), "grid_half_width": (2.0, -1.0), "levels": (2, 0)}
 
 
