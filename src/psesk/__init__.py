@@ -27,7 +27,6 @@ from .entanglement import (
 from .hobasis import expand_function, gauss_hermite, ho_wavefunction
 from .overlap import (
     HOOverlapTable,
-    ho_halfspace_overlap,
     ho_overlap_table,
     rotated_overlap,
     translated_overlap,
@@ -68,7 +67,6 @@ __all__ = [
     "frft_kernel",
     "gauss_hermite",
     "hamiltonian_matrix",
-    "ho_halfspace_overlap",
     "ho_overlap_table",
     "ho_slater",
     "ho_wavefunction",

@@ -34,18 +34,23 @@ first half of the DFT grid of 2G angles: its blocks come from one inverse
 FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
 m(pi) = -m(0).  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
 the entries of m have odd lags |k| < M, so no harmonic of m turns by more
-than pi per interval, nor det m of an adjacent filling by more than pi/2;
-a det m turning faster than 1.5 G, as for separated level groups, still
-aliases.  The winding and the gap closings come from one phase scan of
-that grid: det m can wind only through a zero, where the chiral gap
-sigma_min(m) closes.  The scan bisects every interval whose phase step is
->= pi/2 (or undefined, at an exact zero) and evaluates only the midpoints,
-through block_determinants; a bad interval narrower than RESOLUTION holds
-a zero and is bisected no further, and an angle whose gap is below
-DET_FLOOR is a closing too.  Each parity-sorted state keeps its grid's
-determinants and one scan of them, which the winding and the closings
-share; the minimum gap refines that grid's smallest |det m| by golden
-section.
+than pi per interval.  The scan winds the demodulated determinant
+d(theta) = det m(theta) e^{-i S theta}, S the rounded difference of the
+odd and the even sectors' summed mean levels sum_a sum_n n |c_an|^2, and
+reports nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
+[0, pi], so any integer S keeps nu exact, and for an oscillator filling,
+det m proportional to e^{i (sum odd - sum even) theta}, d is constant.
+States whose orbitals spread over many levels rely on the grid alone.
+
+The winding and the gap closings come from one phase scan of that grid:
+det m can wind only through a zero, where the chiral gap sigma_min(m)
+closes.  The scan bisects every interval whose phase step of d is >= pi/2
+(or undefined, at an exact zero) and evaluates only the midpoints, through
+block_determinants; a bad interval narrower than RESOLUTION holds a zero
+and is bisected no further, and an angle whose gap is below DET_FLOOR is a
+closing too.  Each parity-sorted state keeps its grid's determinants and
+one scan of them, which the winding, the closings and the minimum gap (the
+smallest |det m| the scan evaluated) share.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ PARITY_TOL = 1e-8
 DET_FLOOR = 1e-10
 DEFAULT_GRID = 256  # the fewest base-grid intervals of any state
 GRID_CAP = 16384
-# a bad phase step this narrow holds a zero; golden-section brackets end this narrow
-RESOLUTION = 1e-10
+RESOLUTION = 1e-10  # a bad phase step this narrow holds a zero
 
 
 class NotInversionSymmetric(Exception):
@@ -144,7 +148,7 @@ class ParitySortedState:
         return dets
 
     @cached_property
-    def phase_scan(self) -> tuple[int | None, int, float, tuple[float, ...]]:
+    def phase_scan(self) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
         """The phase scan of grid_determinants (_phase_scan), run on first use."""
         return _phase_scan(self, self.grid_determinants)
 
@@ -240,40 +244,48 @@ def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
 
 def _phase_scan(
     ps: ParitySortedState, dets: np.ndarray
-) -> tuple[int | None, int, float, tuple[float, ...]]:
-    """(winding or None, intervals in the final grid, min |det m| seen, closings).
+) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
+    """(winding or None, intervals in the final grid, (theta*, min |det m|), closings).
 
-    Phase-unwraps ``dets``, det m on the uniform grid of len(dets) - 1
-    intervals over [0, pi] (_grid_determinants).  Every bad interval, whose
-    wrapped step is >= pi/2 or NaN (a det that is exactly 0), is
-    bisected and only its midpoint evaluated by block_determinants, until
-    each bad interval left is narrower than RESOLUTION, or the midpoints
-    would exceed GRID_CAP.  The winding is None while any bad interval is
-    left; otherwise the total step, an exact multiple of pi since
-    det m(pi) = (-1)^{N_e} det m(0), is rounded, safe once every step is
-    small.  The closings (mod pi, merged circularly within 1e-6, a zero
-    keeping its angle) are the zeros of det m, the bad intervals narrower
-    than RESOLUTION, and the evaluated angles where the chiral gap
-    sigma_min(m) < DET_FLOOR; m takes an SVD only where the bound
-    sigma_min >= 2^{N_e - 1} |det m| (every sigma_i <= 1/2) is below it.
+    Phase-unwraps d(theta) = det m(theta) e^{-i S theta} from ``dets``,
+    det m on the uniform grid of len(dets) - 1 intervals over [0, pi]
+    (_grid_determinants), S = round(sum over odd rows - sum over even rows
+    of sum_n n |c_an|^2); the factor goes on the step ratios, so ``dets``
+    stay raw.  Every bad interval, whose wrapped step is >= pi/2 or NaN (a
+    det that is exactly 0), is bisected and only its midpoint evaluated by
+    block_determinants, until each bad interval left is narrower than
+    RESOLUTION, or the midpoints would exceed GRID_CAP.  The winding is None
+    while any bad interval is left; otherwise it is S plus the total step
+    of d, an exact multiple of pi since d(pi) = (-1)^{N_e} e^{-i S pi} d(0),
+    rounded, safe once every step is small.  theta* (mod pi) is the
+    evaluated angle of the smallest |det m|.  The closings (mod pi, merged
+    circularly within 1e-6, a zero keeping its angle) are the zeros of
+    det m, the bad intervals narrower than RESOLUTION, and the evaluated
+    angles where the chiral gap sigma_min(m) < DET_FLOOR; m takes an SVD
+    only where the bound sigma_min >= 2^{N_e - 1} |det m| (every
+    sigma_i <= 1/2) is below it.
     """
     grid_size = len(dets) - 1
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
+    levels = np.abs(ps.coeffs) ** 2 @ np.arange(ps.coeffs.shape[1])
+    offset = round(float(levels[ps.n_even :].sum() - levels[: ps.n_even].sum()))
     while True:
+        widths = np.diff(thetas)
         with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.angle(dets[1:] / dets[:-1])
+            steps = np.angle(dets[1:] / dets[:-1] * np.exp(-1j * offset * widths))
         bad = ~(np.abs(steps) < math.pi / 2.0)
-        zeros = bad & (np.diff(thetas) < RESOLUTION)
+        zeros = bad & (widths < RESOLUTION)
         split = np.flatnonzero(bad & ~zeros)
         if not len(split) or len(steps) + len(split) > grid_size + GRID_CAP:
             break
         mids = 0.5 * (thetas[split] + thetas[split + 1])
         thetas = np.insert(thetas, split + 1, mids)
         dets = np.insert(dets, split + 1, block_determinants(ps, mids))
-    nu = None if bad.any() else int(round(float(np.sum(steps)) / math.pi))
+    nu = None if bad.any() else offset + int(round(float(np.sum(steps)) / math.pi))
+    size = np.abs(dets)
     z = np.flatnonzero(zeros)
     found = [0.5 * (thetas[z] + thetas[z + 1])]  # the zeros first, so a cluster keeps their angle
-    low = thetas[np.ldexp(np.abs(dets), ps.n_even - 1) < DET_FLOOR]
+    low = thetas[np.ldexp(size, ps.n_even - 1) < DET_FLOOR]
     if len(low):
         sigma_min = np.linalg.svd(evaluate_gramians(ps.harmonics, low), compute_uv=False)[:, -1]
         found.append(low[sigma_min < DET_FLOOR])
@@ -281,7 +293,9 @@ def _phase_scan(
     for c in np.concatenate(found) % math.pi:
         if all(abs((c - k + math.pi / 2.0) % math.pi - math.pi / 2.0) > 1e-6 for k in closings):
             closings.append(float(c))
-    return nu, len(steps), float(np.min(np.abs(dets))), tuple(sorted(closings))
+    least = int(np.argmin(size))
+    minimum = (float(thetas[least] % math.pi), float(size[least]))
+    return nu, len(steps), minimum, tuple(sorted(closings))
 
 
 def winding_scan(ps: ParitySortedState) -> tuple[int, int, float]:
@@ -291,7 +305,7 @@ def winding_scan(ps: ParitySortedState) -> tuple[int, int, float]:
     closings and min |det m|, exactly when the scan found one, and
     GridTooCoarse when it stopped at GRID_CAP with a bad step left.
     """
-    nu, intervals, min_det, closings = ps.phase_scan
+    nu, intervals, (_, min_det), closings = ps.phase_scan
     if closings:
         raise GapClosed(closings, min_det)
     if nu is None:
@@ -312,29 +326,12 @@ def flat_band_count(ps: ParitySortedState) -> int:
 def minimum_block_gap(ps: ParitySortedState) -> tuple[float, float]:
     """(theta*, min |det m|) over the fundamental domain [0, pi).
 
-    The smallest |det m| of the state's grid angles pi j / G, j < G
-    (grid_determinants), refined by golden section over its two
-    neighbouring intervals until the bracket is at most RESOLUTION wide;
-    theta* is the final bracket's midpoint.
+    The smallest |det m| that the state's phase scan evaluated (phase_scan:
+    its grid angles and bisection midpoints) and its angle, mod pi.  Near a
+    closing the bisection brings theta* within RESOLUTION of the zero;
+    elsewhere it is as fine as the grid, pi / G.
     """
-    dets = np.abs(ps.grid_determinants[:-1])
-    step = math.pi / len(dets)
-    centre = step * int(np.argmin(dets))
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = centre - step, centre + step
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = np.abs(block_determinants(ps, [c, d]))
-    while b - a > RESOLUTION:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            (fc,) = np.abs(block_determinants(ps, [c]))
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            (fd,) = np.abs(block_determinants(ps, [d]))
-    theta = 0.5 * (a + b)
-    return theta % math.pi, float(np.abs(block_determinants(ps, [theta]))[0])
+    return ps.phase_scan[2]
 
 
 def detect_gap_closings(ps: ParitySortedState) -> list[float]:

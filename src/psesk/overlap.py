@@ -92,7 +92,6 @@ __all__ = [
     "GramBoundError",
     "GramianHarmonics",
     "HOOverlapTable",
-    "ho_halfspace_overlap",
     "ho_overlap_table",
     "overlap_quadrature_oracle",
     "rotated_overlap",
@@ -166,13 +165,6 @@ def _wronskian_overlap(phi: np.ndarray, dphi: np.ndarray, m, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         off = (phi[m] * dphi[n] - dphi[m] * phi[n]) / (2.0 * (n - m))
     return np.where(m == n, 0.5, off)
-
-
-def ho_halfspace_overlap(m: int, n: int) -> float:
-    """<phi_m|phi_n> restricted to x >= 0 (the boundary-Wronskian formula)."""
-    if m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    return float(_wronskian_overlap(*_boundary_values(max(m, n)), m, n))
 
 
 def ho_overlap_table(basis_size: int) -> HOOverlapTable:

@@ -191,19 +191,14 @@ def _continuum_threshold(sampler: Sampler) -> float:
 
 
 def bound_states(
-    sampler: Sampler,
-    count: int,
-    basis_size: int = DEFAULT_BASIS_SIZE,
-    convergence_tol: Optional[float] = None,
+    sampler: Sampler, count: int, basis_size: int = DEFAULT_BASIS_SIZE
 ) -> BoundStateSet:
     """Lowest ``count`` bound eigenpairs of the well.
 
     Levels must lie below the potential's asymptotic value (continuum edge);
     eigenvector phases are fixed by making the largest-modulus coefficient
     real positive (ties to the lowest index) so coefficient matrices are
-    reproducible.  ``convergence_tol``, if given, rejects the set when any
-    requested level moves by more than that between basis sizes
-    basis_size - 20 and basis_size.
+    reproducible.
     """
     h = hamiltonian_matrix(sampler, basis_size)
     energies, vecs = np.linalg.eigh(h)
@@ -213,13 +208,6 @@ def bound_states(
         raise NotEnoughBoundStates(
             f"requested {count} levels but only {n_bound} lie below the continuum at {threshold:.3g}"
         )
-    if convergence_tol is not None:
-        smaller = bound_states(sampler, count, basis_size - 20)
-        drift = np.max(np.abs(energies[:count] - smaller.energies))
-        if drift > convergence_tol:
-            raise NotEnoughBoundStates(
-                f"levels not converged: max drift {drift:.3e} exceeds {convergence_tol:.1e}"
-            )
     rows = vecs[:, :count].T.copy()
     for row in rows:
         k = int(np.argmax(np.abs(row)))

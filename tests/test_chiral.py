@@ -5,16 +5,17 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (mixed_well_filling, negation_asymmetry, random_symmetric_slater,
                      random_unitary_rows)
 from psesk import chiral, overlap, potentials
 from psesk.entanglement import entanglement_energies, pses_sweep, schmidt_values
-from psesk.overlap import ho_halfspace_overlap, rotated_overlap
+from psesk.overlap import ho_overlap_table, rotated_overlap
 from psesk.states import SlaterState, ho_slater, interpolated_state
 
-O01 = ho_halfspace_overlap(0, 1)
-O21 = ho_halfspace_overlap(2, 1)
+O01, O21 = ho_overlap_table(3).entries[[0, 2], 1]
 T_CRIT = (2.0 / math.pi) * math.atan(math.sqrt(2.0))
 PHI = 2.0 * math.pi / 3.0
 
@@ -226,21 +227,41 @@ def test_zero_on_a_grid_point_is_one_closing():
 
 
 def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
-    # det m of levels 0 and 1001 is a single frequency, e^{1001 i theta} up to
-    # a constant: 256 intervals step by 3.9 pi each, which wraps to -0.09 pi;
-    # the state's own grid, 1024 intervals for M = 1024, steps by 0.98 pi
-    # each, and the scan bisects every one of them
-    ps = chiral.parity_sort(ho_slater([0, 1001], basis_size=1024))
-    assert _scan(ps, chiral.DEFAULT_GRID)[0] == -23
-    nu, intervals, _ = chiral.winding_scan(ps)
-    assert nu == 1001
-    assert intervals >= 1024
+    # an even orbital spread over levels 0 and 1000 against level 1001: det m
+    # is T_{1000,1001} e^{i theta} plus a small e^{1001 i theta} term, over
+    # sqrt 2, and the offset S = 1001 - 500 leaves the frequencies -500 and
+    # 500 to the demodulated determinant: 256 intervals step by 1.95 pi
+    # each, which wraps to -0.05 pi; the state's own grid, 1024 intervals
+    # for M = 1024, steps by 0.49 pi each
+    rows = np.zeros((2, 1024), dtype=complex)
+    rows[0, [0, 1000]] = math.sqrt(0.5)
+    rows[1, 1001] = 1.0
+    ps = chiral.parity_sort(SlaterState(rows))
+    assert _scan(ps, chiral.DEFAULT_GRID)[0] == 513
+    assert chiral.winding_scan(ps)[:2] == (1, 1024)
 
 
 @pytest.mark.parametrize("levels, nu", [([0, 601], 601), ([0, 2, 601, 603], 1202)])
 def test_windings_faster_than_the_floor_grid(levels, nu):
-    # M = 602 and 604 give these states 1024 intervals; from 256 intervals
-    # the scan aliases them to 89 and 178
+    # M = 602 and 604 give these states 1024 intervals; the offsets S = 601
+    # and 1202 leave their demodulated det m constant, so none is bisected
+    assert chiral.winding_scan(chiral.parity_sort(ho_slater(levels)))[:2] == (nu, 1024)
+
+
+def _filling(n):
+    half = st.sets(st.integers(0, 511), min_size=n, max_size=n)
+    return st.tuples(half, half).map(lambda pair: sorted([2 * k for k in pair[0]]
+                                                         + [2 * k + 1 for k in pair[1]]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(_filling))
+@example([0, 2, 1001, 1003])  # det m turns by 2002 pi over [0, pi], 1024 intervals
+@example([13, 99, 197, 270, 388, 506])
+def test_oscillator_fillings_wind_by_their_level_sums(levels):
+    # m(theta) = D_e(theta)^* m_0 D_o(theta) with diagonal phases e^{i n theta}
+    # and m_0 nonsingular, so nu = sum of the odd levels - sum of the even ones
+    nu = sum(n if n % 2 else -n for n in levels)
     assert chiral.winding_number(chiral.parity_sort(ho_slater(levels))) == nu
 
 
@@ -299,9 +320,11 @@ def test_wide_fillings_wind_with_an_open_gap():
 
 
 def test_winding_at_the_grid_cap_without_a_zero_is_too_coarse(monkeypatch):
-    # 40 levels wind 20 times over [0, pi]: 8 intervals cannot resolve it
+    # orbitals spread over 100 levels keep harmonics that the demodulation
+    # cannot remove, and 8 intervals cannot resolve them
     monkeypatch.setattr(chiral, "GRID_CAP", 16)
-    nu, intervals, _, closings = _scan(chiral.parity_sort(ho_slater(range(40))), 8)
+    state = random_symmetric_slater(np.random.default_rng(47), 3, 3, 100)
+    nu, intervals, _, closings = _scan(chiral.parity_sort(state), 8)
     assert (nu, closings) == (None, ())
     assert intervals <= 8 + 16
 
@@ -449,18 +472,24 @@ def _scan_states():
 
 @pytest.mark.parametrize("name", ["interpolated-critical", "oscillator-0-11-mixed",
                                   "poschl-teller-6"])
-def test_minimum_block_gap_matches_scalar_golden_section(name):
+def test_minimum_block_gap_reads_the_phase_scan(name, monkeypatch):
     ps = chiral.parity_sort(_scan_states()[name])
-    thetas = np.linspace(0.0, math.pi, chiral.DEFAULT_GRID, endpoint=False)
-    centre = thetas[int(np.argmin(np.abs(ps.grid_determinants[:-1])))]
-    step = math.pi / chiral.DEFAULT_GRID
-    theta, det = _scalar_golden(ps, centre - step, centre + step, chiral.RESOLUTION)
-    assert chiral.minimum_block_gap(ps) == (theta % math.pi, det)
-    # the phase scan finds the zero that the golden search finds
+    try:
+        min_det = chiral.winding_scan(ps)[2]
+    except chiral.GapClosed as closed:
+        min_det = closed.min_abs_det
+    for evaluation in ("block_determinants", "_grid_determinants", "evaluate_gramians"):
+        monkeypatch.setattr(chiral, evaluation, None)
+    theta, det = chiral.minimum_block_gap(ps)
+    monkeypatch.undo()
+    assert det == min_det <= np.min(np.abs(ps.grid_determinants))
+    assert 0.0 <= theta < math.pi
+    assert abs(chiral.block_determinants(ps, [theta])[0]) == pytest.approx(det, rel=1e-9)
+    # near a zero the scan's bisection has brought its minimum onto the closing
     closings = chiral.detect_gap_closings(ps)
     if name == "interpolated-critical":
         assert len(closings) == 1
-        assert abs(closings[0] - theta % math.pi) < 1e-9
+        assert abs(closings[0] - theta) < 1e-9
     else:
         assert closings == []
 

@@ -125,6 +125,9 @@ def test_winding_ground_state(tmp_path, capsys):
     assert report["K_used"] >= 256
     assert report["min_abs_det"] > 0
     assert report["closings"] == []
+    # one scan gives both the report's minimum and minimum_block_gap's
+    ps = chiral.parity_sort(ho_slater([0, 1, 2, 3]))
+    assert report["min_abs_det"] == chiral.minimum_block_gap(ps)[1]
 
 
 def test_winding_excited_state_sign(tmp_path):
@@ -176,14 +179,14 @@ def test_winding_of_a_wide_ground_filling(tmp_path, capsys, state, nu):
 
 
 def test_winding_grid_comes_from_the_basis(tmp_path, capsys):
-    # det m is e^{1001 i theta} up to a constant: the state's grid of 1024
-    # intervals resolves what the 256-interval floor grid aliases to -23
+    # det m is e^{1001 i theta} up to a constant, which the offset S = 1001
+    # demodulates: the state's grid of 1024 intervals bisects nothing
     rc = main(["winding", "--ho-slater", "0,1001", "--basis", "1024", "--out", str(tmp_path)])
     assert rc == 0
     assert "nu_E = 1001" in capsys.readouterr().out
     report = json.loads((tmp_path / "winding.json").read_text())
     assert report["nu_E"] == 1001
-    assert report["K_used"] >= 1024
+    assert report["K_used"] == 1024
 
 
 def test_spectrum_gap_min_is_the_chiral_gap(tmp_path):

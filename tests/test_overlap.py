@@ -10,27 +10,25 @@ from psesk.entanglement import entanglement_energies, schmidt_values
 from psesk.states import SlaterState, ho_slater
 
 
+TABLE = overlap.ho_overlap_table(13).entries
+
+
 def test_even_case_is_half_delta():
-    assert overlap.ho_halfspace_overlap(0, 0) == 0.5
-    assert overlap.ho_halfspace_overlap(2, 4) == 0.0
-    assert overlap.ho_halfspace_overlap(3, 3) == 0.5
+    assert TABLE[0, 0] == 0.5
+    assert TABLE[2, 4] == 0.0
+    assert TABLE[3, 3] == 0.5
 
 
 def test_first_odd_entries_against_closed_gaussians():
     # int_0^infty phi_0 phi_1 = 1/sqrt(2 pi); int_0^infty phi_1 phi_2 = 1/(2 sqrt(pi))
-    assert overlap.ho_halfspace_overlap(0, 1) == pytest.approx(
-        1.0 / math.sqrt(2.0 * math.pi), rel=1e-13
-    )
-    assert overlap.ho_halfspace_overlap(1, 2) == pytest.approx(
-        1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13
-    )
+    assert TABLE[0, 1] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-13)
+    assert TABLE[1, 2] == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-13)
     # ratio fixing the critical interpolation parameter
-    ratio = overlap.ho_halfspace_overlap(0, 1) / overlap.ho_halfspace_overlap(1, 2)
-    assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-13)
+    assert TABLE[0, 1] / TABLE[1, 2] == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
 
 def test_symmetry_in_indices():
-    assert overlap.ho_halfspace_overlap(4, 7) == overlap.ho_halfspace_overlap(7, 4)
+    assert TABLE[4, 7] == TABLE[7, 4]
 
 
 def test_table_small_sizes():
@@ -245,7 +243,7 @@ def test_streamed_half_turn_memory(monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
 def test_closed_form_matches_oracle(m, n):
-    assert overlap.ho_halfspace_overlap(m, n) == pytest.approx(
+    assert TABLE[m, n] == pytest.approx(
         overlap.overlap_quadrature_oracle(m, n), abs=1e-10
     )
 

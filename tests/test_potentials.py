@@ -71,10 +71,14 @@ def test_variational_monotonicity_in_basis_size():
 
 
 def test_convergence_gate_passes_polynomial_wells_and_rejects_narrow_ones():
-    e = pot.bound_states(pot.potential("anharmonic"), 6, convergence_tol=1e-6)
-    assert len(e.energies) == 6
-    with pytest.raises(pot.NotEnoughBoundStates):
-        pot.bound_states(pot.potential("poschl_teller"), 7, convergence_tol=1e-6)
+    # the levels' drift between basis sizes M - 20 and M (the default)
+    def drift(kind, count):
+        spec = pot.potential(kind)
+        smaller = pot.bound_states(spec, count, basis_size=pot.DEFAULT_BASIS_SIZE - 20)
+        return np.max(np.abs(pot.bound_states(spec, count).energies - smaller.energies))
+
+    assert drift("anharmonic", 6) < 1e-6
+    assert drift("poschl_teller", 7) > 1e-6
 
 
 def test_orthonormal_states_feed_slater():
