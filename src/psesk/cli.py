@@ -109,8 +109,12 @@ KEYS = {
                  f"null or an object naming one of {', '.join(STATE_KINDS)}", (), {}),
     "t_points": Key(81, _size(1), f"an integer in [1, {MAX_POINTS}]", ("entropy-surface",), INT),
     "grid_points": Key(161, _size(2), f"an integer in [2, {MAX_POINTS}]", ("wigner",), INT),
-    "grid_half_width": Key(8.0, lambda v: _finite(v) and v > 0, "a finite number > 0",
-                           ("wigner",), {"type": float}),
+    # every grid step 2 w / (n - 1) stays a normal double, and 2 w and the
+    # grid's products with it stay finite, at any grid_points
+    "grid_half_width": Key(
+        8.0, lambda v: _finite(v) and MAX_POINTS * sys.float_info.min <= v <= sys.float_info.max / 4,
+        f"a number in [{MAX_POINTS * sys.float_info.min!r}, {sys.float_info.max / 4!r}]",
+        ("wigner",), {"type": float}),
     "levels": Key(None, lambda v: v is None or _size(1)(v), f"an integer in [1, {MAX_POINTS}]",
                   ("solve-potential",), INT),
 }

@@ -41,8 +41,13 @@ dO/dtheta = (i/2)[conj(F_L) G_R^T - conj(G_L) F_R^T], with F(theta) =
 sum_n R_n a_n e^{i n theta} (likewise for L) and G(theta) the same with b,
 the values and slopes of the rotated orbitals on the cut line.  The Gramian changes only
 by a rank-2 current through the cut's boundary, and the C_k are its Fourier
-coefficients divided by i k.  The left cut x <= 0 has table 1 - T, so its
-Gramian is conj(L) R^T - O(theta).
+coefficients divided by i k.  Every lag is odd, so
+
+    O(theta + pi) = conj(L) R^T - O(theta),
+
+the Gramian of the left cut x <= 0 (table 1 - T) at theta: a cut through
+the origin turned by pi swaps the two subsystems, and the right cut is the
+only one computed.
 
 Every caller builds the harmonics of its row sets once
 (``gramian_harmonics``) and evaluates them.  The build takes the constant
@@ -58,13 +63,13 @@ e^{ik theta_j} = e^{2 pi i j / K} e^{2 pi i j q / (K/2)}, so each C_k is added
 to bin (k mod K) // 2 (lags beyond K fold onto the same bins), one inverse
 FFT of length K/2 per entry sums the bins, and angle j is multiplied by
 the twiddle e^{2 pi i j / K}: O(N_L N_R K log K) instead of O(N_L N_R M K).
-The second half turn needs no Gramian of its own: O(theta + pi) =
-conj(L) R^T - O(theta), the left cut.
+The second half turn needs no Gramian of its own: it is the left cut of
+the first.
 
 A ``GramianHarmonics`` holds its coefficients when one build fits
 HARMONIC_BYTES; otherwise ``coeffs`` is None.  Both evaluations run one
 loop over blocks of left rows' C_k: the held coefficients are one block;
-otherwise each call rebuilds them harmonic_rows left rows at a time, with
+otherwise each call rebuilds them ``_harmonic_rows`` left rows at a time, with
 one table lookup and one transform of the right rows.  A left row's C_k
 come from that row alone and the constant term is added once at the end,
 so the half turn has the same bits either way.  ``evaluate_gramians`` takes angles in blocks of ANGLE_BLOCK,
@@ -72,10 +77,12 @@ so memory stays bounded on long grids and wide states.  Each of its angles'
 values is its own vector-matrix product, so it does not depend on which
 other angles share a call.
 
-A cut translated to x >= t has no closed form and is done by panelled
-Gauss-Legendre quadrature in the reconstructed position representation.
-``rotated_overlap`` and ``translated_overlap`` return the N x N Gramian of a
-state as a plain array.
+``rotated_overlap`` returns the N x N Gramian of a state as a plain array.
+The oracles here are independent of the closed form and no production path
+calls them: ``overlap_quadrature_oracle`` integrates one table entry by
+panelled Gauss-Legendre quadrature, and ``translated_overlap`` takes a cut
+translated to x >= t, which has no closed form, by the same quadrature in
+the reconstructed position representation.
 """
 
 from __future__ import annotations
@@ -100,7 +107,6 @@ __all__ = [
     "evaluate_gramians",
     "evaluate_half_turn",
     "gramian_harmonics",
-    "harmonic_rows",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
@@ -217,7 +223,7 @@ def _fft_length(basis_size: int) -> int:
     return 1 << max(0, 2 * basis_size - 2).bit_length()
 
 
-def harmonic_rows(n_right: int, basis_size: int) -> int:
+def _harmonic_rows(n_right: int, basis_size: int) -> int:
     """Left rows per harmonics build whose workspace fits HARMONIC_BYTES.
 
     Per left row the build holds three N_R x P complex arrays (the product
@@ -258,7 +264,7 @@ def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
     m = left.shape[1]
     orders = np.arange(1 - m + m % 2, m, 2)  # the odd lags below M
     half, coeffs = 0.5 * (left.conj() @ right.T), None
-    if harmonic_rows(len(right), m) >= len(left):
+    if _harmonic_rows(len(right), m) >= len(left):
         ((_, coeffs),) = _coefficient_blocks(left, right, orders, max(1, len(left)))
         coeffs.flags.writeable = False
     half.flags.writeable = False
@@ -267,11 +273,11 @@ def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
 
 def _blocks(h: GramianHarmonics):
     """(columns, C_k) per block of left rows: the held coefficients as one
-    block, or a rebuild in blocks of harmonic_rows rows."""
+    block, or a rebuild in blocks of ``_harmonic_rows`` rows."""
     if h.coeffs is not None:
         return [(slice(None), h.coeffs)]
     return _coefficient_blocks(h.left, h.right, h.orders,
-                               harmonic_rows(len(h.right), h.left.shape[1]))
+                               _harmonic_rows(len(h.right), h.left.shape[1]))
 
 
 def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
@@ -287,14 +293,9 @@ def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(thetas), q * s)[:, :count]
 
 
-def evaluate_gramians(h: GramianHarmonics, thetas, side: str = "right") -> np.ndarray:
-    """(K, N_L, N_R) stack of the Gramians O(theta) summed from their harmonics.
-
-    ``side`` = "right" uses the half line x >= 0; "left" uses x <= 0, whose
-    Gramian is conj(L) R^T - O(theta).
-    """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+def evaluate_gramians(h: GramianHarmonics, thetas) -> np.ndarray:
+    """(K, N_L, N_R) stack of the right-cut Gramians O(theta) summed from
+    their harmonics (the left cut at theta is the right cut at theta + pi)."""
     thetas = np.asarray(thetas, dtype=float)
     out = np.empty((len(thetas), len(h.left), len(h.right)), dtype=complex)
     flat = out.reshape(len(thetas), 1, h.half.size)  # a view: each angle's entries are contiguous
@@ -309,10 +310,7 @@ def evaluate_gramians(h: GramianHarmonics, thetas, side: str = "right") -> np.nd
             # blocks of the harmonics that stay in cache across the block's angles
             for j in range(0, coeffs.shape[1], cols):
                 np.matmul(e, coeffs[:, j : j + cols], out=part[k : k + ANGLE_BLOCK, :, j : j + cols])
-    if side == "right":
-        out += h.half
-    else:
-        np.subtract(h.half, out, out=out)
+    out += h.half
     return out
 
 
@@ -342,9 +340,10 @@ def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
     return out
 
 
-def rotated_overlap(state: SlaterState, theta: float, side: str = "right") -> np.ndarray:
-    """N x N cut Gramian after rotating the cut by theta (``side`` as in evaluate_gramians)."""
-    return evaluate_gramians(gramian_harmonics(state.coeffs, state.coeffs), [theta], side)[0]
+def rotated_overlap(state: SlaterState, theta: float) -> np.ndarray:
+    """N x N right-cut Gramian after rotating the cut by theta; the left cut
+    at theta is ``rotated_overlap(state, theta + pi)``."""
+    return evaluate_gramians(gramian_harmonics(state.coeffs, state.coeffs), [theta])[0]
 
 
 def translated_overlap(state: SlaterState, offset: float) -> np.ndarray:

@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .hobasis import ho_stack
-from .specfun import assoc_laguerre
 
 __all__ = [
     "DegenerateAngle",
@@ -176,6 +175,8 @@ def wigner_mn(m: int, n: int, x, p):
     (W_{1023,1023} at (x, p) = (-0.005, 0.01)), so it cannot check fields
     to 1e-12 there.
     """
+    from .specfun import assoc_laguerre
+
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     if n < m:

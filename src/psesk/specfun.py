@@ -1,11 +1,14 @@
-"""Special-function kernels: Hermite and Laguerre recurrences (the Wigner
-formulas and polynomial tests), a half-integer gamma and an exact
-terminating Gauss hypergeometric sum.
+"""Special-function kernels: Hermite and Laguerre recurrences, a
+half-integer gamma and an exact terminating Gauss hypergeometric sum.
 
-``hyp2f1_terminating`` and ``gamma_special`` are no longer used by
-:mod:`psesk.overlap` (its table comes from the boundary Wronskian) or by any
-other module.  They stay only because the perfbench span recorder
-(``perfbench/spans.py``) traces them by name.
+No production path uses this module, and importing ``psesk`` or
+``psesk.cli`` does not load it: ``assoc_laguerre`` serves only the
+closed-form Wigner oracle :func:`psesk.phasespace.wigner_mn`, which imports
+it when called, and ``hermite_phys`` serves polynomial tests.
+``hyp2f1_terminating`` and ``gamma_special`` have no caller outside the
+tests (the overlap table comes from the boundary Wronskian); they stay only
+because the perfbench span recorder (``perfbench/spans.py``) traces them by
+name.
 ``hyp2f1_terminating`` sums in exact rational arithmetic because at
 argument 2 its terms grow like 3^m while the result stays O(1), which makes
 a floating-point sum useless beyond m ~ 25.
@@ -75,40 +78,21 @@ def assoc_laguerre(n: int, alpha: int, x):
 
 
 def gamma_special(two_k: int) -> float:
-    """Gamma(two_k / 2) for integer and half-integer arguments.
-
-    The argument is passed doubled so half-integers are exact inputs.  Built
-    from Gamma(1/2) = sqrt(pi) and Gamma(1) = 1 by the recurrence
-    Gamma(z+1) = z Gamma(z), run downward for negative half-integers.
+    """Gamma(two_k / 2) for integer and half-integer arguments, passed
+    doubled so half-integers are exact inputs; inf past Gamma(171.6), where
+    a double overflows.
 
     Raises
     ------
     ValueError
         At the poles two_k in {0, -2, -4, ...}.
     """
-    if two_k % 2 == 0:
-        k = two_k // 2
-        if k <= 0:
-            raise ValueError(f"gamma pole at argument {k}")
-        val = 1.0
-        for j in range(1, k):
-            val *= j
-        return val
-    # odd two_k: argument two_k/2 is a half-integer, never a pole
-    val = math.sqrt(math.pi)
-    if two_k >= 1:
-        # climb up from 1/2
-        z = 0.5
-        while z < two_k / 2:
-            val *= z
-            z += 1.0
-    else:
-        # descend below 1/2 via Gamma(z) = Gamma(z+1)/z
-        z = 0.5
-        while z > two_k / 2:
-            z -= 1.0
-            val /= z
-    return val
+    if two_k <= 0 and two_k % 2 == 0:
+        raise ValueError(f"gamma pole at argument {two_k // 2}")
+    try:
+        return math.gamma(two_k / 2)
+    except OverflowError:
+        return math.inf
 
 
 def hyp2f1_terminating(m: int, b: float, c: float, x: float) -> float:

@@ -39,11 +39,6 @@ class SlaterState:
     def basis_size(self) -> int:
         return self.coeffs.shape[1]
 
-    def rotate(self, u: np.ndarray) -> "SlaterState":
-        """Mix the occupied orbitals by the unitary u (entanglement data are
-        invariant under this)."""
-        return SlaterState(np.asarray(u) @ self.coeffs)
-
 
 def ho_slater(indices: Sequence[int], basis_size: int | None = None) -> SlaterState:
     """Slater determinant of oscillator eigenstates with the given indices.

@@ -59,7 +59,10 @@ def test_criterion_02_gram_bound_and_complementarity():
         state = random_slater(rng, n, m)
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         right = overlap.rotated_overlap(state, theta)
-        left = overlap.rotated_overlap(state, theta, side="left")
+        # the left cut from the dense closed-form product with 1 - T, not the kernel
+        phase = np.exp(1j * theta * np.arange(m))
+        complement = np.eye(m) - overlap.ho_overlap_table(m).entries
+        left = (state.coeffs.conj() * phase.conj()) @ complement @ (state.coeffs * phase).T
         evals = np.linalg.eigvalsh(right)
         ok &= evals.min() >= -1e-9 and evals.max() <= 1.0 + 1e-9
         ok &= bool(np.max(np.abs(right + left - np.eye(n))) <= 1e-9)

@@ -359,6 +359,10 @@ BAD_INPUTS = [
     (["solve-potential", "--potential", "sho", "--levels", "0"], None),
     (["solve-potential", "--potential", "sho", "--particles", "0"], None),
     (["wigner", "--ho-slater", "0", "--grid-half-width", "-1"], None),
+    # finite half widths whose span 2 x width overflows, or whose steps are subnormal
+    (["wigner", "--ho-slater", "0", "--grid-points", "3", "--grid-half-width", "8.99e307"], None),
+    (["wigner", "--ho-slater", "0"], {"grid_half_width": 1e308}),
+    (["wigner", "--ho-slater", "0", "--grid-points", "5", "--grid-half-width", "5e-324"], None),
     (["wigner", "--ho-slater", "0", "--grid-points", "1"], None),
     (["winding", "--ho-slater", "0,1"], {"basis": "x"}),
     (["winding", "--ho-slater", "0,1"], {"winding_grid": 2.5}),
@@ -474,6 +478,17 @@ def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
                        (["wigner", "--ho-slater", "0"], "result too large to allocate")):
         assert main(argv + ["--out", str(tmp_path)]) == 3, argv
         assert capsys.readouterr().err.splitlines() == [f"MemoryError: {line}"], argv
+
+
+def test_extreme_wigner_grid_widths_run(tmp_path):
+    low, high = cli.MAX_POINTS * sys.float_info.min, sys.float_info.max / 4
+    ok = KEYS["grid_half_width"].ok
+    assert not ok(low * 0.99) and not ok(high * 1.01)
+    for width in (low, high):
+        for points in (2, 5, 161):
+            argv = ["wigner", "--ho-slater", "0", "--grid-points", str(points),
+                    "--grid-half-width", repr(width), "--out", str(tmp_path)]
+            assert main(argv) == 0, argv
 
 
 def test_wide_grid_high_index_wigner_is_finite(tmp_path):

