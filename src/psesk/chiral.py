@@ -26,13 +26,17 @@ a relative error of about eps * e^|epsilon|.
 
 parity_sort remembers its last result in a weak dictionary keyed by the
 state object, so the sweep and the scans of one state share one sort, its
-harmonics and its grid.  The state's rows, the sort's and the harmonics
-are read-only, so what the memo shares cannot change under it.
+harmonics and its grid.  The state's rows, the sort's, the harmonics and
+the grid are read-only, so what the memo shares cannot change under it.
 
 The scans start from det m on the uniform grid theta_j = pi j / G, the
 first half of the DFT grid of 2G angles: its blocks come from one inverse
 FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
-m(pi) = -m(0).  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
+m(pi) = -m(0).  Each parity-sorted state with both sectors occupied holds
+these blocks (ParitySortedState.grid_blocks) once they are made, so the
+determinants, the scan's gap SVDs at grid angles, and every sweep whose
+K angles divide 2G read one stack; the blocks live as long as the state
+is remembered.  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
 the entries of m have odd lags |k| < M, so no harmonic of m turns by more
 than pi per interval.  The scan winds the demodulated determinant
 d(theta) = det m(theta) e^{-i S theta}, S the rounded difference of the
@@ -48,9 +52,10 @@ closes.  The scan bisects every interval whose phase step of d is >= pi/2
 (or undefined, at an exact zero) and evaluates only the midpoints, through
 block_determinants; a bad interval narrower than RESOLUTION holds a zero
 and is bisected no further, and an angle whose gap is below DET_FLOOR is a
-closing too.  Each parity-sorted state keeps its grid's determinants and
-one scan of them, which the winding, the closings and the minimum gap (the
-smallest |det m| the scan evaluated) share.
+closing too; its SVD takes the held block at a grid angle and evaluates
+only a midpoint.  Each parity-sorted state keeps its grid's determinants
+and one scan of them, which the winding, the closings and the minimum gap
+(the smallest |det m| the scan evaluated) share.
 """
 
 from __future__ import annotations
@@ -135,22 +140,37 @@ class ParitySortedState:
             raise EmptyBlock("both parity sectors must be occupied")
         return gramian_harmonics(self.coeffs[: self.n_even], self.coeffs[self.n_even :])
 
+    @property
+    def grid_size(self) -> int:
+        """G = max(DEFAULT_GRID, 2^ceil(log2 M)): the base grid's intervals over [0, pi]."""
+        return max(DEFAULT_GRID, 1 << (self.coeffs.shape[1] - 1).bit_length())
+
+    @cached_property
+    def grid_blocks(self) -> np.ndarray:
+        """m(pi j / G), j < G, the base grid's blocks, made on first use and kept read-only.
+
+        The first half turn of the DFT grid of 2G angles, from one inverse
+        FFT per block entry (overlap.evaluate_half_turn).  Raises EmptyBlock
+        when a parity sector is empty.
+        """
+        blocks = evaluate_half_turn(self.harmonics, 2 * self.grid_size)
+        blocks.flags.writeable = False
+        return blocks
+
     @cached_property
     def grid_determinants(self) -> np.ndarray:
-        """det m(pi j / G), j = 0 .. G, G = max(DEFAULT_GRID, 2^ceil(log2 M)), made on first use.
+        """det m(pi j / G), j = 0 .. G, of grid_blocks (_grid_determinants), made on first use.
 
-        The base grid that every scan starts from, kept read-only; its
-        blocks are not kept.
+        The base grid that every scan starts from, kept read-only.
         """
-        grid_size = max(DEFAULT_GRID, 1 << (self.coeffs.shape[1] - 1).bit_length())
-        dets = _grid_determinants(self, grid_size)
+        dets = _grid_determinants(self, self.grid_blocks)
         dets.flags.writeable = False
         return dets
 
     @cached_property
     def phase_scan(self) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
         """The phase scan of grid_determinants (_phase_scan), run on first use."""
-        return _phase_scan(self, self.grid_determinants)
+        return _phase_scan(self, self.grid_determinants, self.grid_blocks)
 
 
 def inversion_matrix(state: SlaterState) -> np.ndarray:
@@ -226,30 +246,27 @@ def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.nda
     return np.linalg.det(evaluate_gramians(ps.harmonics, thetas))
 
 
-def _grid_determinants(ps: ParitySortedState, grid_size: int) -> np.ndarray:
-    """det m(pi j / G) for j = 0 .. G, G = grid_size, from one inverse FFT per entry.
+def _grid_determinants(ps: ParitySortedState, blocks: np.ndarray) -> np.ndarray:
+    """det m(pi j / G) for j = 0 .. G from the G blocks m(pi j / G), j < G.
 
-    The angles pi j / G, j < G, are the first half of the DFT grid of
-    K = 2G angles, so their blocks come from the half-turn FFT of the
-    state's harmonics.  The endpoint needs no block: m(pi) = -m(0), so
-    det m(pi) = (-1)^{N_e} det m(0).  The FFT bins and their transform
-    coexist: the peak is about twice the (G, N_e, N_e) complex stack, at
-    most 2.2 times.
+    The endpoint needs no block: m(pi) = -m(0), so
+    det m(pi) = (-1)^{N_e} det m(0).
     """
     if ps.n_even != ps.n_odd:
         raise EmptyBlock("det m needs equally many even and odd orbitals")
-    dets = np.linalg.det(evaluate_half_turn(ps.harmonics, 2 * grid_size))
+    dets = np.linalg.det(blocks)
     return np.append(dets, (-1) ** ps.n_even * dets[0])
 
 
 def _phase_scan(
-    ps: ParitySortedState, dets: np.ndarray
+    ps: ParitySortedState, dets: np.ndarray, blocks: np.ndarray
 ) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
     """(winding or None, intervals in the final grid, (theta*, min |det m|), closings).
 
     Phase-unwraps d(theta) = det m(theta) e^{-i S theta} from ``dets``,
-    det m on the uniform grid of len(dets) - 1 intervals over [0, pi]
-    (_grid_determinants), S = round(sum over odd rows - sum over even rows
+    det m on the uniform grid of G = len(dets) - 1 intervals over [0, pi]
+    (_grid_determinants of ``blocks``, m(pi j / G) for j < G),
+    S = round(sum over odd rows - sum over even rows
     of sum_n n |c_an|^2); the factor goes on the step ratios, so ``dets``
     stay raw.  Every bad interval, whose wrapped step is >= pi/2 or NaN (a
     det that is exactly 0), is bisected and only its midpoint evaluated by
@@ -263,10 +280,13 @@ def _phase_scan(
     det m, the bad intervals narrower than RESOLUTION, and the evaluated
     angles where the chiral gap sigma_min(m) < DET_FLOOR; m takes an SVD
     only where the bound sigma_min >= 2^{N_e - 1} |det m| (every
-    sigma_i <= 1/2) is below it.
+    sigma_i <= 1/2) is below it, from ``blocks`` at a base-grid angle
+    (m(pi) = -m(0) has the singular values of m(0)) and from
+    evaluate_gramians at a midpoint.
     """
     grid_size = len(dets) - 1
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
+    base = np.arange(grid_size + 1)  # each angle's base-grid index, -1 at a midpoint
     levels = np.abs(ps.coeffs) ** 2 @ np.arange(ps.coeffs.shape[1])
     offset = round(float(levels[ps.n_even :].sum() - levels[: ps.n_even].sum()))
     while True:
@@ -280,15 +300,21 @@ def _phase_scan(
             break
         mids = 0.5 * (thetas[split] + thetas[split + 1])
         thetas = np.insert(thetas, split + 1, mids)
+        base = np.insert(base, split + 1, -1)
         dets = np.insert(dets, split + 1, block_determinants(ps, mids))
     nu = None if bad.any() else offset + int(round(float(np.sum(steps)) / math.pi))
     size = np.abs(dets)
     z = np.flatnonzero(zeros)
     found = [0.5 * (thetas[z] + thetas[z + 1])]  # the zeros first, so a cluster keeps their angle
-    low = thetas[np.ldexp(size, ps.n_even - 1) < DET_FLOOR]
+    low = np.flatnonzero(np.ldexp(size, ps.n_even - 1) < DET_FLOOR)
     if len(low):
-        sigma_min = np.linalg.svd(evaluate_gramians(ps.harmonics, low), compute_uv=False)[:, -1]
-        found.append(low[sigma_min < DET_FLOOR])
+        index = base[low]
+        mid = index < 0
+        low_blocks = blocks[index % grid_size]
+        if mid.any():
+            low_blocks[mid] = evaluate_gramians(ps.harmonics, thetas[low[mid]])
+        sigma_min = np.linalg.svd(low_blocks, compute_uv=False)[:, -1]
+        found.append(thetas[low[sigma_min < DET_FLOOR]])
     closings: list[float] = []
     for c in np.concatenate(found) % math.pi:
         if all(abs((c - k + math.pi / 2.0) % math.pi - math.pi / 2.0) > 1e-6 for k in closings):

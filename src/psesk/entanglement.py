@@ -18,6 +18,14 @@ it solves only the first half turn, whose Gramians come from one inverse
 FFT per entry (overlap.evaluate_half_turn), and mirrors the second; any
 other grid goes to overlap.evaluate_gramians.
 
+Complex conjugation reverses p, so it maps the cut at theta to the cut at
+-theta: a state whose orbital span is closed under conjugation (any filling
+of oscillator levels or of a real well's bound states, however the
+orbitals are mixed) has the same spectrum at -theta as at theta.  When
+conj(C) - conj(C C^T) C is within SPAN_TOL, ``pses_sweep`` solves only the
+first quarter turn of the uniform grid and mirrors the rest, so angle
+K - j equals angle j bitwise.
+
 For an inversion-symmetric state ``pses_sweep`` needs no N x N eigensolve.
 In parity-sorted orbitals (chiral.parity_sort) the Gramian is
 O(theta) = 1/2 + [[0, m], [m^H, 0]] with m the N_e x N_o even-odd block,
@@ -57,6 +65,9 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 SINGULAR_DELTA = 1e-12
 HERMITIAN_BLOCK = 2**14  # matrix entries _hermitian checks per step
+# a conjugation residual r moves the mirrored mu by O(r); the chiral and the
+# general paths already differ by 2e-12
+SPAN_TOL = 1e-12
 
 
 class NonHermitian(Exception):
@@ -107,12 +118,12 @@ def schmidt_values(o) -> np.ndarray:
 
 
 def entanglement_energies(mu) -> np.ndarray:
-    """epsilon_a = -ln(mu_a / (1 - mu_a)); mu = 1 -> -inf, mu = 0 -> +inf.
+    """epsilon_a = -ln(mu_a / (1 - mu_a)); mu = 1 -> -inf, mu = 0 -> +inf, NaN -> NaN.
 
     Descending mu yields ascending energies.
     """
     m = np.asarray(mu, dtype=float)
-    out = np.empty_like(m)
+    out = np.full_like(m, np.nan)  # NaN in, NaN out
     with np.errstate(divide="ignore"):
         interior = (m > 0.0) & (m < 1.0)
         # 0 - ln rather than -ln: mu = 1/2 (a flat band) gives +0.0, not -0.0
@@ -154,19 +165,27 @@ def _singular_values(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.svd(blocks, compute_uv=False)
 
 
-def _paired_schmidt_values(ps: ParitySortedState, evaluate, angles: int) -> np.ndarray:
+def _paired_schmidt_values(ps: ParitySortedState, blocks, angles: int) -> np.ndarray:
     """Schmidt values of a parity-sorted state from the singular values of m.
 
     The Gramian is 1/2 + [[0, m], [m^H, 0]], so mu = 1/2 +- sigma_i(m), with
-    |N_e - N_o| more at exactly 1/2.  ``evaluate`` sums the blocks of
-    ``angles`` angles from the state's harmonics.
+    |N_e - N_o| more at exactly 1/2.  ``blocks(ps)`` gives the blocks of
+    ``angles`` angles; it is called only when both sectors are occupied.
     """
     if ps.n_even and ps.n_odd:
-        sigma = _singular_values(evaluate(ps.harmonics))
+        sigma = _singular_values(blocks(ps))
     else:
         sigma = np.zeros((angles, 0))
     flat = np.full((angles, abs(ps.n_even - ps.n_odd)), 0.5)
     return clamp_unit_interval(np.concatenate((0.5 + sigma, flat, 0.5 - sigma[:, ::-1]), axis=1))
+
+
+def _closed_under_conjugation(coeffs: np.ndarray) -> bool:
+    """Whether the span of the orthonormal rows C holds conj(C): its residual
+    conj(C) - conj(C C^T) C, conj(C) less its projection on the span, is
+    within SPAN_TOL."""
+    residual = coeffs.conj() - (coeffs @ coeffs.T).conj() @ coeffs
+    return bool(np.max(np.abs(residual), initial=0.0) <= SPAN_TOL)
 
 
 def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
@@ -190,20 +209,33 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     Any other state takes the general path, the eigenvalues of the N x N
     Gramian.
 
-    One evaluator, picked from the grid, sums the harmonics of either path:
-    gramian_harmonics(C, C), or the parity-sorted state's even-odd ones.
     On the uniform grid theta_j = 2 pi j / K with K even (exactly
-    ``np.linspace(0, 2 pi, K, endpoint=False)``) the evaluator is
-    evaluate_half_turn: the Gramians or blocks of the first half turn come
-    from one inverse FFT per entry, and the second half from the subsystem
-    swap: rotating the cut by pi exchanges x >= 0 and x <= 0, so
-    mu(theta + pi) = 1 - mu(theta), and
-    angle j + K/2 gets the energies -energies[j, ::-1] and the entropy of
-    angle j, bitwise.  The swap assumes conj(L) L^T = I; a state whose rows
-    are orthonormal only to within delta can see mu(theta + pi) differ from
-    a direct evaluation by up to delta.  Every other grid is evaluated
-    angle by angle (evaluate_gramians).  Raises ValueError unless ``thetas``
-    is a 1-D array of finite angles.
+    ``np.linspace(0, 2 pi, K, endpoint=False)``) only the first half turn is
+    solved.  Its Gramians or blocks come from one inverse FFT per entry
+    (evaluate_half_turn); the chiral path reads its blocks from the
+    parity-sorted state's held base grid (ParitySortedState.grid_blocks,
+    every 2G/K-th block) whenever K divides 2G.  The second half comes from
+    the subsystem swap: rotating the cut by pi exchanges x >= 0 and
+    x <= 0, so mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the
+    energies -energies[j, ::-1] and the entropy of angle j, bitwise.  The
+    swap assumes conj(L) L^T = I; a state whose rows are orthonormal only to
+    within delta can see mu(theta + pi) differ from a direct evaluation by
+    up to delta.
+
+    A state whose span is closed under complex conjugation (every filling
+    of oscillator levels or of a real well's bound states, however mixed)
+    solves only the first quarter turn, j = 0 .. floor(K/4).  Conjugation
+    reverses p, so it maps the cut at theta to the cut at -theta and the
+    spectrum at -theta is that at theta: angle K/2 - j gets the energies
+    -energies[j, ::-1] and the entropy of angle j, the swap of angle
+    K - j = -j.  The self-mirrored angle pi/2 (K divisible by 4) keeps the
+    mean of its energies and their mirror, (energies - energies[::-1]) / 2.
+    So angle K - j equals angle j bitwise, and the swap still holds bitwise
+    at every angle.  The span is taken as closed when
+    conj(C) - conj(C C^T) C is within SPAN_TOL; a residual r moves the
+    mirrored mu by O(r).  Every other grid is evaluated angle by angle
+    (evaluate_gramians).  Raises ValueError unless ``thetas`` is a 1-D
+    array of finite angles.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
@@ -211,22 +243,34 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     count = len(thetas)
     half_turn = bool(count % 2 == 0 and count and np.array_equal(
         thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)))
+    mirror = half_turn and _closed_under_conjugation(state.coeffs)
+    solved = count // 4 + 1 if mirror else count // 2 if half_turn else count
 
     def evaluate(h):
-        return evaluate_half_turn(h, count) if half_turn else evaluate_gramians(h, thetas)
+        if half_turn:
+            return evaluate_half_turn(h, count)[:solved]
+        return evaluate_gramians(h, thetas)
+
+    def blocks(ps):
+        if half_turn and 2 * ps.grid_size % count == 0:  # the sweep's angles are base-grid angles
+            return ps.grid_blocks[:: 2 * ps.grid_size // count][:solved]
+        return evaluate(ps.harmonics)
 
     try:
         ps = parity_sort(state)
     except NotInversionSymmetric:
         mu = schmidt_values(evaluate(gramian_harmonics(state.coeffs, state.coeffs)))
     else:
-        mu = _paired_schmidt_values(ps, evaluate, count // 2 if half_turn else count)
+        mu = _paired_schmidt_values(ps, blocks, solved)
+    energies = entanglement_energies(mu)
+    entropy = entanglement_entropy(mu)
     if half_turn:
-        half = entanglement_energies(mu)
-        energies = np.concatenate((half, 0.0 - half[:, ::-1]))
-        entropy = np.tile(entanglement_entropy(mu), 2)
-    else:
-        energies = entanglement_energies(mu)
-        entropy = entanglement_entropy(mu)
+        mirrored = count // 2 - solved  # angles K/2 - j from angles j = mirrored .. 1
+        if mirror and count % 4 == 0:
+            energies[-1] = 0.5 * (energies[-1] - energies[-1, ::-1])
+        energies = np.concatenate((energies, 0.0 - energies[mirrored:0:-1, ::-1]))
+        entropy = np.concatenate((entropy, entropy[mirrored:0:-1]))
+        energies = np.concatenate((energies, 0.0 - energies[:, ::-1]))
+        entropy = np.tile(entropy, 2)
     gap = np.min(np.abs(energies), axis=-1)
     return PSESDataset(thetas=thetas, energies=energies, entropy=entropy, gap=gap)

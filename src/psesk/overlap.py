@@ -52,8 +52,9 @@ only one computed.
 Every caller builds the harmonics of its row sets once
 (``gramian_harmonics``) and evaluates them.  The build takes the constant
 term 1/2 conj(L) R^T as one product over all left rows and every C_k at
-once: FFTs of length P >= 2M - 1 of the four boundary-weighted row sets, a
-product per (a, b) pair and one inverse FFT per pair,
+once: FFTs of length P >= 2M - 1 of the four boundary-weighted row sets
+(only two for parity-sorted sectors, whose other two are 0), a product per
+(a, b) pair and one inverse FFT per pair,
 O((N_L + N_R) P log P + N_L N_R P log P).
 ``evaluate_gramians`` sums the series, O(N_L N_R M) per angle, where the
 dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs O(N_L M^2).
@@ -232,24 +233,40 @@ def _harmonic_rows(n_right: int, basis_size: int) -> int:
     return max(1, HARMONIC_BYTES // (48 * max(1, n_right) * _fft_length(basis_size)))
 
 
+def _spectrum(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray | None:
+    """FFT of length p of the boundary-weighted rows, or None when they are all 0."""
+    weighted = rows * weights
+    return np.fft.fft(weighted, p) if weighted.any() else None
+
+
 def _coefficient_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray, rows: int):
     """(columns, C_k) for each block of ``rows`` left rows (an empty left set
     is one empty block), from one table lookup and one transform of R.
 
     C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k) for odd k, the
-    correlations taken for all lags by FFTs of length P >= 2M - 1.  A block's
-    C_k fill ``columns`` of the flattened N_L * N_R entries, one row per lag;
-    each left row's come from that row alone, whatever ``rows`` is.
+    correlations taken for all lags by FFTs of length P >= 2M - 1.  A row set
+    whose boundary weights are all 0 is not transformed and its term is
+    dropped: for parity-sorted sectors (even L, odd R) conj(L) b and R a
+    vanish, so one product of two transforms is the whole spectrum.  A
+    block's C_k fill ``columns`` of the flattened N_L * N_R entries, one row
+    per lag; each left row's come from that row alone, whatever ``rows`` is,
+    up to the sign of an exact 0.
     """
     m = left.shape[1]
     table = ho_overlap_table(m)
     a, b = table.phi0, table.dphi0
     p = _fft_length(m)
-    ra, rb = (np.fft.fft(right * g, p)[None, :, :] for g in (a, b))
+    ra, rb = (_spectrum(right, g, p) for g in (a, b))
     for k in range(0, max(1, len(left)), rows):
         block = left[k : k + rows]
-        la, lb = (np.fft.fft(block * g, p).conj()[:, None, :] for g in (a, b))
-        lags = np.fft.ifft(la * rb - lb * ra)[:, :, orders % p] / (2.0 * orders)
+        la, lb = (_spectrum(block, g, p) for g in (a, b))
+        if la is None or rb is None:
+            spectrum = np.zeros((len(block), len(right), p), dtype=complex)
+        else:
+            spectrum = la.conj()[:, None, :] * rb
+        if lb is not None and ra is not None:
+            spectrum -= lb.conj()[:, None, :] * ra
+        lags = np.fft.ifft(spectrum)[:, :, orders % p] / (2.0 * orders)
         coeffs = np.moveaxis(lags, 2, 0).reshape(len(orders), len(block) * len(right))
         yield slice(k * len(right), (k + len(block)) * len(right)), np.ascontiguousarray(coeffs)
 

@@ -160,9 +160,15 @@ def test_winding_ground_and_excited(m):
     assert chiral.winding_number(es) == -m
 
 
+def _grid(ps, grid_size):
+    """(det m, blocks) on a base grid of ``grid_size`` intervals, not the state's own."""
+    blocks = overlap.evaluate_half_turn(ps.harmonics, 2 * grid_size)
+    return chiral._grid_determinants(ps, blocks), blocks
+
+
 def _scan(ps, grid_size):
     """The phase scan from a base grid of ``grid_size`` intervals, not the state's own."""
-    return chiral._phase_scan(ps, chiral._grid_determinants(ps, grid_size))
+    return chiral._phase_scan(ps, *_grid(ps, grid_size))
 
 
 def test_winding_grid_doubling_stable():
@@ -224,6 +230,21 @@ def test_zero_on_a_grid_point_is_one_closing():
         with pytest.raises(chiral.GapClosed) as closed:
             chiral.winding_scan(state)
         assert closed.value.closings == tuple(closings)
+
+
+def test_floor_svds_read_base_grid_blocks(monkeypatch):
+    # |det m| < DET_FLOOR at the grid point pi/2: its SVD takes the held
+    # block, and only bisection midpoints are evaluated angle by angle
+    evaluated = []
+    evaluate = chiral.evaluate_gramians
+    monkeypatch.setattr(chiral, "evaluate_gramians",
+                        lambda h, thetas: evaluated.extend(thetas) or evaluate(h, thetas))
+    ps = chiral.parity_sort(interpolated_state(T_CRIT, 0.0))
+    assert abs(ps.grid_determinants[ps.grid_size // 2]) < chiral.DET_FLOOR
+    closings = chiral.detect_gap_closings(ps)
+    assert len(closings) == 1 and abs(closings[0] - math.pi / 2.0) < 1e-9
+    base = set(np.linspace(0.0, math.pi, ps.grid_size + 1).tolist())
+    assert not base & set(evaluated)
 
 
 def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
@@ -535,9 +556,9 @@ def test_flat_determinant_ripples_are_not_refined(monkeypatch):
     grids = []
     grid_determinants = chiral._grid_determinants
 
-    def counted_grid(ps, grid_size):
-        grids.append(grid_size)
-        return grid_determinants(ps, grid_size)
+    def counted_grid(ps, blocks):
+        grids.append(len(blocks))
+        return grid_determinants(ps, blocks)
 
     monkeypatch.setattr(chiral, "block_determinants", counted)
     monkeypatch.setattr(chiral, "_grid_determinants", counted_grid)
@@ -584,7 +605,7 @@ def _grid_oracle_states(well_states):
 def _assert_grid_matches_per_angle(ps):
     for grid_size in (1, 2, 3, 256, 4096):
         want = chiral.block_determinants(ps, np.linspace(0.0, math.pi, grid_size + 1))
-        got = chiral._grid_determinants(ps, grid_size)
+        got = _grid(ps, grid_size)[0]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), grid_size
 
@@ -644,7 +665,7 @@ def test_default_grid_is_computed_once_per_state(monkeypatch):
     grids = []
     grid_determinants = chiral._grid_determinants
     monkeypatch.setattr(chiral, "_grid_determinants",
-                        lambda ps, grid_size: grids.append(grid_size) or grid_determinants(ps, grid_size))
+                        lambda ps, blocks: grids.append(len(blocks)) or grid_determinants(ps, blocks))
     ps = chiral.parity_sort(interpolated_state(0.3, PHI))
     chiral.winding_scan(ps)
     chiral.detect_gap_closings(ps)

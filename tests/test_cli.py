@@ -219,7 +219,7 @@ def test_winding_closings_come_from_the_requested_grid(tmp_path, monkeypatch):
     grids = []
     grid_determinants = chiral._grid_determinants
     monkeypatch.setattr(chiral, "_grid_determinants",
-                        lambda ps, grid_size: grids.append(grid_size) or grid_determinants(ps, grid_size))
+                        lambda ps, blocks: grids.append(len(blocks)) or grid_determinants(ps, blocks))
     t_crit = (2.0 / math.pi) * math.atan(math.sqrt(2.0))
     rc = main(["winding", "--interpolated", f"{t_crit},2.0944", "--basis", "600",
                "--out", str(tmp_path)])

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import mixed_well_filling, random_slater, random_symmetric_slater
+from helpers import (mixed_well_filling, random_slater, random_symmetric_slater,
+                     random_unitary_rows)
 from psesk import chiral
 from psesk import entanglement as ent
 from psesk import overlap
@@ -75,6 +76,13 @@ def test_energies_map_and_sentinels():
     assert eps[1] == pytest.approx(EPS_PAIR, rel=1e-12)
     assert eps[2] == 0.0
     assert eps[3] == math.inf
+
+
+def test_energies_of_nan_are_nan():
+    eps = ent.entanglement_energies(np.array([math.nan, 0.5, math.nan, 1.0, 0.0]))
+    assert np.isnan(eps[[0, 2]]).all()
+    assert eps[1] == 0.0 and not np.signbit(eps[1])
+    assert list(eps[3:]) == [-math.inf, math.inf]
 
 
 def test_energies_ascend_for_descending_mu():
@@ -340,6 +348,7 @@ def test_chiral_sweep_without_kept_harmonics(name, monkeypatch):
 
 
 def test_uniform_sweep_solves_half_a_turn(monkeypatch):
+    # a complex span solves the first half turn, a real one its first quarter
     shapes = []
     schmidt = ent.schmidt_values
 
@@ -350,15 +359,19 @@ def test_uniform_sweep_solves_half_a_turn(monkeypatch):
     monkeypatch.setattr(ent, "schmidt_values", recorded)
     monkeypatch.setattr(ent, "evaluate_gramians", _refused)
     monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
-    state = sweep_state("rosen_morse")
-    data = ent.pses_sweep(state, _uniform(256))
-    assert shapes == [(128, 7, 7)]
-    assert data.energies.shape == (256, 7)
-    with pytest.raises(AssertionError):
-        ent.pses_sweep(state, _uniform(256) + 0.1)
+    for name, angles in (("random-1000", 128), ("rosen_morse", 65)):
+        state = sweep_state(name)
+        assert not _symmetric(state)
+        shapes.clear()
+        data = ent.pses_sweep(state, _uniform(256))
+        assert shapes == [(angles, state.n_particles, state.n_particles)], name
+        assert data.energies.shape == (256, state.n_particles)
+        with pytest.raises(AssertionError):
+            ent.pses_sweep(state, _uniform(256) + 0.1)
 
 
 def test_uniform_chiral_sweep_takes_one_svd_over_half_a_turn(monkeypatch):
+    # a complex span's blocks over the first half turn, a real one's over its first quarter
     shapes = []
     svd = np.linalg.svd
 
@@ -366,17 +379,146 @@ def test_uniform_chiral_sweep_takes_one_svd_over_half_a_turn(monkeypatch):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    state = sweep_state("poschl_teller")
-    parity_sort(state)  # the sort's own SVDs; the sweep then reuses the remembered sort
-    monkeypatch.setattr(np.linalg, "svd", recorded)
     monkeypatch.setattr(ent, "schmidt_values", _refused)
     monkeypatch.setattr(ent, "evaluate_gramians", _refused)
     monkeypatch.setattr(overlap, "evaluate_gramians", _refused)
-    data = ent.pses_sweep(state, _uniform(256))
-    assert shapes == [(128, 4, 3)]
-    assert data.energies.shape == (256, 7)
-    with pytest.raises(AssertionError):
-        ent.pses_sweep(state, _uniform(256) + 0.1)
+    for state, angles in ((random_symmetric_slater(np.random.default_rng(34), 4, 3, 100), 128),
+                          (sweep_state("poschl_teller"), 65)):
+        parity_sort(state)  # the sort's own SVDs; the sweep then reuses the remembered sort
+        shapes.clear()
+        with monkeypatch.context() as spy:
+            spy.setattr(np.linalg, "svd", recorded)
+            data = ent.pses_sweep(state, _uniform(256))
+        assert shapes == [(angles, 4, 3)]
+        assert data.energies.shape == (256, 7)
+        with pytest.raises(AssertionError):
+            ent.pses_sweep(state, _uniform(256) + 0.1)
+
+
+# ------------------------------------ the quarter turn of conjugation-closed spans
+
+def _real_rows(rng, n, m):
+    return np.linalg.qr(rng.normal(size=(m, n)))[0].T
+
+
+def _real_span_states():
+    """States whose span is closed under conjugation, each mixed by a complex unitary."""
+    rng = np.random.default_rng(35)
+    return {
+        "oscillator-0-5": SlaterState(random_unitary_rows(rng, 6, 6)
+                                      @ ho_slater(range(6), basis_size=100).coeffs),
+        "rosen_morse": sweep_state("rosen_morse"),
+        "random-real": SlaterState(random_unitary_rows(rng, 5, 5) @ _real_rows(rng, 5, 100)),
+    }
+
+
+def _complex_span_states():
+    return {"interpolated": interpolated_state(0.3, 1.0),
+            "random-complex": random_slater(np.random.default_rng(36), 5, 100)}
+
+
+def _solved_angles(state, thetas, monkeypatch, general=False):
+    """(the sweep, the number of angles whose mu it solved); ``general``
+    sends a symmetric state down the general path."""
+    solved = []
+    energies = ent.entanglement_energies
+    with monkeypatch.context() as spy:
+        spy.setattr(ent, "entanglement_energies", lambda mu: solved.append(len(mu)) or energies(mu))
+        if general:
+            spy.setattr(ent, "parity_sort", _not_symmetric)
+        data = ent.pses_sweep(state, thetas)
+    return data, solved[0]
+
+
+def _not_symmetric(state):
+    raise chiral.NotInversionSymmetric("the general path")
+
+
+def _assert_matches_per_angle(data, state, thetas):
+    mu, _, entropy = _per_angle(state, thetas)
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
+    assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+
+
+def _assert_even_in_theta(data):
+    k = len(data.thetas)
+    assert np.array_equal(data.energies[:0:-1], data.energies[1:])  # angle K - j is angle j
+    assert np.array_equal(data.entropy[:0:-1], data.entropy[1:])
+    assert np.array_equal(data.energies[k // 2 :], 0.0 - data.energies[: k // 2, ::-1])
+
+
+@pytest.mark.parametrize("k", [16, 70, 256, 1024])  # 70 = 2 mod 4; 1024 does not divide 2G = 512
+@pytest.mark.parametrize("name, path", [("oscillator-0-5", "chiral"), ("oscillator-0-5", "general"),
+                                        ("rosen_morse", "general"), ("random-real", "general")])
+def test_real_spans_solve_a_quarter_turn_and_mirror_it(name, path, k, monkeypatch):
+    state = _real_span_states()[name]
+    assert _symmetric(state) == (name == "oscillator-0-5")
+    assert ent._closed_under_conjugation(state.coeffs)
+    data, solved = _solved_angles(state, _uniform(k), monkeypatch, general=path == "general")
+    assert solved == k // 4 + 1
+    _assert_matches_per_angle(data, state, _uniform(k))
+    _assert_even_in_theta(data)
+
+
+@pytest.mark.parametrize("k", [16, 70, 256])
+@pytest.mark.parametrize("name", ["interpolated", "random-complex"])
+def test_complex_spans_solve_the_whole_half_turn(name, k, monkeypatch):
+    state = _complex_span_states()[name]
+    assert not ent._closed_under_conjugation(state.coeffs)
+    data, solved = _solved_angles(state, _uniform(k), monkeypatch)
+    assert solved == k // 2
+    _assert_matches_per_angle(data, state, _uniform(k))
+    # the spectrum at -theta is not the one at theta
+    assert np.max(np.abs(data.entropy[:0:-1] - data.entropy[1:])) > 1e-6
+
+
+@pytest.mark.parametrize("state", [ho_slater([0, 1, 2, 3]), ho_slater([0, 1, 2])],
+                         ids=["chiral", "flat-band"])
+def test_an_empty_grid_sweeps_to_empty_arrays(state):
+    data = ent.pses_sweep(state, [])
+    assert data.energies.shape == (0, state.n_particles)
+    assert data.entropy.shape == data.gap.shape == (0,)
+
+
+def test_other_grids_solve_every_angle_of_a_real_span(monkeypatch):
+    state = _real_span_states()["oscillator-0-5"]
+    thetas = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, 40)
+    data, solved = _solved_angles(state, thetas, monkeypatch)
+    assert solved == 40
+    _assert_matches_per_angle(data, state, thetas)
+
+
+@pytest.mark.parametrize("size, angles", [(1e-9, 128), (1e-15, 65)])
+def test_the_span_tolerance_sets_the_turn(size, angles, monkeypatch):
+    # a complex part of 1e-9 leaves a residual far above SPAN_TOL, one of
+    # 1e-15 a residual of roundoff
+    rng = np.random.default_rng(38)
+    rows = _real_rows(rng, 5, 100) + 1j * size * rng.normal(size=(5, 100))
+    state = SlaterState(np.linalg.qr(rows.T)[0].T)
+    data, solved = _solved_angles(state, _uniform(256), monkeypatch)
+    assert solved == angles
+    _assert_matches_per_angle(data, state, _uniform(256))
+
+
+def test_the_sweep_reads_the_held_base_grid_when_k_divides_it(monkeypatch):
+    # K = 256 and 16 are every 2nd and 32nd angle of the 2G = 512 grid of
+    # M = 100; K = 1024 evaluates its own half turn
+    state = mixed_well_filling(np.random.default_rng(39), "double_well", 3, 3)
+    calls = []
+    for module in (chiral, ent):
+        half_turn = module.evaluate_half_turn
+        monkeypatch.setattr(module, "evaluate_half_turn", lambda h, count, half_turn=half_turn:
+                            calls.append(count) or half_turn(h, count))
+    ps = parity_sort(state)
+    for k in (256, 16):
+        data = ent.pses_sweep(state, _uniform(k))
+        _assert_matches_per_angle(data, state, _uniform(k))
+    assert chiral.winding_scan(ps)[0] == 3
+    assert calls == [512]
+    assert not ps.grid_blocks.flags.writeable
+    ent.pses_sweep(state, _uniform(1024))
+    assert calls == [512, 1024]
 
 
 # ------------------------------------------ the chiral path against the general one
@@ -453,8 +595,10 @@ def test_paired_schmidt_values_keep_the_gram_bound(indices, grid, monkeypatch):
         blocks[:, 0, 0] = 0.5 + 1e-6
         return blocks
 
-    monkeypatch.setattr(ent, "evaluate_half_turn" if grid == "uniform" else "evaluate_gramians",
-                        escaping)
+    if grid == "uniform":  # the sweep reads the blocks of the state's held base grid
+        monkeypatch.setattr(chiral, "evaluate_half_turn", escaping)
+    else:
+        monkeypatch.setattr(ent, "evaluate_gramians", escaping)
     thetas = _uniform(16) if grid == "uniform" else _uniform(16) + 0.1
     with pytest.raises(overlap.GramBoundError):
         ent.pses_sweep(state, thetas)

@@ -229,6 +229,35 @@ def test_row_block_rebuild_is_one_pass_with_the_held_bits(monkeypatch):
     assert got[1].tobytes() == want[1].tobytes()
 
 
+def test_parity_sectors_transform_only_their_nonzero_row_sets(monkeypatch):
+    # even left rows have conj(L) phi'(0) = 0 and odd right rows R phi(0) = 0:
+    # two FFTs instead of four, and the C_k of the four-term formula up to
+    # the sign of an exact 0
+    rng = np.random.default_rng(64)
+    m = 120
+    left = np.zeros((4, m), dtype=complex)
+    right = np.zeros((3, m), dtype=complex)
+    left[:, 0::2], right[:, 1::2] = _unit_rows(rng, 4, m // 2), _unit_rows(rng, 3, m // 2)
+    table = overlap.ho_overlap_table(m)
+    a, b = table.phi0, table.dphi0
+    p = overlap._fft_length(m)
+    la, lb = (np.fft.fft(left * g, p).conj()[:, None, :] for g in (a, b))
+    ra, rb = (np.fft.fft(right * g, p)[None, :, :] for g in (a, b))
+    orders = np.arange(1 - m, m, 2)
+    lags = np.fft.ifft(la * rb - lb * ra)[:, :, orders % p] / (2.0 * orders)
+    want = np.moveaxis(lags, 2, 0).reshape(len(orders), 12)
+    transforms = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda x, n: transforms.append(len(x)) or fft(x, n))
+    got = overlap.gramian_harmonics(left, right).coeffs
+    assert transforms == [3, 4]
+    assert np.array_equal(got, want)
+    both = np.vstack((left[:2], right[:2]))  # rows of both parities keep all four
+    transforms.clear()
+    overlap.gramian_harmonics(both, both)
+    assert transforms == [4, 4, 4, 4]
+
+
 def test_streamed_half_turn_memory(monkeypatch):
     # each block is binned and transformed in its slice of the output: no
     # full-width bins beside the returned stack
