@@ -24,6 +24,22 @@ a up to 7e-5), moves by up to that much; and 1/2 - sigma near 0 loses
 relative accuracy like any small eigenvalue, an energy |epsilon| carrying
 a relative error of about eps * e^|epsilon|.
 
+Rotating the cut by alpha multiplies oscillator level n by e^{i n alpha},
+so a span of oscillator levels, a filling however its orbitals are mixed,
+is invariant under the rotation: O(theta) is unitarily similar to O(0),
+and in the levels' own rows m(theta) = D_e(theta)^* m(0) D_o(theta) with
+diagonal phases e^{i n theta}.  Its sigma_i do not depend on theta, and
+det m(theta) = e^{i S theta} det m(0), S the sum of the odd levels less
+that of the even ones, so nu = S exactly.  parity_sort recognises such a
+span on the raw rows C by its level residual C N - (C N C^H) C, N the
+level operator, within LEVEL_TOL (M - 1), after the column weights
+sum_a |c_an|^2, each 0 or 1 for a filling, have turned most other states
+away; its sorted rows are the levels' unit rows, found without an SVD, and
+ParitySortedState.levels names them (None for every other state).  The
+sweep and the scan of a filling then read only m(0) = T[even levels, odd
+levels] (level_block), from the table's boundary vectors: no harmonics and
+no grid.
+
 parity_sort remembers its last result in a weak dictionary keyed by the
 state object, so the sweep and the scans of one state share one sort, its
 harmonics and its grid.  The state's rows, the sort's, the harmonics and
@@ -35,8 +51,9 @@ FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
 m(pi) = -m(0).  Each parity-sorted state with both sectors occupied holds
 these blocks (ParitySortedState.grid_blocks) once they are made, so the
 determinants, the scan's gap SVDs at grid angles, and every sweep whose
-K angles divide 2G read one stack; the blocks live as long as the state
-is remembered.  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
+K angles divide 2G read one stack (a sweep of unequal sectors only if the
+stack is already held: no scan of theirs builds it); the blocks live as
+long as the state is remembered.  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
 the entries of m have odd lags |k| < M, so no harmonic of m turns by more
 than pi per interval.  The scan winds the demodulated determinant
 d(theta) = det m(theta) e^{-i S theta}, S the rounded difference of the
@@ -44,6 +61,8 @@ odd and the even sectors' summed mean levels sum_a sum_n n |c_an|^2, and
 reports nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
 [0, pi], so any integer S keeps nu exact, and for an oscillator filling,
 det m proportional to e^{i (sum odd - sum even) theta}, d is constant.
+A filling is scanned only when its gap sigma_min(m(0)) is below DET_FLOOR;
+otherwise its scan is (S, G, (0, prod sigma), ()) with no grid at all.
 States whose orbitals spread over many levels rely on the grid alone.
 
 The winding and the gap closings come from one phase scan of that grid:
@@ -68,7 +87,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import GramianHarmonics, evaluate_gramians, evaluate_half_turn, gramian_harmonics
+from .overlap import (GramianHarmonics, _wronskian_overlap, evaluate_gramians, evaluate_half_turn,
+                      gramian_harmonics, ho_overlap_table)
 from .states import SlaterState
 
 __all__ = [
@@ -80,6 +100,7 @@ __all__ = [
     "inversion_matrix",
     "parity_sort",
     "chiral_block",
+    "level_block",
     "winding_number",
     "winding_scan",
     "flat_band_count",
@@ -93,6 +114,11 @@ DET_FLOOR = 1e-10
 DEFAULT_GRID = 256  # the fewest base-grid intervals of any state
 GRID_CAP = 16384
 RESOLUTION = 1e-10  # a bad phase step this narrow holds a zero
+# N has entries up to M - 1, so the level residual's roundoff grows like
+# eps (M - 1) (at most 4e-16 (M - 1) on fillings up to N = 600 mixed by
+# random unitaries); an admixture a of another level leaves a residual >= a
+# and moves mu by O(a)
+LEVEL_TOL = 1e-14
 
 
 class NotInversionSymmetric(Exception):
@@ -122,11 +148,17 @@ class EmptyBlock(Exception):
 
 @dataclass(frozen=True, eq=False)
 class ParitySortedState:
-    """Orthonormal parity-eigenstate rows, even-parity rows first."""
+    """Orthonormal parity-eigenstate rows, even-parity rows first.
+
+    ``levels`` holds, for a filling of oscillator levels, the occupied level
+    of each row (the rows are then those levels' unit rows), and is None
+    for every other state.
+    """
 
     coeffs: np.ndarray
     n_even: int
     n_odd: int
+    levels: np.ndarray | None = None
 
     @cached_property
     def harmonics(self) -> GramianHarmonics:
@@ -169,7 +201,17 @@ class ParitySortedState:
 
     @cached_property
     def phase_scan(self) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
-        """The phase scan of grid_determinants (_phase_scan), run on first use."""
+        """The phase scan of grid_determinants (_phase_scan), run on first use.
+
+        A balanced filling whose gap sigma_min(m(0)) is at least DET_FLOOR
+        needs no grid: its singular values do not depend on theta and
+        det m(theta) = e^{i S theta} det m(0), so the scan is
+        (S, G, (0.0, prod sigma), ()) from level_block alone.
+        """
+        if self.levels is not None and self.n_even == self.n_odd:
+            sigma = np.linalg.svd(level_block(self), compute_uv=False)
+            if sigma[-1] >= DET_FLOOR:
+                return _level_offset(self), self.grid_size, (0.0, float(np.prod(sigma))), ()
         return _phase_scan(self, self.grid_determinants, self.grid_blocks)
 
 
@@ -215,7 +257,40 @@ def parity_sort(state: SlaterState) -> ParitySortedState:
     return ps
 
 
+def _filled_levels(coeffs: np.ndarray) -> np.ndarray | None:
+    """The occupied levels, ascending, when the span of the orthonormal rows
+    C is a filling of oscillator levels; None otherwise.
+
+    The span is one iff the level operator N = diag(0 .. M - 1) maps it
+    into itself (N has distinct eigenvalues), that is iff the residual
+    C N - (C N C^H) C, C N less its projection on the span, vanishes; it
+    is taken as vanishing within LEVEL_TOL (M - 1).  The column weights
+    w_n = sum_a |c_an|^2, each 0 or 1 for a filling and fractional for a
+    well's levels, reject first, at O(NM) against the residual's O(N^2 M);
+    they cannot decide alone, as an admixture a moves them only by a^2.
+    """
+    tol = LEVEL_TOL * (coeffs.shape[1] - 1)
+    weights = np.sum(np.abs(coeffs) ** 2, axis=0)
+    if not np.max(np.minimum(weights, np.abs(1.0 - weights))) <= tol:
+        return None
+    scaled = coeffs * np.arange(coeffs.shape[1])
+    residual = scaled - (scaled @ coeffs.conj().T) @ coeffs
+    if not np.max(np.abs(residual)) <= tol:
+        return None
+    return np.flatnonzero(weights > 0.5)
+
+
 def _sort_by_parity(state: SlaterState) -> ParitySortedState:
+    levels = _filled_levels(state.coeffs)
+    if levels is not None:  # the levels' unit rows, even levels first
+        levels = np.concatenate((levels[levels % 2 == 0], levels[levels % 2 == 1]))
+        coeffs = np.zeros_like(state.coeffs)
+        coeffs[np.arange(len(levels)), levels] = 1.0
+        for array in (coeffs, levels):
+            array.flags.writeable = False
+        n_even = int(np.count_nonzero(levels % 2 == 0))
+        return ParitySortedState(coeffs=coeffs, n_even=n_even, n_odd=len(levels) - n_even,
+                                 levels=levels)
     _, s_even, even = np.linalg.svd(state.coeffs[:, 0::2], full_matrices=False)
     _, s_odd, odd = np.linalg.svd(state.coeffs[:, 1::2], full_matrices=False)
     w_even, w_odd = np.zeros((2, state.n_particles))  # 0 past a block's rank
@@ -241,6 +316,18 @@ def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
     return evaluate_gramians(ps.harmonics, [theta])[0]
 
 
+def level_block(ps: ParitySortedState) -> np.ndarray:
+    """m(0) of a filling (``ps.levels`` set): the real N_e x N_o table part
+    T[even levels, odd levels], from the table's boundary vectors.
+
+    The rows are the levels' unit rows, so m(0) is that part of the table;
+    no harmonics are built.
+    """
+    table = ho_overlap_table(ps.coeffs.shape[1])
+    even, odd = ps.levels[: ps.n_even], ps.levels[ps.n_even :]
+    return _wronskian_overlap(table.phi0, table.dphi0, even[:, None], odd[None, :])
+
+
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
     """det m(theta) on a grid: one det over the stacked N_e x N_o blocks."""
     return np.linalg.det(evaluate_gramians(ps.harmonics, thetas))
@@ -258,6 +345,14 @@ def _grid_determinants(ps: ParitySortedState, blocks: np.ndarray) -> np.ndarray:
     return np.append(dets, (-1) ** ps.n_even * dets[0])
 
 
+def _level_offset(ps: ParitySortedState) -> int:
+    """S = round(sum over odd rows - sum over even rows of sum_n n |c_an|^2),
+    the odd minus the even sectors' summed mean levels; for a filling, the
+    sum of the odd levels less the sum of the even ones."""
+    levels = np.abs(ps.coeffs) ** 2 @ np.arange(ps.coeffs.shape[1])
+    return round(float(levels[ps.n_even :].sum() - levels[: ps.n_even].sum()))
+
+
 def _phase_scan(
     ps: ParitySortedState, dets: np.ndarray, blocks: np.ndarray
 ) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
@@ -265,9 +360,8 @@ def _phase_scan(
 
     Phase-unwraps d(theta) = det m(theta) e^{-i S theta} from ``dets``,
     det m on the uniform grid of G = len(dets) - 1 intervals over [0, pi]
-    (_grid_determinants of ``blocks``, m(pi j / G) for j < G),
-    S = round(sum over odd rows - sum over even rows
-    of sum_n n |c_an|^2); the factor goes on the step ratios, so ``dets``
+    (_grid_determinants of ``blocks``, m(pi j / G) for j < G), and
+    S = _level_offset(ps); the factor goes on the step ratios, so ``dets``
     stay raw.  Every bad interval, whose wrapped step is >= pi/2 or NaN (a
     det that is exactly 0), is bisected and only its midpoint evaluated by
     block_determinants, until each bad interval left is narrower than
@@ -287,8 +381,7 @@ def _phase_scan(
     grid_size = len(dets) - 1
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
     base = np.arange(grid_size + 1)  # each angle's base-grid index, -1 at a midpoint
-    levels = np.abs(ps.coeffs) ** 2 @ np.arange(ps.coeffs.shape[1])
-    offset = round(float(levels[ps.n_even :].sum() - levels[: ps.n_even].sum()))
+    offset = _level_offset(ps)
     while True:
         widths = np.diff(thetas)
         with np.errstate(divide="ignore", invalid="ignore"):

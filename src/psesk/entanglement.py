@@ -36,6 +36,15 @@ columns: a state orthonormal only to within delta moves by up to delta.
 Near mu = 0 the values 1/2 - sigma carry the same absolute roundoff as an
 eigenvalue, so an energy loses relative accuracy as eps * e^|epsilon|, as
 on the general path.
+
+Rotating the cut by alpha multiplies oscillator level n by e^{i n alpha},
+so a span of oscillator levels (a filling, however its orbitals are mixed)
+is invariant under the rotation and O(theta) is unitarily similar to O(0):
+the spectrum does not depend on theta.  chiral.parity_sort recognises such
+a span by its level residual C N - (C N C^H) C, within
+chiral.LEVEL_TOL (M - 1), and ``pses_sweep`` then solves one row, from the
+block m(0) (chiral.level_block), on any grid, and tiles it, so every angle
+is bitwise the same row.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chiral import NotInversionSymmetric, ParitySortedState, parity_sort
+from .chiral import NotInversionSymmetric, ParitySortedState, level_block, parity_sort
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
 from .overlap import (clamp_unit_interval, evaluate_gramians, evaluate_half_turn,  # noqa
                       gramian_harmonics, rotated_overlap)
@@ -209,13 +218,26 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     Any other state takes the general path, the eigenvalues of the N x N
     Gramian.
 
+    A filling of oscillator levels (ParitySortedState.levels set: a span
+    invariant under the level operator N, its residual C N - (C N C^H) C
+    within chiral.LEVEL_TOL (M - 1)) is invariant under every rotation of
+    the cut, so its spectrum is the same at every angle.  On any grid it
+    solves one row, mu = 1/2 +- sigma_i(m(0)) and the flat bands from the
+    block m(0) (chiral.level_block), clamped like every row; the row is
+    its own swap, so its energies keep their mean with their mirror,
+    (energies - energies[::-1]) / 2, and the row is tiled to every angle:
+    every angle is bitwise the same, and the swap and the mirror below hold
+    bitwise.  Such a state builds no harmonics and no grid.
+
     On the uniform grid theta_j = 2 pi j / K with K even (exactly
     ``np.linspace(0, 2 pi, K, endpoint=False)``) only the first half turn is
     solved.  Its Gramians or blocks come from one inverse FFT per entry
     (evaluate_half_turn); the chiral path reads its blocks from the
-    parity-sorted state's held base grid (ParitySortedState.grid_blocks,
-    every 2G/K-th block) whenever K divides 2G.  The second half comes from
-    the subsystem swap: rotating the cut by pi exchanges x >= 0 and
+    parity-sorted state's base grid (ParitySortedState.grid_blocks, every
+    2G/K-th block) whenever K divides 2G and the sectors are equal, so the
+    winding scan reads the same grid, or the grid is already held; a state
+    with unequal sectors otherwise evaluates its own half turn.  The second
+    half comes from the subsystem swap: rotating the cut by pi exchanges x >= 0 and
     x <= 0, so mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the
     energies -energies[j, ::-1] and the entropy of angle j, bitwise.  The
     swap assumes conj(L) L^T = I; a state whose rows are orthonormal only to
@@ -241,6 +263,12 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     if thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
         raise ValueError(f"thetas must be a 1-D array of finite angles, not {thetas!r}")
     count = len(thetas)
+    try:
+        ps = parity_sort(state)
+    except NotInversionSymmetric:
+        ps = None
+    if ps is not None and ps.levels is not None:
+        return _filling_sweep(ps, thetas)
     half_turn = bool(count % 2 == 0 and count and np.array_equal(
         thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)))
     mirror = half_turn and _closed_under_conjugation(state.coeffs)
@@ -252,13 +280,14 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
         return evaluate_gramians(h, thetas)
 
     def blocks(ps):
-        if half_turn and 2 * ps.grid_size % count == 0:  # the sweep's angles are base-grid angles
+        # the sweep's angles are base-grid angles, and the grid is one a scan
+        # reads (balanced sectors) or one that is already held
+        if (half_turn and 2 * ps.grid_size % count == 0
+                and (ps.n_even == ps.n_odd or "grid_blocks" in ps.__dict__)):
             return ps.grid_blocks[:: 2 * ps.grid_size // count][:solved]
         return evaluate(ps.harmonics)
 
-    try:
-        ps = parity_sort(state)
-    except NotInversionSymmetric:
+    if ps is None:
         mu = schmidt_values(evaluate(gramian_harmonics(state.coeffs, state.coeffs)))
     else:
         mu = _paired_schmidt_values(ps, blocks, solved)
@@ -267,10 +296,33 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     if half_turn:
         mirrored = count // 2 - solved  # angles K/2 - j from angles j = mirrored .. 1
         if mirror and count % 4 == 0:
-            energies[-1] = 0.5 * (energies[-1] - energies[-1, ::-1])
+            energies[-1] = _self_mirrored(energies[-1])
         energies = np.concatenate((energies, 0.0 - energies[mirrored:0:-1, ::-1]))
         entropy = np.concatenate((entropy, entropy[mirrored:0:-1]))
         energies = np.concatenate((energies, 0.0 - energies[:, ::-1]))
         entropy = np.tile(entropy, 2)
+    return _dataset(thetas, energies, entropy)
+
+
+def _self_mirrored(energies: np.ndarray) -> np.ndarray:
+    """(energies - energies[..., ::-1]) / 2: a row that is its own swap keeps
+    the mean of its energies and their mirror, exactly odd under reversal."""
+    return 0.5 * (energies - energies[..., ::-1])
+
+
+def _filling_sweep(ps: ParitySortedState, thetas: np.ndarray) -> PSESDataset:
+    """The sweep of a filling of oscillator levels: one row, tiled.
+
+    The spectrum at every angle is that of m(0) (level_block): mu = 1/2 +-
+    sigma_i(m(0)) and the flat bands, clamped like any row.  The row is its
+    own swap, so its energies are made exactly odd (_self_mirrored).
+    """
+    mu = _paired_schmidt_values(ps, lambda ps: level_block(ps)[None], 1)
+    energies = _self_mirrored(entanglement_energies(mu))
+    entropy = entanglement_entropy(mu)
+    return _dataset(thetas, np.tile(energies, (len(thetas), 1)), np.tile(entropy, len(thetas)))
+
+
+def _dataset(thetas, energies, entropy) -> PSESDataset:
     gap = np.min(np.abs(energies), axis=-1)
     return PSESDataset(thetas=thetas, energies=energies, entropy=entropy, gap=gap)

@@ -281,9 +281,13 @@ def _filling(n):
 @example([13, 99, 197, 270, 388, 506])
 def test_oscillator_fillings_wind_by_their_level_sums(levels):
     # m(theta) = D_e(theta)^* m_0 D_o(theta) with diagonal phases e^{i n theta}
-    # and m_0 nonsingular, so nu = sum of the odd levels - sum of the even ones
+    # and m_0 nonsingular, so nu = sum of the odd levels - sum of the even ones;
+    # the grid's own scan, which a filling's phase_scan skips, must wind the
+    # same (its demodulation by S makes this exact)
     nu = sum(n if n % 2 else -n for n in levels)
-    assert chiral.winding_number(chiral.parity_sort(ho_slater(levels))) == nu
+    ps = chiral.parity_sort(ho_slater(levels))
+    assert chiral.winding_number(ps) == nu
+    assert chiral._phase_scan(ps, ps.grid_determinants, ps.grid_blocks)[0] == nu
 
 
 def test_grid_size_comes_from_the_basis():
@@ -503,7 +507,11 @@ def test_minimum_block_gap_reads_the_phase_scan(name, monkeypatch):
         monkeypatch.setattr(chiral, evaluation, None)
     theta, det = chiral.minimum_block_gap(ps)
     monkeypatch.undo()
-    assert det == min_det <= np.min(np.abs(ps.grid_determinants))
+    assert det == min_det
+    if ps.levels is None:
+        assert det <= np.min(np.abs(ps.grid_determinants))
+    else:  # a filling's |det m| = prod sigma(m(0)) is constant: no grid angle holds less
+        assert det == pytest.approx(np.min(np.abs(ps.grid_determinants)), rel=1e-13)
     assert 0.0 <= theta < math.pi
     assert abs(chiral.block_determinants(ps, [theta])[0]) == pytest.approx(det, rel=1e-9)
     # near a zero the scan's bisection has brought its minimum onto the closing
@@ -524,10 +532,10 @@ def test_winding_and_closings_build_the_harmonics_once(monkeypatch):
         return build(left, right)
 
     monkeypatch.setattr(chiral, "gramian_harmonics", counted)
-    ps = chiral.parity_sort(_scan_states()["oscillator-0-11-mixed"])
-    assert chiral.winding_scan(ps)[0] == 6
+    ps = chiral.parity_sort(_scan_states()["poschl-teller-6"])
+    assert chiral.winding_scan(ps)[0] == 3
     assert chiral.detect_gap_closings(ps) == []
-    assert calls == [6]
+    assert calls == [3]
 
 
 def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
@@ -543,7 +551,8 @@ def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
 
 
 def test_flat_determinant_ripples_are_not_refined(monkeypatch):
-    # pure oscillator levels: |det m| is constant, its grid minima are roundoff
+    # pure oscillator levels: |det m| is constant, its grid minima are roundoff;
+    # the grid's own scan, which a filling's phase_scan skips
     ps = chiral.parity_sort(_scan_states()["oscillator-0-11-mixed"])
     assert len(_grid_brackets(ps)) > 24
     calls = []
@@ -562,7 +571,7 @@ def test_flat_determinant_ripples_are_not_refined(monkeypatch):
 
     monkeypatch.setattr(chiral, "block_determinants", counted)
     monkeypatch.setattr(chiral, "_grid_determinants", counted_grid)
-    assert chiral.detect_gap_closings(ps) == []
+    assert chiral._phase_scan(ps, ps.grid_determinants, ps.grid_blocks)[3] == ()
     assert calls == []
     assert grids == [chiral.DEFAULT_GRID]
 
@@ -820,3 +829,70 @@ def test_a_norm_defect_does_not_unbalance_the_sort():
     state = SlaterState(ho_slater([0, 1, 2, 3]).coeffs * math.sqrt(1.0 + 6e-9))
     ps = chiral.parity_sort(state)
     assert (ps.n_even, ps.n_odd) == (2, 2)
+
+
+# ------------------------------------------- fillings of oscillator levels: m(0) alone
+
+@pytest.mark.parametrize("levels, basis", [(range(600), 1024), (range(68), 68),
+                                           ([0, 2, 1001, 1003], 1004),
+                                           ([13, 99, 197, 270, 388, 506], 507)])
+def test_fillings_wind_by_their_level_sums_from_one_block(levels, basis):
+    # sigma(m(theta)) is that of m(0) and det m(theta) = e^{i S theta} det m(0)
+    levels = list(levels)
+    rows = ho_slater(levels, basis).coeffs
+    mixed = random_unitary_rows(np.random.default_rng(48), len(rows), len(rows)) @ rows
+    for state in (ho_slater(levels, basis), SlaterState(mixed)):
+        ps = chiral.parity_sort(state)
+        assert list(ps.levels) == sorted(levels, key=lambda n: (n % 2, n))
+        sigma = np.linalg.svd(chiral.level_block(ps), compute_uv=False)
+        nu = sum(n if n % 2 else -n for n in levels)
+        assert chiral.winding_scan(ps) == (nu, ps.grid_size, float(np.prod(sigma)))
+        assert chiral.detect_gap_closings(ps) == []
+        assert chiral.minimum_block_gap(ps) == (0.0, float(np.prod(sigma)))
+        assert "harmonics" not in ps.__dict__ and "grid_blocks" not in ps.__dict__
+        if basis <= 1004:  # the block is m(0) of the harmonics
+            block = chiral.chiral_block(ps, 0.0)
+            assert np.max(np.abs(block - chiral.level_block(ps))) < 1e-15
+
+
+def test_a_filling_whose_block_is_singular_to_roundoff_takes_the_scan():
+    # sigma_min(m(0)) = 1.4e-14 < DET_FLOOR: the scan of the grid decides
+    ps = chiral.parity_sort(ho_slater([0, 2, 4, 1019, 1021, 1023]))
+    assert ps.levels is not None
+    assert np.linalg.svd(chiral.level_block(ps), compute_uv=False)[-1] < chiral.DET_FLOOR
+    assert ps.phase_scan == chiral._phase_scan(ps, ps.grid_determinants, ps.grid_blocks)
+
+
+def test_the_level_test_reads_the_residual_not_the_weights():
+    # an admixture a of another level moves the column weights by a^2, but
+    # leaves a level residual of a times the level distance
+    for size, filling in ((1e-9, False), (1e-13, False), (1e-17, True)):
+        rows = ho_slater([0, 1, 2, 3], 8).coeffs.copy()
+        rows[0, 6] = size
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ps = chiral.parity_sort(SlaterState(random_unitary_rows(np.random.default_rng(49), 4, 4)
+                                            @ rows))
+        assert (ps.levels is not None) == filling, size
+        assert (ps.n_even, ps.n_odd) == (2, 2)
+    # fractional weights: a well's levels
+    assert chiral.parity_sort(mixed_well_filling(np.random.default_rng(50), "double_well", 2, 2)
+                              ).levels is None
+
+
+def _wrong_parity(deviation):
+    """(phi_0 + phi_2)/sqrt 2 with a phi_3 part that puts its inversion
+    eigenvalue ``deviation`` from 1, beside (phi_1 + phi_5)/sqrt 2."""
+    a = math.sqrt(deviation / (2.0 - deviation))  # |lambda| = (1 - a^2)/(1 + a^2)
+    rows = np.zeros((2, 6), dtype=complex)
+    rows[0, [0, 2, 3]] = [math.sqrt(0.5), math.sqrt(0.5), a]
+    rows[0] /= math.sqrt(1.0 + a * a)
+    rows[1, [1, 5]] = math.sqrt(0.5)
+    return SlaterState(rows)
+
+
+def test_the_parity_tolerance_decides_the_sort():
+    # 10 and 0.1 times PARITY_TOL = 1e-8
+    with pytest.raises(chiral.NotInversionSymmetric):
+        chiral.parity_sort(_wrong_parity(1e-7))
+    ps = chiral.parity_sort(_wrong_parity(1e-9))
+    assert (ps.n_even, ps.n_odd) == (1, 1) and ps.levels is None

@@ -417,15 +417,20 @@ def _complex_span_states():
             "random-complex": random_slater(np.random.default_rng(36), 5, 100)}
 
 
-def _solved_angles(state, thetas, monkeypatch, general=False):
-    """(the sweep, the number of angles whose mu it solved); ``general``
-    sends a symmetric state down the general path."""
+def _solved_angles(state, thetas, monkeypatch, path=None):
+    """(the sweep, the number of angles whose mu it solved); ``path``
+    "general" sends a symmetric state down the general path, and "chiral"
+    sends a filling of oscillator levels down the chiral path of every
+    other symmetric state."""
     solved = []
     energies = ent.entanglement_energies
     with monkeypatch.context() as spy:
         spy.setattr(ent, "entanglement_energies", lambda mu: solved.append(len(mu)) or energies(mu))
-        if general:
+        if path == "general":
             spy.setattr(ent, "parity_sort", _not_symmetric)
+        if path == "chiral":  # a fresh sort, not the remembered one
+            spy.setattr(chiral, "_filled_levels", lambda coeffs: None)
+            spy.setattr(ent, "parity_sort", chiral._sort_by_parity)
         data = ent.pses_sweep(state, thetas)
     return data, solved[0]
 
@@ -452,10 +457,12 @@ def _assert_even_in_theta(data):
 @pytest.mark.parametrize("name, path", [("oscillator-0-5", "chiral"), ("oscillator-0-5", "general"),
                                         ("rosen_morse", "general"), ("random-real", "general")])
 def test_real_spans_solve_a_quarter_turn_and_mirror_it(name, path, k, monkeypatch):
+    # the filling's own sweep is one row (test_fillings_sweep_one_row_...);
+    # here its span takes the quarter turn of either path
     state = _real_span_states()[name]
     assert _symmetric(state) == (name == "oscillator-0-5")
     assert ent._closed_under_conjugation(state.coeffs)
-    data, solved = _solved_angles(state, _uniform(k), monkeypatch, general=path == "general")
+    data, solved = _solved_angles(state, _uniform(k), monkeypatch, path)
     assert solved == k // 4 + 1
     _assert_matches_per_angle(data, state, _uniform(k))
     _assert_even_in_theta(data)
@@ -482,7 +489,8 @@ def test_an_empty_grid_sweeps_to_empty_arrays(state):
 
 
 def test_other_grids_solve_every_angle_of_a_real_span(monkeypatch):
-    state = _real_span_states()["oscillator-0-5"]
+    state = sweep_state("double_well")  # a real span on the chiral path
+    assert _symmetric(state) and ent._closed_under_conjugation(state.coeffs)
     thetas = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, 40)
     data, solved = _solved_angles(state, thetas, monkeypatch)
     assert solved == 40
@@ -585,9 +593,14 @@ def test_one_sector_states_sweep_to_zero_energies(indices, thetas):
 @pytest.mark.parametrize("indices", [[0, 1], [0, 1, 2, 3]])
 @pytest.mark.parametrize("grid", ["uniform", "other"])
 def test_paired_schmidt_values_keep_the_gram_bound(indices, grid, monkeypatch):
-    # sigma = 1/2 + 1e-6 puts mu = 1 + 1e-6 beyond the clamp's slack
-    state = ho_slater(indices)
+    # sigma = 1/2 + 1e-6 puts mu = 1 + 1e-6 beyond the clamp's slack; each
+    # level is spread with the level 2N above it, so the span is no filling
     n = len(indices) // 2
+    rows = np.zeros((2 * n, 8 * n), dtype=complex)
+    for row, level in enumerate(indices):
+        rows[row, [level, level + 4 * n]] = math.sqrt(0.5)
+    state = SlaterState(rows)
+    assert parity_sort(state).levels is None
 
     def escaping(ps, arg):
         angles = arg // 2 if grid == "uniform" else len(arg)
@@ -617,3 +630,111 @@ def test_single_pair_blocks_take_no_svd(monkeypatch):
             with np.errstate(over="ignore"):
                 assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
             assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+
+
+# ------------------------------------------- fillings of oscillator levels: one row
+
+def _filling(levels, basis_size, seed):
+    """ho_slater(levels) mixed by a complex unitary."""
+    rows = ho_slater(levels, basis_size).coeffs
+    n = len(rows)
+    return SlaterState(random_unitary_rows(np.random.default_rng(seed), n, n) @ rows)
+
+
+FILLINGS = {"0-5": ([0, 1, 2, 3, 4, 5], 100), "0-1-2-4-6": ([0, 1, 2, 4, 6], 100),
+            "groups": ([0, 2, 1001, 1003], 1004), "spread": ([13, 99, 197, 270, 388, 506], 507)}
+
+
+def _oracle(state, thetas):
+    """mu and entropy from the N x N Gramian of the mixed rows, angle by angle."""
+    mu = np.array([ent.schmidt_values(overlap.rotated_overlap(state, t)) for t in thetas])
+    return mu, ent.entanglement_entropy(mu)
+
+
+@pytest.mark.parametrize("grid", ["16", "70", "256", "random"])
+@pytest.mark.parametrize("name", FILLINGS)
+def test_fillings_sweep_one_row_that_matches_the_per_angle_oracle(name, grid, monkeypatch):
+    state = _filling(*FILLINGS[name], seed=40)
+    assert parity_sort(state).levels is not None
+    thetas = (np.random.default_rng(41).uniform(0.0, 2.0 * math.pi, 24) if grid == "random"
+              else _uniform(int(grid)))
+    data, solved = _solved_angles(state, thetas, monkeypatch)
+    assert solved == 1
+    mu, entropy = _oracle(state, thetas)
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
+    assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+    # every row is the one row, bitwise, and odd under reversal, so the swap holds bitwise
+    assert np.array_equal(data.energies, np.tile(data.energies[0], (len(thetas), 1)))
+    assert np.array_equal(data.entropy, np.full(len(thetas), data.entropy[0]))
+    assert np.array_equal(data.energies, 0.0 - data.energies[:, ::-1])
+
+
+def test_a_filling_builds_no_harmonics_and_no_grid(monkeypatch):
+    for module in (chiral, ent, overlap):
+        for name in ("gramian_harmonics", "evaluate_half_turn", "evaluate_gramians"):
+            monkeypatch.setattr(module, name, _refused)
+    state = _filling(*FILLINGS["0-5"], seed=42)
+    data = ent.pses_sweep(state, _uniform(256))
+    ps = parity_sort(state)
+    assert chiral.winding_scan(ps) == (3, 256, chiral.minimum_block_gap(ps)[1])
+    assert detect_gap_closings(ps) == []
+    assert data.energies.shape == (256, 6)
+    assert "harmonics" not in ps.__dict__ and "grid_blocks" not in ps.__dict__
+
+
+def test_a_level_admixture_takes_the_full_path(monkeypatch):
+    # 1e-9 of level 10 in the orbital of level 0 moves the column weights by
+    # 1e-18, below their roundoff, and leaves a level residual of about 1e-8
+    rows = ho_slater(range(6), 100).coeffs.copy()
+    rows[0, 10] = 1e-9
+    state = SlaterState(random_unitary_rows(np.random.default_rng(43), 6, 6)
+                        @ (rows / np.linalg.norm(rows, axis=1, keepdims=True)))
+    assert parity_sort(state).levels is None
+    thetas = _uniform(256)
+    data, solved = _solved_angles(state, thetas, monkeypatch)
+    assert solved == 65  # the quarter turn of a real span
+    mu, entropy = _oracle(state, thetas)
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
+    assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+
+
+@pytest.mark.parametrize("levels, flat", [([0, 1, 2, 4, 6], 3), ([1, 3, 5, 6], 2),
+                                         ([0, 2, 4, 1001], 2)])
+def test_unbalanced_fillings_sweep_their_flat_bands(levels, flat):
+    state = _filling(levels, levels[-1] + 1, seed=44)
+    ps = parity_sort(state)
+    assert ps.levels is not None and chiral.flat_band_count(ps) == flat
+    for thetas in (_uniform(64), _uniform(64) + 0.1):
+        data = ent.pses_sweep(state, thetas)
+        assert np.all(np.sum(data.energies == 0.0, axis=1) == flat)
+        assert not np.any(np.signbit(data.energies[data.energies == 0.0]))
+        assert np.all(data.gap == 0.0)
+    assert "grid_blocks" not in ps.__dict__
+
+
+def test_the_filling_row_keeps_the_gram_bound(monkeypatch):
+    # sigma = 1/2 + 1e-6 puts mu = 1 + 1e-6 beyond the clamp's slack
+    monkeypatch.setattr(ent, "level_block", lambda ps: np.diag([0.5 + 1e-6, 0.25]))
+    with pytest.raises(overlap.GramBoundError):
+        ent.pses_sweep(ho_slater([0, 1, 2, 3]), _uniform(16))
+
+
+def test_an_unbalanced_sweep_builds_no_base_grid(monkeypatch):
+    # 4 + 3 sectors: no scan reads the grid, so the sweep evaluates its own
+    # angles, unless the grid is already held
+    state = SlaterState(sweep_state("double_well").coeffs)
+    ps = parity_sort(state)
+    assert (ps.n_even, ps.n_odd) == (4, 3) and ps.levels is None
+    data = ent.pses_sweep(state, _uniform(16))
+    assert "grid_blocks" not in ps.__dict__
+    mu, entropy = _oracle(state, _uniform(16))
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(data.energies)) - mu)) < 1e-12
+    assert np.max(np.abs(data.entropy - entropy)) < 1e-12
+    ps.grid_blocks
+    monkeypatch.setattr(ent, "evaluate_half_turn", _refused)
+    held = ent.pses_sweep(state, _uniform(16))
+    with np.errstate(over="ignore"):
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(held.energies)) - mu)) < 1e-12
