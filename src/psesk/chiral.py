@@ -13,16 +13,16 @@ classifies the gapped spectra; unequal counts force |N_e - N_o| exact
 zero-energy flat bands instead.  The Schmidt values themselves are
 mu = 1/2 +- sigma_i(m(theta)), one pair per singular value of m, plus
 the flat bands at exactly 1/2; entanglement.pses_sweep takes them from
-one batched SVD of the blocks, which it evaluates from the state's
-harmonics (overlap.evaluate_half_turn on its uniform grid,
-evaluate_gramians elsewhere).  They are the values of the parity-sorted
-state, whose sectors are right singular vectors of the coefficients' even
-and odd basis columns: a state orthonormal only to within delta
-(SlaterState admits 1e-8), or with a wrong-parity part of amplitude a
-(|lambda| = 1 - 2 a^2 for its inversion eigenvalue, so PARITY_TOL admits
-a up to 7e-5), moves by up to that much; and 1/2 - sigma near 0 loses
-relative accuracy like any small eigenvalue, an energy |epsilon| carrying
-a relative error of about eps * e^|epsilon|.
+one batched SVD of the blocks, ParitySortedState.half_turn_blocks on its
+uniform grid and evaluate_gramians of the harmonics elsewhere.  They are
+the values of the parity-sorted state, whose sectors are right singular
+vectors of the coefficients' even and odd basis columns: a state
+orthonormal only to within delta (SlaterState admits 1e-8), or with a
+wrong-parity part of amplitude a (|lambda| = 1 - 2 a^2 for its inversion
+eigenvalue, so PARITY_TOL admits a up to 7e-5), moves by up to that
+much; and 1/2 - sigma near 0 loses relative accuracy like any small
+eigenvalue, an energy |epsilon| carrying a relative error of about
+eps * e^|epsilon|.
 
 Rotating the cut by alpha multiplies oscillator level n by e^{i n alpha},
 so a span of oscillator levels, a filling however its orbitals are mixed,
@@ -48,17 +48,18 @@ the grid are read-only, so what the memo shares cannot change under it.
 The scans start from det m on the uniform grid theta_j = pi j / G, the
 first half of the DFT grid of 2G angles: its blocks come from one inverse
 FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
-m(pi) = -m(0).  Each parity-sorted state with both sectors occupied holds
-these blocks (ParitySortedState.grid_blocks) once they are made, so the
+m(pi) = -m(0).  Each parity-sorted state with N_e = N_o holds these
+blocks (ParitySortedState.grid_blocks) once they are made, so the
 determinants, the scan's gap SVDs at grid angles, and every sweep whose
-K angles divide 2G read one stack (a sweep of unequal sectors only if the
-stack is already held: no scan of theirs builds it); the blocks live as
-long as the state is remembered.  G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M:
-the entries of m have odd lags |k| < M, so no harmonic of m turns by more
-than pi per interval.  The scan winds the demodulated determinant
-d(theta) = det m(theta) e^{-i S theta}, S the rounded difference of the
-odd and the even sectors' summed mean levels sum_a sum_n n |c_an|^2, and
-reports nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
+K angles divide 2G read one stack (half_turn_blocks); a state with
+unequal sectors holds none, as no scan of it has a det m.  The blocks
+live as long as the state is remembered.  G = max(DEFAULT_GRID,
+2^ceil(log2 M)) for basis size M: the entries of m have odd lags
+|k| < M, so no harmonic of m turns by more than pi per interval.  The
+scan winds the demodulated determinant d(theta) = det m(theta)
+e^{-i S theta}, S the rounded difference of the odd and the even
+sectors' summed mean levels sum_a sum_n n |c_an|^2, and reports
+nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
 [0, pi], so any integer S keeps nu exact, and for an oscillator filling,
 det m proportional to e^{i (sum odd - sum even) theta}, d is constant.
 A filling is scanned only when its gap sigma_min(m(0)) is below DET_FLOOR;
@@ -143,7 +144,8 @@ class GridTooCoarse(Exception):
 
 
 class EmptyBlock(Exception):
-    """No even-odd block exists (one parity sector is empty)."""
+    """No even-odd block exists (one parity sector is empty), or det m is
+    asked of one that is not square (N_e != N_o)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,11 +185,28 @@ class ParitySortedState:
 
         The first half turn of the DFT grid of 2G angles, from one inverse
         FFT per block entry (overlap.evaluate_half_turn).  Raises EmptyBlock
-        when a parity sector is empty.
+        unless N_e = N_o, before it builds anything: only a state that a
+        scan reads holds a grid.
         """
+        if self.n_even != self.n_odd:
+            raise EmptyBlock("det m needs equally many even and odd orbitals")
         blocks = evaluate_half_turn(self.harmonics, 2 * self.grid_size)
         blocks.flags.writeable = False
         return blocks
+
+    def half_turn_blocks(self, count: int) -> np.ndarray:
+        """m(2 pi j / K), j < K/2, the first half turn of the uniform grid of
+        K = ``count`` angles, K even.
+
+        When N_e = N_o and K divides 2G these are every 2G/K-th block of the
+        base grid (grid_blocks), so a sweep and the scans of the state read
+        one stack; otherwise they come from one inverse FFT per block entry
+        (overlap.evaluate_half_turn).  Raises EmptyBlock when a parity
+        sector is empty.
+        """
+        if self.n_even == self.n_odd and 2 * self.grid_size % count == 0:
+            return self.grid_blocks[:: 2 * self.grid_size // count]
+        return evaluate_half_turn(self.harmonics, count)
 
     @cached_property
     def grid_determinants(self) -> np.ndarray:
@@ -206,7 +225,9 @@ class ParitySortedState:
         A balanced filling whose gap sigma_min(m(0)) is at least DET_FLOOR
         needs no grid: its singular values do not depend on theta and
         det m(theta) = e^{i S theta} det m(0), so the scan is
-        (S, G, (0.0, prod sigma), ()) from level_block alone.
+        (S, G, (0.0, prod sigma), ()) from level_block alone.  Raises
+        EmptyBlock unless N_e = N_o, from grid_blocks before it builds
+        anything.
         """
         if self.levels is not None and self.n_even == self.n_odd:
             sigma = np.linalg.svd(level_block(self), compute_uv=False)
@@ -339,8 +360,6 @@ def _grid_determinants(ps: ParitySortedState, blocks: np.ndarray) -> np.ndarray:
     The endpoint needs no block: m(pi) = -m(0), so
     det m(pi) = (-1)^{N_e} det m(0).
     """
-    if ps.n_even != ps.n_odd:
-        raise EmptyBlock("det m needs equally many even and odd orbitals")
     dets = np.linalg.det(blocks)
     return np.append(dets, (-1) ** ps.n_even * dets[0])
 

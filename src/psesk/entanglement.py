@@ -11,40 +11,40 @@ The functions take and return plain arrays: a Gramian (N x N, or for
 ``schmidt_values`` a (K, N, N) stack of one per angle) or Schmidt values mu
 along the last axis.
 
-Rotating the cut by pi maps x to -x and swaps the two subsystems, so
-mu(theta + pi) = 1 - mu(theta) and epsilon(theta + pi) = -epsilon(theta).
-``pses_sweep`` uses this on the uniform grid theta_j = 2 pi j / K, K even:
-it solves only the first half turn, whose Gramians come from one inverse
-FFT per entry (overlap.evaluate_half_turn), and mirrors the second; any
-other grid goes to overlap.evaluate_gramians.
-
-Complex conjugation reverses p, so it maps the cut at theta to the cut at
--theta: a state whose orbital span is closed under conjugation (any filling
-of oscillator levels or of a real well's bound states, however the
-orbitals are mixed) has the same spectrum at -theta as at theta.  When
-conj(C) - conj(C C^T) C is within SPAN_TOL, ``pses_sweep`` solves only the
-first quarter turn of the uniform grid and mirrors the rest, so angle
-K - j equals angle j bitwise.
+Three symmetries of the rotated cut decide which angles ``pses_sweep``
+solves.  Rotating the cut by pi maps x to -x and swaps the two
+subsystems, so mu(theta + pi) = 1 - mu(theta): the swap of a row of
+energies is 0.0 - the row reversed, with the same entropy.  Complex
+conjugation reverses p, so it maps the cut at theta to the cut at -theta:
+a span closed under conjugation (any filling of oscillator levels or of a
+real well's bound states, however mixed; conj(C) - conj(C C^T) C within
+SPAN_TOL) has the same spectrum at -theta as at theta.  Rotating the cut
+by alpha multiplies oscillator level n by e^{i n alpha}, so a span of
+oscillator levels, a filling that chiral.parity_sort recognises by its
+level residual C N - (C N C^H) C within chiral.LEVEL_TOL (M - 1), has the
+same spectrum at every angle.  The rule: a filling solves one angle, from
+the block m(0) (chiral.level_block); a conjugation-closed span on the
+uniform grid theta_j = 2 pi j / K, K even, solves j = 0 .. floor(K/4);
+any other uniform grid solves j < K/2, its Gramians from one inverse FFT
+per entry (overlap.evaluate_half_turn); any other grid solves every angle
+(overlap.evaluate_gramians).  Every other angle is a copy or a swap of a
+solved one: angle j + K/2 the swap of angle j, angle K/2 - j too for a
+closed span, and every angle of a filling its one row.  The one solved
+row that is its own swap (the filling's, or pi/2 when 4 divides K) keeps
+the mean of its energies and their swap, so every copy and swap holds
+bitwise.
 
 For an inversion-symmetric state ``pses_sweep`` needs no N x N eigensolve.
 In parity-sorted orbitals (chiral.parity_sort) the Gramian is
 O(theta) = 1/2 + [[0, m], [m^H, 0]] with m the N_e x N_o even-odd block,
 so mu = 1/2 +- sigma_i(m(theta)), plus |N_e - N_o| values at exactly 1/2,
-the zero-energy flat bands.  The values are those of the parity-sorted
-state, whose sectors are singular vectors of its even and odd basis
+the zero-energy flat bands; on the uniform grid the blocks come from
+ParitySortedState.half_turn_blocks.  The values are those of the
+parity-sorted state, whose sectors are singular vectors of its even and odd basis
 columns: a state orthonormal only to within delta moves by up to delta.
 Near mu = 0 the values 1/2 - sigma carry the same absolute roundoff as an
 eigenvalue, so an energy loses relative accuracy as eps * e^|epsilon|, as
 on the general path.
-
-Rotating the cut by alpha multiplies oscillator level n by e^{i n alpha},
-so a span of oscillator levels (a filling, however its orbitals are mixed)
-is invariant under the rotation and O(theta) is unitarily similar to O(0):
-the spectrum does not depend on theta.  chiral.parity_sort recognises such
-a span by its level residual C N - (C N C^H) C, within
-chiral.LEVEL_TOL (M - 1), and ``pses_sweep`` then solves one row, from the
-block m(0) (chiral.level_block), on any grid, and tiles it, so every angle
-is bitwise the same row.
 """
 
 from __future__ import annotations
@@ -174,18 +174,14 @@ def _singular_values(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.svd(blocks, compute_uv=False)
 
 
-def _paired_schmidt_values(ps: ParitySortedState, blocks, angles: int) -> np.ndarray:
-    """Schmidt values of a parity-sorted state from the singular values of m.
+def _paired_schmidt_values(ps: ParitySortedState, sigma: np.ndarray) -> np.ndarray:
+    """Schmidt values of a parity-sorted state from the singular values of m,
+    a (K, min(N_e, N_o)) stack.
 
     The Gramian is 1/2 + [[0, m], [m^H, 0]], so mu = 1/2 +- sigma_i(m), with
-    |N_e - N_o| more at exactly 1/2.  ``blocks(ps)`` gives the blocks of
-    ``angles`` angles; it is called only when both sectors are occupied.
+    |N_e - N_o| more at exactly 1/2.
     """
-    if ps.n_even and ps.n_odd:
-        sigma = _singular_values(blocks(ps))
-    else:
-        sigma = np.zeros((angles, 0))
-    flat = np.full((angles, abs(ps.n_even - ps.n_odd)), 0.5)
+    flat = np.full((len(sigma), abs(ps.n_even - ps.n_odd)), 0.5)
     return clamp_unit_interval(np.concatenate((0.5 + sigma, flat, 0.5 - sigma[:, ::-1]), axis=1))
 
 
@@ -218,46 +214,31 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     Any other state takes the general path, the eigenvalues of the N x N
     Gramian.
 
-    A filling of oscillator levels (ParitySortedState.levels set: a span
-    invariant under the level operator N, its residual C N - (C N C^H) C
-    within chiral.LEVEL_TOL (M - 1)) is invariant under every rotation of
-    the cut, so its spectrum is the same at every angle.  On any grid it
-    solves one row, mu = 1/2 +- sigma_i(m(0)) and the flat bands from the
-    block m(0) (chiral.level_block), clamped like every row; the row is
-    its own swap, so its energies keep their mean with their mirror,
-    (energies - energies[::-1]) / 2, and the row is tiled to every angle:
-    every angle is bitwise the same, and the swap and the mirror below hold
-    bitwise.  Such a state builds no harmonics and no grid.
-
-    On the uniform grid theta_j = 2 pi j / K with K even (exactly
-    ``np.linspace(0, 2 pi, K, endpoint=False)``) only the first half turn is
-    solved.  Its Gramians or blocks come from one inverse FFT per entry
-    (evaluate_half_turn); the chiral path reads its blocks from the
-    parity-sorted state's base grid (ParitySortedState.grid_blocks, every
-    2G/K-th block) whenever K divides 2G and the sectors are equal, so the
-    winding scan reads the same grid, or the grid is already held; a state
-    with unequal sectors otherwise evaluates its own half turn.  The second
-    half comes from the subsystem swap: rotating the cut by pi exchanges x >= 0 and
-    x <= 0, so mu(theta + pi) = 1 - mu(theta), and angle j + K/2 gets the
-    energies -energies[j, ::-1] and the entropy of angle j, bitwise.  The
-    swap assumes conj(L) L^T = I; a state whose rows are orthonormal only to
-    within delta can see mu(theta + pi) differ from a direct evaluation by
-    up to delta.
-
-    A state whose span is closed under complex conjugation (every filling
-    of oscillator levels or of a real well's bound states, however mixed)
-    solves only the first quarter turn, j = 0 .. floor(K/4).  Conjugation
-    reverses p, so it maps the cut at theta to the cut at -theta and the
-    spectrum at -theta is that at theta: angle K/2 - j gets the energies
-    -energies[j, ::-1] and the entropy of angle j, the swap of angle
-    K - j = -j.  The self-mirrored angle pi/2 (K divisible by 4) keeps the
-    mean of its energies and their mirror, (energies - energies[::-1]) / 2.
-    So angle K - j equals angle j bitwise, and the swap still holds bitwise
-    at every angle.  The span is taken as closed when
-    conj(C) - conj(C C^T) C is within SPAN_TOL; a residual r moves the
-    mirrored mu by O(r).  Every other grid is evaluated angle by angle
-    (evaluate_gramians).  Raises ValueError unless ``thetas`` is a 1-D
-    array of finite angles.
+    Each angle is solved once, by the module's rule.  A filling of
+    oscillator levels (ParitySortedState.levels set) solves one angle, from
+    the block m(0) (chiral.level_block), and builds no harmonics and no
+    grid.  On the uniform grid theta_j = 2 pi j / K with K even (exactly
+    ``np.linspace(0, 2 pi, K, endpoint=False)``) a span closed under
+    complex conjugation (conj(C) - conj(C C^T) C within SPAN_TOL) solves
+    j = 0 .. floor(K/4), and any other span j < K/2; their Gramians come
+    from one inverse FFT per entry (evaluate_half_turn), their blocks from
+    ParitySortedState.half_turn_blocks.  Any other grid solves every angle
+    (evaluate_gramians).  Every other angle is then a copy or a swap of a
+    solved one, written in place: angle j + K/2 is the swap of angle j
+    (rotating the cut by pi exchanges x >= 0 and x <= 0, so
+    mu(theta + pi) = 1 - mu(theta)), with the energies 0.0 -
+    energies[j, ::-1] and the entropy and gap of angle j; for a closed span
+    angle K/2 - j is the swap of angle j too, since conjugation maps the
+    cut at theta_j to the cut at -theta_j, angle K - j; every angle of a
+    filling is its one row.  The one solved row that is its own swap, the filling's or
+    pi/2 when 4 divides K, keeps the mean of its energies and their mirror,
+    (energies - energies[::-1]) / 2.  So the swap holds bitwise at every
+    angle, angle K - j equals angle j bitwise for a closed span, and every
+    row of a filling is the same.  The swap assumes conj(L) L^T = I: a
+    state whose rows are orthonormal only to within delta can see
+    mu(theta + pi) differ from a direct evaluation by up to delta, and a
+    conjugation residual r moves the mirrored mu by O(r).  Raises
+    ValueError unless ``thetas`` is a 1-D array of finite angles.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
@@ -267,62 +248,45 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
         ps = parity_sort(state)
     except NotInversionSymmetric:
         ps = None
-    if ps is not None and ps.levels is not None:
-        return _filling_sweep(ps, thetas)
-    half_turn = bool(count % 2 == 0 and count and np.array_equal(
+    filling = ps is not None and ps.levels is not None
+    uniform = bool(not filling and count % 2 == 0 and count and np.array_equal(
         thetas, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)))
-    mirror = half_turn and _closed_under_conjugation(state.coeffs)
-    solved = count // 4 + 1 if mirror else count // 2 if half_turn else count
-
-    def evaluate(h):
-        if half_turn:
-            return evaluate_half_turn(h, count)[:solved]
-        return evaluate_gramians(h, thetas)
-
-    def blocks(ps):
-        # the sweep's angles are base-grid angles, and the grid is one a scan
-        # reads (balanced sectors) or one that is already held
-        if (half_turn and 2 * ps.grid_size % count == 0
-                and (ps.n_even == ps.n_odd or "grid_blocks" in ps.__dict__)):
-            return ps.grid_blocks[:: 2 * ps.grid_size // count][:solved]
-        return evaluate(ps.harmonics)
+    half = count // 2 if uniform else 0
+    closed = uniform and _closed_under_conjugation(state.coeffs)
+    solved = 1 if filling else count // 4 + 1 if closed else half if uniform else count
 
     if ps is None:
-        mu = schmidt_values(evaluate(gramian_harmonics(state.coeffs, state.coeffs)))
+        h = gramian_harmonics(state.coeffs, state.coeffs)
+        mu = schmidt_values(evaluate_half_turn(h, count)[:solved] if uniform
+                            else evaluate_gramians(h, thetas))
+    elif ps.n_even and ps.n_odd:
+        mu = _paired_schmidt_values(ps, _singular_values(
+            level_block(ps)[None] if filling
+            else ps.half_turn_blocks(count)[:solved] if uniform
+            else evaluate_gramians(ps.harmonics, thetas)))
     else:
-        mu = _paired_schmidt_values(ps, blocks, solved)
-    energies = entanglement_energies(mu)
-    entropy = entanglement_entropy(mu)
-    if half_turn:
-        mirrored = count // 2 - solved  # angles K/2 - j from angles j = mirrored .. 1
-        if mirror and count % 4 == 0:
-            energies[-1] = _self_mirrored(energies[-1])
-        energies = np.concatenate((energies, 0.0 - energies[mirrored:0:-1, ::-1]))
-        entropy = np.concatenate((entropy, entropy[mirrored:0:-1]))
-        energies = np.concatenate((energies, 0.0 - energies[:, ::-1]))
-        entropy = np.tile(entropy, 2)
-    return _dataset(thetas, energies, entropy)
-
-
-def _self_mirrored(energies: np.ndarray) -> np.ndarray:
-    """(energies - energies[..., ::-1]) / 2: a row that is its own swap keeps
-    the mean of its energies and their mirror, exactly odd under reversal."""
-    return 0.5 * (energies - energies[..., ::-1])
-
-
-def _filling_sweep(ps: ParitySortedState, thetas: np.ndarray) -> PSESDataset:
-    """The sweep of a filling of oscillator levels: one row, tiled.
-
-    The spectrum at every angle is that of m(0) (level_block): mu = 1/2 +-
-    sigma_i(m(0)) and the flat bands, clamped like any row.  The row is its
-    own swap, so its energies are made exactly odd (_self_mirrored).
-    """
-    mu = _paired_schmidt_values(ps, lambda ps: level_block(ps)[None], 1)
-    energies = _self_mirrored(entanglement_energies(mu))
-    entropy = entanglement_entropy(mu)
-    return _dataset(thetas, np.tile(energies, (len(thetas), 1)), np.tile(entropy, len(thetas)))
-
-
-def _dataset(thetas, energies, entropy) -> PSESDataset:
-    gap = np.min(np.abs(energies), axis=-1)
+        mu = _paired_schmidt_values(ps, np.zeros((solved, 0)))
+    rows = entanglement_energies(mu)
+    if filling or closed and count % 4 == 0:  # the solved row that is its own swap
+        rows[-1] = 0.5 * (rows[-1] - rows[-1, ::-1])
+    # the solved angles' energies, entropy and gap, then every angle's
+    per_row = (rows, entanglement_entropy(mu), np.min(np.abs(rows), axis=-1))
+    energies, entropy, gap = (np.empty((count, *values.shape[1:])) for values in per_row)
+    for out, values in zip((energies, entropy, gap), per_row):
+        out[:solved] = values
+        if filling:  # every angle is the one row
+            out[1:] = values[0]
+        if closed:  # angle half - j is the swap of angle j
+            _swap(values[half - solved : 0 : -1], out[solved:half])
+        _swap(out[:half], out[half : 2 * half])  # angle j + half is the swap of angle j
     return PSESDataset(thetas=thetas, energies=energies, entropy=entropy, gap=gap)
+
+
+def _swap(source: np.ndarray, out: np.ndarray) -> None:
+    """Write the subsystem swap of ``source`` into ``out``: the energies of
+    a row (2-D) become 0.0 - their reverse, and an angle's entropy and gap
+    (1-D) are unchanged."""
+    if source.ndim == 2:
+        np.subtract(0.0, source[:, ::-1], out=out)
+    else:
+        out[:] = source

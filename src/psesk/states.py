@@ -6,6 +6,7 @@ by identity (``==`` is ``is``), so a state can key a dictionary."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,9 +69,13 @@ def interpolated_state(t: float, phase: float, basis_size: int = 3) -> SlaterSta
     overlap block of this family is
     O_01 cos(pi t/2) e^{i theta} + O_21 sin(pi t/2) e^{i(phase - theta)},
     whose gap closes at t = (2/pi) arctan(O_01/O_21) and theta = (pi+phase)/2.
+    The family has period 4 in t, which is reduced exactly (math.fmod)
+    before pi t / 2 is taken, so a huge |t| neither overflows nor loses
+    its place in the period.
     """
     if basis_size < 3:
         raise ValueError("basis size must be at least 3")
+    t = math.fmod(t, 4.0)
     even = np.zeros(basis_size, dtype=complex)
     even[0] = np.cos(np.pi * t / 2.0)
     even[2] = np.exp(-1j * phase) * np.sin(np.pi * t / 2.0)

@@ -637,12 +637,19 @@ def test_grid_determinants_from_row_blocks(well_states, monkeypatch):
         _assert_grid_matches_per_angle(ps)
 
 
-@pytest.mark.parametrize("indices", [[0, 1, 2], [0, 2]])
+@pytest.mark.parametrize("indices", [[0, 1, 2], [0, 2], "double_well-4-3"])
 def test_unequal_sectors_raise_empty_block(indices):
-    ps = chiral.parity_sort(ho_slater(indices))
-    for scan in (chiral.winding_scan, chiral.detect_gap_closings, chiral.minimum_block_gap):
+    # the sectors are compared first: no harmonics and no grid are built
+    if indices == "double_well-4-3":
+        state = potentials.bound_states(potentials.potential("double_well"), 7, 100).as_slater()
+    else:
+        state = ho_slater(indices)
+    ps = chiral.parity_sort(state)
+    for scan in (chiral.winding_scan, chiral.detect_gap_closings, chiral.minimum_block_gap,
+                 lambda ps: ps.grid_blocks):
         with pytest.raises(chiral.EmptyBlock):
             scan(ps)
+        assert "harmonics" not in ps.__dict__ and "grid_blocks" not in ps.__dict__
 
 
 def test_gapped_well_windings_evaluate_no_single_angles(well_states, monkeypatch):

@@ -46,6 +46,15 @@ def test_interpolated_is_normalized_for_all_t():
         assert s.n_particles == 2
 
 
+@pytest.mark.parametrize("phase", [0.0, 1.0, 2 * math.pi / 3])
+def test_interpolated_t_is_reduced_by_its_period(phase):
+    # pi t / 2 of t = 1e308 overflows; 1e308 is a multiple of the period 4
+    assert np.array_equal(interpolated_state(1e308, phase).coeffs,
+                          interpolated_state(0.0, phase).coeffs)
+    assert np.array_equal(interpolated_state(5.0, phase).coeffs,
+                          interpolated_state(1.0, phase).coeffs)
+
+
 def test_rotate_by_unitary_keeps_orthonormality():
     s = ho_slater([0, 1])
     u = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
