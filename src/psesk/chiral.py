@@ -14,8 +14,8 @@ zero-energy flat bands instead.  The Schmidt values themselves are
 mu = 1/2 +- sigma_i(m(theta)), one pair per singular value of m, plus
 the flat bands at exactly 1/2; entanglement.pses_sweep takes them from
 one batched SVD of the blocks, ParitySortedState.half_turn_blocks on its
-uniform grid and evaluate_gramians of the harmonics elsewhere.  They are
-the values of the parity-sorted state, whose sectors are right singular
+uniform grid and overlap.evaluate_gramians of the sectors elsewhere.  They
+are the values of the parity-sorted state, whose sectors are right singular
 vectors of the coefficients' even and odd basis columns: a state
 orthonormal only to within delta (SlaterState admits 1e-8), or with a
 wrong-parity part of amplitude a (|lambda| = 1 - 2 a^2 for its inversion
@@ -41,25 +41,28 @@ levels] (level_block), from the table's boundary vectors: no harmonics and
 no grid.
 
 parity_sort remembers its last result in a weak dictionary keyed by the
-state object, so the sweep and the scans of one state share one sort, its
-harmonics and its grid.  The state's rows, the sort's, the harmonics and
-the grid are read-only, so what the memo shares cannot change under it.
+state object, so the sweep and the scans of one state share one sort and
+its grid.  The state's rows, the sort's and the grid are read-only, so
+what the memo shares cannot change under it.
 
 The scans start from det m on the uniform grid theta_j = pi j / G, the
 first half of the DFT grid of 2G angles: its blocks come from one inverse
 FFT per block entry (overlap.evaluate_half_turn), and the endpoint from
-m(pi) = -m(0).  Each parity-sorted state with N_e = N_o holds these
-blocks (ParitySortedState.grid_blocks) once they are made, so the
-determinants, the scan's gap SVDs at grid angles, and every sweep whose
-K angles divide 2G read one stack (half_turn_blocks); a state with
-unequal sectors holds none, as no scan of it has a det m.  The blocks
-live as long as the state is remembered.  G = max(DEFAULT_GRID,
-2^ceil(log2 M)) for basis size M: the entries of m have odd lags
-|k| < M, so no harmonic of m turns by more than pi per interval.  The
-scan winds the demodulated determinant d(theta) = det m(theta)
-e^{-i S theta}, S the rounded difference of the odd and the even
-sectors' summed mean levels sum_a sum_n n |c_an|^2, and reports
-nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
+m(pi) = -m(0).  These blocks are the one array a parity-sorted state
+with N_e = N_o holds (ParitySortedState.grid_blocks), once they are made.
+G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M: the entries of m
+have odd lags |k| < M, so no harmonic of m turns by more than pi per
+interval, and the G blocks fix m(theta) at every angle exactly, by
+trigonometric interpolation (overlap.interpolate_half_turn,
+ParitySortedState.blocks_at).  So the determinants, the scan's bisection
+midpoints and gap SVDs, chiral_block, and every sweep whose K angles
+divide 2G read one stack; a state with unequal sectors holds none, as no
+scan of it has a det m, and its blocks come from the harmonics of its
+sectors, built as they are summed.  The blocks live as long as the state
+is remembered.  The scan winds the demodulated determinant
+d(theta) = det m(theta) e^{-i S theta}, S the rounded difference of the
+odd and the even sectors' summed mean levels sum_a sum_n n |c_an|^2, and
+reports nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
 [0, pi], so any integer S keeps nu exact, and for an oscillator filling,
 det m proportional to e^{i (sum odd - sum even) theta}, d is constant.
 A filling is scanned only when its gap sigma_min(m(0)) is below DET_FLOOR;
@@ -72,10 +75,10 @@ closes.  The scan bisects every interval whose phase step of d is >= pi/2
 (or undefined, at an exact zero) and evaluates only the midpoints, through
 block_determinants; a bad interval narrower than RESOLUTION holds a zero
 and is bisected no further, and an angle whose gap is below DET_FLOOR is a
-closing too; its SVD takes the held block at a grid angle and evaluates
-only a midpoint.  Each parity-sorted state keeps its grid's determinants
-and one scan of them, which the winding, the closings and the minimum gap
-(the smallest |det m| the scan evaluated) share.
+closing too; its SVD gathers the held block at a grid angle and
+interpolates only a midpoint.  Each parity-sorted state keeps its grid's
+determinants and one scan of them, which the winding, the closings and
+the minimum gap (the smallest |det m| the scan evaluated) share.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import (GramianHarmonics, _wronskian_overlap, evaluate_gramians, evaluate_half_turn,
-                      gramian_harmonics, ho_overlap_table)
+from .overlap import (_wronskian_overlap, evaluate_gramians, evaluate_half_turn, ho_overlap_table,
+                      interpolate_half_turn)
 from .states import SlaterState
 
 __all__ = [
@@ -162,17 +165,15 @@ class ParitySortedState:
     n_odd: int
     levels: np.ndarray | None = None
 
-    @cached_property
-    def harmonics(self) -> GramianHarmonics:
-        """Harmonics of the even-odd block m(theta), made on first use.
+    @property
+    def sectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The even and the odd rows, the row sets of the block m(theta).
 
-        Their coefficients are held or rebuilt per evaluation by the overlap
-        module's rule (overlap.gramian_harmonics).  Raises EmptyBlock when a
-        parity sector is empty.
+        Raises EmptyBlock when a parity sector is empty.
         """
         if self.n_even == 0 or self.n_odd == 0:
             raise EmptyBlock("both parity sectors must be occupied")
-        return gramian_harmonics(self.coeffs[: self.n_even], self.coeffs[self.n_even :])
+        return self.coeffs[: self.n_even], self.coeffs[self.n_even :]
 
     @property
     def grid_size(self) -> int:
@@ -190,9 +191,16 @@ class ParitySortedState:
         """
         if self.n_even != self.n_odd:
             raise EmptyBlock("det m needs equally many even and odd orbitals")
-        blocks = evaluate_half_turn(self.harmonics, 2 * self.grid_size)
+        blocks = evaluate_half_turn(*self.sectors, 2 * self.grid_size)
         blocks.flags.writeable = False
         return blocks
+
+    def blocks_at(self, thetas: Sequence[float]) -> np.ndarray:
+        """m(theta) at each angle, read from grid_blocks by exact trigonometric
+        interpolation (overlap.interpolate_half_turn): a base-grid angle
+        gathers its block, any other is summed from all G.  Raises EmptyBlock
+        unless N_e = N_o."""
+        return interpolate_half_turn(self.grid_blocks, thetas)
 
     def half_turn_blocks(self, count: int) -> np.ndarray:
         """m(2 pi j / K), j < K/2, the first half turn of the uniform grid of
@@ -206,7 +214,7 @@ class ParitySortedState:
         """
         if self.n_even == self.n_odd and 2 * self.grid_size % count == 0:
             return self.grid_blocks[:: 2 * self.grid_size // count]
-        return evaluate_half_turn(self.harmonics, count)
+        return evaluate_half_turn(*self.sectors, count)
 
     @cached_property
     def grid_determinants(self) -> np.ndarray:
@@ -233,7 +241,7 @@ class ParitySortedState:
             sigma = np.linalg.svd(level_block(self), compute_uv=False)
             if sigma[-1] >= DET_FLOOR:
                 return _level_offset(self), self.grid_size, (0.0, float(np.prod(sigma))), ()
-        return _phase_scan(self, self.grid_determinants, self.grid_blocks)
+        return _phase_scan(self, self.grid_determinants)
 
 
 def inversion_matrix(state: SlaterState) -> np.ndarray:
@@ -266,9 +274,8 @@ def parity_sort(state: SlaterState) -> ParitySortedState:
 
     The last result is remembered for its state object: pses_sweep sorts
     the state, and a chiral scan of the same object then gets the same
-    ParitySortedState, with the harmonics and det m grid it has built.  The
-    state is held weakly; an equal state that is another object is sorted
-    afresh.
+    ParitySortedState, with the grid it has built.  The state is held
+    weakly; an equal state that is another object is sorted afresh.
     """
     ps = _sorts.get(state)
     if ps is None:
@@ -333,8 +340,11 @@ def _sort_by_parity(state: SlaterState) -> ParitySortedState:
 
 
 def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
-    """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian."""
-    return evaluate_gramians(ps.harmonics, [theta])[0]
+    """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian: read
+    from the base grid when N_e = N_o (ParitySortedState.blocks_at), summed
+    from the sectors' harmonics otherwise."""
+    return (ps.blocks_at([theta]) if ps.n_even == ps.n_odd
+            else evaluate_gramians(*ps.sectors, [theta]))[0]
 
 
 def level_block(ps: ParitySortedState) -> np.ndarray:
@@ -342,7 +352,7 @@ def level_block(ps: ParitySortedState) -> np.ndarray:
     T[even levels, odd levels], from the table's boundary vectors.
 
     The rows are the levels' unit rows, so m(0) is that part of the table;
-    no harmonics are built.
+    no harmonics and no grid are built.
     """
     table = ho_overlap_table(ps.coeffs.shape[1])
     even, odd = ps.levels[: ps.n_even], ps.levels[ps.n_even :]
@@ -350,8 +360,9 @@ def level_block(ps: ParitySortedState) -> np.ndarray:
 
 
 def block_determinants(ps: ParitySortedState, thetas: Sequence[float]) -> np.ndarray:
-    """det m(theta) on a grid: one det over the stacked N_e x N_o blocks."""
-    return np.linalg.det(evaluate_gramians(ps.harmonics, thetas))
+    """det m(theta) at each angle: one det over the stacked N_e x N_o blocks,
+    read from the base grid (ParitySortedState.blocks_at)."""
+    return np.linalg.det(ps.blocks_at(thetas))
 
 
 def _grid_determinants(ps: ParitySortedState, blocks: np.ndarray) -> np.ndarray:
@@ -373,33 +384,32 @@ def _level_offset(ps: ParitySortedState) -> int:
 
 
 def _phase_scan(
-    ps: ParitySortedState, dets: np.ndarray, blocks: np.ndarray
+    ps: ParitySortedState, dets: np.ndarray
 ) -> tuple[int | None, int, tuple[float, float], tuple[float, ...]]:
     """(winding or None, intervals in the final grid, (theta*, min |det m|), closings).
 
     Phase-unwraps d(theta) = det m(theta) e^{-i S theta} from ``dets``,
-    det m on the uniform grid of G = len(dets) - 1 intervals over [0, pi]
-    (_grid_determinants of ``blocks``, m(pi j / G) for j < G), and
-    S = _level_offset(ps); the factor goes on the step ratios, so ``dets``
-    stay raw.  Every bad interval, whose wrapped step is >= pi/2 or NaN (a
-    det that is exactly 0), is bisected and only its midpoint evaluated by
-    block_determinants, until each bad interval left is narrower than
-    RESOLUTION, or the midpoints would exceed GRID_CAP.  The winding is None
-    while any bad interval is left; otherwise it is S plus the total step
-    of d, an exact multiple of pi since d(pi) = (-1)^{N_e} e^{-i S pi} d(0),
-    rounded, safe once every step is small.  theta* (mod pi) is the
-    evaluated angle of the smallest |det m|.  The closings (mod pi, merged
-    circularly within 1e-6, a zero keeping its angle) are the zeros of
-    det m, the bad intervals narrower than RESOLUTION, and the evaluated
-    angles where the chiral gap sigma_min(m) < DET_FLOOR; m takes an SVD
-    only where the bound sigma_min >= 2^{N_e - 1} |det m| (every
-    sigma_i <= 1/2) is below it, from ``blocks`` at a base-grid angle
-    (m(pi) = -m(0) has the singular values of m(0)) and from
-    evaluate_gramians at a midpoint.
+    det m on a uniform grid of len(dets) - 1 intervals over [0, pi]
+    (_grid_determinants), and S = _level_offset(ps); the factor goes on the
+    step ratios, so ``dets`` stay raw.  Every bad interval, whose wrapped
+    step is >= pi/2 or NaN (a det that is exactly 0), is bisected and only
+    its midpoint evaluated by block_determinants, until each bad interval
+    left is narrower than RESOLUTION, or the midpoints would exceed
+    GRID_CAP.  The winding is None while any bad interval is left;
+    otherwise it is S plus the total step of d, an exact multiple of pi
+    since d(pi) = (-1)^{N_e} e^{-i S pi} d(0), rounded, safe once every step
+    is small.  theta* (mod pi) is the evaluated angle of the smallest
+    |det m|.  The closings (mod pi, merged circularly within 1e-6, a zero
+    keeping its angle) are the zeros of det m, the bad intervals narrower
+    than RESOLUTION, and the evaluated angles where the chiral gap
+    sigma_min(m) < DET_FLOOR; m takes an SVD only where the bound
+    sigma_min >= 2^{N_e - 1} |det m| (every sigma_i <= 1/2) is below it.
+    Midpoints and SVD blocks are read from the state's own grid
+    (ParitySortedState.blocks_at), so they are exact whatever grid
+    ``dets`` come from.
     """
     grid_size = len(dets) - 1
     thetas = np.linspace(0.0, math.pi, grid_size + 1)
-    base = np.arange(grid_size + 1)  # each angle's base-grid index, -1 at a midpoint
     offset = _level_offset(ps)
     while True:
         widths = np.diff(thetas)
@@ -412,7 +422,6 @@ def _phase_scan(
             break
         mids = 0.5 * (thetas[split] + thetas[split + 1])
         thetas = np.insert(thetas, split + 1, mids)
-        base = np.insert(base, split + 1, -1)
         dets = np.insert(dets, split + 1, block_determinants(ps, mids))
     nu = None if bad.any() else offset + int(round(float(np.sum(steps)) / math.pi))
     size = np.abs(dets)
@@ -420,12 +429,7 @@ def _phase_scan(
     found = [0.5 * (thetas[z] + thetas[z + 1])]  # the zeros first, so a cluster keeps their angle
     low = np.flatnonzero(np.ldexp(size, ps.n_even - 1) < DET_FLOOR)
     if len(low):
-        index = base[low]
-        mid = index < 0
-        low_blocks = blocks[index % grid_size]
-        if mid.any():
-            low_blocks[mid] = evaluate_gramians(ps.harmonics, thetas[low[mid]])
-        sigma_min = np.linalg.svd(low_blocks, compute_uv=False)[:, -1]
+        sigma_min = np.linalg.svd(ps.blocks_at(thetas[low]), compute_uv=False)[:, -1]
         found.append(thetas[low[sigma_min < DET_FLOOR]])
     closings: list[float] = []
     for c in np.concatenate(found) % math.pi:

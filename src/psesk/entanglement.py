@@ -57,7 +57,7 @@ import numpy as np
 from .chiral import NotInversionSymmetric, ParitySortedState, level_block, parity_sort
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
 from .overlap import (clamp_unit_interval, evaluate_gramians, evaluate_half_turn,  # noqa
-                      gramian_harmonics, rotated_overlap)
+                      rotated_overlap)
 from .states import SlaterState
 
 __all__ = [
@@ -256,14 +256,14 @@ def pses_sweep(state: SlaterState, thetas: Sequence[float]) -> PSESDataset:
     solved = 1 if filling else count // 4 + 1 if closed else half if uniform else count
 
     if ps is None:
-        h = gramian_harmonics(state.coeffs, state.coeffs)
-        mu = schmidt_values(evaluate_half_turn(h, count)[:solved] if uniform
-                            else evaluate_gramians(h, thetas))
+        c = state.coeffs
+        mu = schmidt_values(evaluate_half_turn(c, c, count)[:solved] if uniform
+                            else evaluate_gramians(c, c, thetas))
     elif ps.n_even and ps.n_odd:
         mu = _paired_schmidt_values(ps, _singular_values(
             level_block(ps)[None] if filling
             else ps.half_turn_blocks(count)[:solved] if uniform
-            else evaluate_gramians(ps.harmonics, thetas)))
+            else evaluate_gramians(*ps.sectors, thetas)))
     else:
         mu = _paired_schmidt_values(ps, np.zeros((solved, 0)))
     rows = entanglement_energies(mu)

@@ -49,34 +49,44 @@ the Gramian of the left cut x <= 0 (table 1 - T) at theta: a cut through
 the origin turned by pi swaps the two subsystems, and the right cut is the
 only one computed.
 
-Every caller builds the harmonics of its row sets once
-(``gramian_harmonics``) and evaluates them.  The build takes the constant
-term 1/2 conj(L) R^T as one product over all left rows and every C_k at
-once: FFTs of length P >= 2M - 1 of the four boundary-weighted row sets
-(only two for parity-sorted sectors, whose other two are 0), a product per
-(a, b) pair and one inverse FFT per pair,
-O((N_L + N_R) P log P + N_L N_R P log P).
-``evaluate_gramians`` sums the series, O(N_L N_R M) per angle, where the
-dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs O(N_L M^2).
-On the uniform grid theta_j = 2 pi j / K (K even) the series is a DFT, and
-``evaluate_half_turn`` sums the first half turn, j < K/2: with k = 2q + 1,
-e^{ik theta_j} = e^{2 pi i j / K} e^{2 pi i j q / (K/2)}, so each C_k is added
-to bin (k mod K) // 2 (lags beyond K fold onto the same bins), one inverse
-FFT of length K/2 per entry sums the bins, and angle j is multiplied by
-the twiddle e^{2 pi i j / K}: O(N_L N_R K log K) instead of O(N_L N_R M K).
-The second half turn needs no Gramian of its own: it is the left cut of
-the first.
+Both evaluations build the harmonics of their row sets as they go and
+hold none of them.  The constant term 1/2 conj(L) R^T is one product over
+all left rows; the C_k come at once from FFTs of length P >= 2M - 1 of the
+four boundary-weighted row sets (only two for parity-sorted sectors,
+whose other two are 0), a product per (a, b) pair and one inverse FFT per
+pair, O((N_L + N_R) P log P + N_L N_R P log P), built ``_harmonic_rows``
+left rows at a time so that one block's workspace fits HARMONIC_BYTES,
+with one table lookup and one transform of the right rows.  A left row's
+C_k come from that row alone and the constant term is added once at the
+end.  ``evaluate_gramians`` sums the series, O(N_L N_R M) per angle, where
+the dense product conj(L) e^{-i n theta} T e^{i n theta} R^T costs
+O(N_L M^2); it takes angles in blocks of ANGLE_BLOCK, so memory stays
+bounded on long grids and wide states, and each angle's values are its
+own vector-matrix product, so they do not depend on which other angles
+share a call.  On the uniform grid theta_j = 2 pi j / K (K even) the
+series is a DFT, and ``evaluate_half_turn`` sums the first half turn,
+j < K/2: with k = 2q + 1, e^{ik theta_j} = e^{2 pi i j / K}
+e^{2 pi i j q / (K/2)}, so each C_k is added to bin (k mod K) // 2 (lags
+beyond K fold onto the same bins), one inverse FFT of length K/2 per entry
+sums the bins, and angle j is multiplied by the twiddle e^{2 pi i j / K}:
+O(N_L N_R K log K) instead of O(N_L N_R M K).  The second half turn needs
+no Gramian of its own: it is the left cut of the first.
 
-A ``GramianHarmonics`` holds its coefficients when one build fits
-HARMONIC_BYTES; otherwise ``coeffs`` is None.  Both evaluations run one
-loop over blocks of left rows' C_k: the held coefficients are one block;
-otherwise each call rebuilds them ``_harmonic_rows`` left rows at a time, with
-one table lookup and one transform of the right rows.  A left row's C_k
-come from that row alone and the constant term is added once at the end,
-so the half turn has the same bits either way.  ``evaluate_gramians`` takes angles in blocks of ANGLE_BLOCK,
-so memory stays bounded on long grids and wide states.  Each of its angles'
-values is its own vector-matrix product, so it does not depend on which
-other angles share a call.
+A Gramian with no constant term, such as the even-odd block of
+parity-sorted sectors (conj(L) R^T = 0 for rows of opposite parity), is
+fixed at every angle by G >= M of its values m_j = m(pi j / G), j < G,
+the first half turn of the DFT grid of 2G angles: its lags are odd and
+below G, so
+
+    m(theta) = (1/G) sum_j m_j sin(G d_j) / sin(d_j),   d_j = theta - pi j / G,
+
+exactly, since sin(G d) / sin(d) = sum_{p odd, |p| < G} e^{i p d} for G
+even (trigonometric interpolation; Berrut and Trefethen, SIAM Rev. 46
+(2004) 501).  ``interpolate_half_turn`` sums it, O(G N_L N_R) per angle:
+an angle that ``np.linspace(0, pi, G + 1)`` spells gathers its block (pi
+gives -m_0), and every other angle is its own vector-matrix product, with
+weights that keep their relative accuracy however close it is to a grid
+angle.
 
 ``rotated_overlap`` returns the N x N Gramian of a state as a plain array.
 The oracles here are independent of the closed form and no production path
@@ -98,7 +108,6 @@ from .states import SlaterState
 
 __all__ = [
     "GramBoundError",
-    "GramianHarmonics",
     "HOOverlapTable",
     "ho_overlap_table",
     "overlap_quadrature_oracle",
@@ -107,7 +116,7 @@ __all__ = [
     "clamp_unit_interval",
     "evaluate_gramians",
     "evaluate_half_turn",
-    "gramian_harmonics",
+    "interpolate_half_turn",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
@@ -137,22 +146,6 @@ class HOOverlapTable:
         """The dense symmetric M x M table T_mn, formed on request."""
         idx = np.arange(self.basis_size)
         return _wronskian_overlap(self.phi0, self.dphi0, idx[:, None], idx[None, :])
-
-
-@dataclass(frozen=True)
-class GramianHarmonics:
-    """O(theta) = half + sum_k coeffs[k] e^{i orders[k] theta} for the rows (left, right).
-
-    ``orders`` are the odd lags -top .. top ascending (top the largest odd
-    number below M), ``half`` is 1/2 conj(L) R^T and ``coeffs`` the matching
-    C_k, one flattened N_L * N_R row per lag, or None when not held.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    orders: np.ndarray
-    half: np.ndarray
-    coeffs: np.ndarray | None
 
 
 _master_table: HOOverlapTable | None = None
@@ -225,9 +218,9 @@ def _fft_length(basis_size: int) -> int:
 
 
 def _harmonic_rows(n_right: int, basis_size: int) -> int:
-    """Left rows per harmonics build whose workspace fits HARMONIC_BYTES.
+    """Left rows per block of harmonics whose workspace fits HARMONIC_BYTES.
 
-    Per left row the build holds three N_R x P complex arrays (the product
+    Per left row a block holds three N_R x P complex arrays (the product
     spectrum, its inverse FFT and the gathered lags); at least one row.
     """
     return max(1, HARMONIC_BYTES // (48 * max(1, n_right) * _fft_length(basis_size)))
@@ -239,23 +232,25 @@ def _spectrum(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray | Non
     return np.fft.fft(weighted, p) if weighted.any() else None
 
 
-def _coefficient_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray, rows: int):
-    """(columns, C_k) for each block of ``rows`` left rows (an empty left set
-    is one empty block), from one table lookup and one transform of R.
+def _coefficient_blocks(left: np.ndarray, right: np.ndarray):
+    """(columns, C_k) for each block of _harmonic_rows left rows (an empty
+    left set is one empty block), from one table lookup and one transform of R.
 
-    C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k) for odd k, the
-    correlations taken for all lags by FFTs of length P >= 2M - 1.  A row set
-    whose boundary weights are all 0 is not transformed and its term is
+    C_k = [(conj(L) a * R b)_k - (conj(L) b * R a)_k] / (2 k) for the odd
+    lags k = -top .. top, top the largest odd number below M, the
+    correlations taken for all lags by FFTs of length P >= 2M - 1.  A row
+    set whose boundary weights are all 0 is not transformed and its term is
     dropped: for parity-sorted sectors (even L, odd R) conj(L) b and R a
     vanish, so one product of two transforms is the whole spectrum.  A
     block's C_k fill ``columns`` of the flattened N_L * N_R entries, one row
-    per lag; each left row's come from that row alone, whatever ``rows`` is,
-    up to the sign of an exact 0.
+    per lag; each left row's come from that row alone, whatever the block
+    size is, up to the sign of an exact 0.
     """
     m = left.shape[1]
     table = ho_overlap_table(m)
     a, b = table.phi0, table.dphi0
-    p = _fft_length(m)
+    p, orders = _fft_length(m), np.arange(1 - m + m % 2, m, 2)
+    rows = _harmonic_rows(len(right), m)
     ra, rb = (_spectrum(right, g, p) for g in (a, b))
     for k in range(0, max(1, len(left)), rows):
         block = left[k : k + rows]
@@ -271,32 +266,6 @@ def _coefficient_blocks(left: np.ndarray, right: np.ndarray, orders: np.ndarray,
         yield slice(k * len(right), (k + len(block)) * len(right)), np.ascontiguousarray(coeffs)
 
 
-def gramian_harmonics(left: np.ndarray, right: np.ndarray) -> GramianHarmonics:
-    """The Fourier series over theta of the right-cut Gramian of rows (L, R).
-
-    The constant term is always held.  The coefficients are built and held
-    when one build fits HARMONIC_BYTES; otherwise nothing more is built
-    here, and each evaluation rebuilds them.  Both are held read-only.
-    """
-    m = left.shape[1]
-    orders = np.arange(1 - m + m % 2, m, 2)  # the odd lags below M
-    half, coeffs = 0.5 * (left.conj() @ right.T), None
-    if _harmonic_rows(len(right), m) >= len(left):
-        ((_, coeffs),) = _coefficient_blocks(left, right, orders, max(1, len(left)))
-        coeffs.flags.writeable = False
-    half.flags.writeable = False
-    return GramianHarmonics(left, right, orders, half, coeffs)
-
-
-def _blocks(h: GramianHarmonics):
-    """(columns, C_k) per block of left rows: the held coefficients as one
-    block, or a rebuild in blocks of ``_harmonic_rows`` rows."""
-    if h.coeffs is not None:
-        return [(slice(None), h.coeffs)]
-    return _coefficient_blocks(h.left, h.right, h.orders,
-                               _harmonic_rows(len(h.right), h.left.shape[1]))
-
-
 def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
     """(K, count) table of e^{i(2j+1)theta}, j < count, from about 2 sqrt(count) exps.
 
@@ -310,57 +279,104 @@ def _odd_phases(thetas: np.ndarray, count: int) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(thetas), q * s)[:, :count]
 
 
-def evaluate_gramians(h: GramianHarmonics, thetas) -> np.ndarray:
-    """(K, N_L, N_R) stack of the right-cut Gramians O(theta) summed from
-    their harmonics (the left cut at theta is the right cut at theta + pi)."""
+def _per_angle_sums(weights: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """out[a] = weights[a] @ values for each angle a: one vector-matrix product
+    per angle (a single gemm would make an angle's bits depend on its
+    neighbours), on column blocks of ``values`` that stay in cache across
+    the angles."""
+    cols = max(1, COLUMN_BYTES // (values.itemsize * max(1, len(values))))
+    for j in range(0, values.shape[1], cols):
+        np.matmul(weights[:, None, :], values[:, j : j + cols], out=out[:, None, j : j + cols])
+
+
+def evaluate_gramians(left: np.ndarray, right: np.ndarray, thetas) -> np.ndarray:
+    """(K, N_L, N_R) stack of the right-cut Gramians O(theta) of the rows
+    (L, R), summed from their harmonics (the left cut at theta is the right
+    cut at theta + pi)."""
     thetas = np.asarray(thetas, dtype=float)
-    out = np.empty((len(thetas), len(h.left), len(h.right)), dtype=complex)
-    flat = out.reshape(len(thetas), 1, h.half.size)  # a view: each angle's entries are contiguous
-    cols = max(1, COLUMN_BYTES // (16 * max(1, len(h.orders))))
-    for columns, coeffs in _blocks(h):
-        part = flat[:, :, columns]
+    out = np.empty((len(thetas), len(left), len(right)), dtype=complex)
+    flat = out.reshape(len(thetas), len(left) * len(right))  # a view: one row per angle
+    for columns, coeffs in _coefficient_blocks(left, right):
         for k in range(0, len(thetas), ANGLE_BLOCK):
-            pos = _odd_phases(thetas[k : k + ANGLE_BLOCK], len(h.orders) // 2)
-            e = np.concatenate((pos[:, ::-1].conj(), pos), axis=1)[:, None, :]  # lags -top .. top
-            # one vector-matrix product per angle (a single gemm over the block
-            # would make an angle's bits depend on its neighbours), on column
-            # blocks of the harmonics that stay in cache across the block's angles
-            for j in range(0, coeffs.shape[1], cols):
-                np.matmul(e, coeffs[:, j : j + cols], out=part[k : k + ANGLE_BLOCK, :, j : j + cols])
-    out += h.half
+            pos = _odd_phases(thetas[k : k + ANGLE_BLOCK], len(coeffs) // 2)
+            e = np.concatenate((pos[:, ::-1].conj(), pos), axis=1)  # lags -top .. top
+            _per_angle_sums(e, coeffs, flat[k : k + ANGLE_BLOCK, columns])
+    out += 0.5 * (left.conj() @ right.T)
     return out
 
 
-def evaluate_half_turn(h: GramianHarmonics, count: int) -> np.ndarray:
+def evaluate_half_turn(left: np.ndarray, right: np.ndarray, count: int) -> np.ndarray:
     """(K/2, N_L, N_R) right-cut Gramians O(2 pi j / K), j < K/2, K = count even,
-    summed from their harmonics.
+    of the rows (L, R), summed from their harmonics.
 
     C_k goes to bin (k mod K) // 2, one inverse FFT of length K/2 per entry
     sums the bins, and angle j is multiplied by the twiddle e^{2 pi i j / K}
     (module docstring).  Each block of left rows is binned and transformed
     in its columns of the output, so the peak is the stack plus one block's
-    transform: about twice the stack when the coefficients are held.
+    transform: about twice the stack when all rows fit one block.
     """
     if count < 2 or count % 2:
         raise ValueError("count must be a positive even number")
     half_k = count // 2
-    out = np.zeros((half_k, h.half.size), dtype=complex)
-    slots = (h.orders % count) // 2
-    for columns, coeffs in _blocks(h):
+    out = np.zeros((half_k, len(left) * len(right)), dtype=complex)
+    for columns, coeffs in _coefficient_blocks(left, right):
         bins = out[:, columns]
+        slots = (np.arange(1 - len(coeffs), len(coeffs), 2) % count) // 2  # lags -top .. top
         for s in range(0, len(slots), half_k):  # K/2 consecutive odd lags fill distinct bins
             bins[slots[s : s + half_k]] += coeffs[s : s + half_k]
         bins[...] = np.fft.ifft(bins, axis=0, norm="forward")
     out *= np.exp(2j * math.pi / count * np.arange(half_k))[:, None]
-    out = out.reshape(half_k, *h.half.shape)
-    out += h.half
+    out = out.reshape(half_k, len(left), len(right))
+    out += 0.5 * (left.conj() @ right.T)
+    return out
+
+
+def interpolate_half_turn(blocks: np.ndarray, thetas) -> np.ndarray:
+    """(K, N_L, N_R) stack of m(theta) from its G values ``blocks``,
+    m(pi j / G) for j < G, by trigonometric interpolation (module docstring).
+
+    Exact for a Gramian with no constant term and odd lags below G, G a
+    power of two.  An angle that np.linspace(0, pi, G + 1) spells gathers
+    its block, pi giving -m(0).  Every other angle sums the blocks with the
+    weights sin(G d_j) / (G sin d_j) = (-1)^{j + k_j} sin(G theta) / (G sin d_j'),
+    d_j = theta - pi j / G = d_j' + k_j pi with k_j whole half turns and
+    |d_j'| <= pi / 2: G theta is exact, and d_j' is taken against pi itself,
+    not a rounded grid angle, so each weight keeps its relative accuracy
+    however close theta is to a grid angle or its image a half turn away.
+    The sum is one real vector-matrix product per angle over the blocks'
+    real and imaginary parts (_per_angle_sums), in blocks of ANGLE_BLOCK
+    angles, so its bits do not depend on which other angles share the call.
+    """
+    thetas, blocks = np.asarray(thetas, dtype=float), np.ascontiguousarray(blocks, dtype=complex)
+    size, width = len(blocks), 2 * blocks[0].size
+    grid = np.linspace(0.0, math.pi, size + 1)
+    out = np.empty((len(thetas), *blocks.shape[1:]), dtype=complex)
+    index = np.minimum(np.searchsorted(grid, thetas), size)
+    on = grid[index] == thetas
+    np.take(blocks, np.where(on, index % size, 0), axis=0, out=out, mode="clip")  # no temporary
+    out[on & (index == size)] *= -1.0
+    values = blocks.view(float).reshape(size, width)
+    indices = np.arange(size)
+    off = np.flatnonzero(~on)
+    for k in range(0, len(off), ANGLE_BLOCK):
+        angles = thetas[off[k : k + ANGLE_BLOCK], None]
+        turns = np.round(angles / math.pi - indices / size)  # k_j, so |d_j'| <= pi / 2
+        # d_j' = theta - pi n, with pi in three parts, the first two of 26 and
+        # 27 bits: n times either is exact, so d_j' is rounded only at the end
+        n = turns + indices / size
+        d = angles - n * 3.1415926218032837 - n * 3.1786509424591713e-08
+        d -= n * 1.2246467991473532e-16
+        part = np.empty((len(angles), width))
+        _per_angle_sums(np.where((turns + indices) % 2, -1.0, 1.0) * np.sin(size * angles) / size
+                        / np.sin(d), values, part)
+        out.view(float).reshape(len(thetas), width)[off[k : k + ANGLE_BLOCK]] = part
     return out
 
 
 def rotated_overlap(state: SlaterState, theta: float) -> np.ndarray:
     """N x N right-cut Gramian after rotating the cut by theta; the left cut
     at theta is ``rotated_overlap(state, theta + pi)``."""
-    return evaluate_gramians(gramian_harmonics(state.coeffs, state.coeffs), [theta])[0]
+    return evaluate_gramians(state.coeffs, state.coeffs, [theta])[0]
 
 
 def translated_overlap(state: SlaterState, offset: float) -> np.ndarray:

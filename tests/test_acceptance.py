@@ -114,8 +114,8 @@ def test_criterion_05_winding_integers():
         nu_es = chiral.winding_number(es)
         ok &= nu_gs == m and nu_es == -m
         for ps, nu in ((gs, nu_gs), (es, nu_es)):
-            blocks = overlap.evaluate_half_turn(ps.harmonics, 1024)  # a grid of 512 intervals
-            ok &= chiral._phase_scan(ps, chiral._grid_determinants(ps, blocks), blocks)[0] == nu
+            blocks = overlap.evaluate_half_turn(*ps.sectors, 1024)  # a grid of 512 intervals
+            ok &= chiral._phase_scan(ps, chiral._grid_determinants(ps, blocks))[0] == nu
     _report("c5", 5, "winding +-M for ground/excited fillings, grid stable", ok)
 
 

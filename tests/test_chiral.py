@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (mixed_well_filling, negation_asymmetry, random_symmetric_slater,
                      random_unitary_rows)
-from psesk import chiral, overlap, potentials
+from psesk import chiral, entanglement, overlap, potentials
 from psesk.entanglement import entanglement_energies, pses_sweep, schmidt_values
 from psesk.overlap import ho_overlap_table, rotated_overlap
 from psesk.states import SlaterState, ho_slater, interpolated_state
@@ -138,12 +138,29 @@ def test_block_antiperiodic_under_half_turn():
 
 
 def test_block_determinants_stack_equals_single_angle_calls():
-    # 257 angles end in a partial block; stacking must not change a single bit
+    # the 257 grid angles gather their blocks, and the 257 angles between
+    # them end in a partial block; stacking must not change a single bit
     rng = np.random.default_rng(33)
     ps = chiral.parity_sort(random_symmetric_slater(rng, 3, 3, 40))
-    thetas = np.linspace(0.0, math.pi, 257)
+    grid = np.linspace(0.0, math.pi, 257)
+    thetas = np.concatenate((grid, grid + 1e-3))
     single = [chiral.block_determinants(ps, [theta])[0] for theta in thetas]
     assert np.array_equal(chiral.block_determinants(ps, thetas), single)
+
+
+def test_chiral_block_reads_the_grid_only_when_balanced():
+    # a balanced state reads its grid; an unbalanced one, which holds none,
+    # sums the harmonics of its sectors; both match the dense product
+    rng = np.random.default_rng(35)
+    for n_even, n_odd in ((2, 2), (3, 2)):
+        ps = chiral.parity_sort(random_symmetric_slater(rng, n_even, n_odd, 40))
+        table = ho_overlap_table(40).entries
+        for theta in (0.0, 0.7, 4.0):
+            phases = np.exp(1j * theta * np.arange(40))
+            even, odd = (rows * phases for rows in ps.sectors)
+            want = even.conj() @ table @ odd.T
+            assert np.max(np.abs(chiral.chiral_block(ps, theta) - want)) < 1e-14
+        assert ("grid_blocks" in ps.__dict__) == (n_even == n_odd)
 
 
 def test_block_requires_both_sectors():
@@ -161,14 +178,14 @@ def test_winding_ground_and_excited(m):
 
 
 def _grid(ps, grid_size):
-    """(det m, blocks) on a base grid of ``grid_size`` intervals, not the state's own."""
-    blocks = overlap.evaluate_half_turn(ps.harmonics, 2 * grid_size)
-    return chiral._grid_determinants(ps, blocks), blocks
+    """det m on a base grid of ``grid_size`` intervals, not the state's own."""
+    return chiral._grid_determinants(ps, overlap.evaluate_half_turn(*ps.sectors, 2 * grid_size))
 
 
 def _scan(ps, grid_size):
-    """The phase scan from a base grid of ``grid_size`` intervals, not the state's own."""
-    return chiral._phase_scan(ps, *_grid(ps, grid_size))
+    """The phase scan from a base grid of ``grid_size`` intervals, not the state's
+    own; its midpoints and SVD blocks still come from the state's own grid."""
+    return chiral._phase_scan(ps, _grid(ps, grid_size))
 
 
 def test_winding_grid_doubling_stable():
@@ -233,18 +250,27 @@ def test_zero_on_a_grid_point_is_one_closing():
 
 
 def test_floor_svds_read_base_grid_blocks(monkeypatch):
-    # |det m| < DET_FLOOR at the grid point pi/2: its SVD takes the held
-    # block, and only bisection midpoints are evaluated angle by angle
-    evaluated = []
-    evaluate = chiral.evaluate_gramians
-    monkeypatch.setattr(chiral, "evaluate_gramians",
-                        lambda h, thetas: evaluated.extend(thetas) or evaluate(h, thetas))
+    # |det m| < DET_FLOOR at the grid point pi/2: its SVD gathers the held
+    # block bitwise, and no angle is evaluated from the harmonics
+    read = []
+    interpolate = chiral.interpolate_half_turn
+
+    def recorded(blocks, thetas):
+        out = interpolate(blocks, thetas)
+        read.extend(zip(np.asarray(thetas).tolist(), out))
+        return out
+
+    monkeypatch.setattr(chiral, "interpolate_half_turn", recorded)
+    monkeypatch.setattr(chiral, "evaluate_gramians", None)
     ps = chiral.parity_sort(interpolated_state(T_CRIT, 0.0))
     assert abs(ps.grid_determinants[ps.grid_size // 2]) < chiral.DET_FLOOR
     closings = chiral.detect_gap_closings(ps)
     assert len(closings) == 1 and abs(closings[0] - math.pi / 2.0) < 1e-9
-    base = set(np.linspace(0.0, math.pi, ps.grid_size + 1).tolist())
-    assert not base & set(evaluated)
+    grid = np.linspace(0.0, math.pi, ps.grid_size + 1).tolist()
+    held = np.concatenate((ps.grid_blocks, -ps.grid_blocks[:1]))  # m(pi) = -m(0)
+    gathered = [(grid.index(theta), block) for theta, block in read if theta in grid]
+    assert ps.grid_size // 2 in [j for j, _ in gathered]
+    assert all(np.array_equal(block, held[j]) for j, block in gathered)
 
 
 def test_a_finer_grid_resolves_a_winding_the_default_grid_aliases():
@@ -287,7 +313,7 @@ def test_oscillator_fillings_wind_by_their_level_sums(levels):
     nu = sum(n if n % 2 else -n for n in levels)
     ps = chiral.parity_sort(ho_slater(levels))
     assert chiral.winding_number(ps) == nu
-    assert chiral._phase_scan(ps, ps.grid_determinants, ps.grid_blocks)[0] == nu
+    assert chiral._phase_scan(ps, ps.grid_determinants)[0] == nu
 
 
 def test_grid_size_comes_from_the_basis():
@@ -369,6 +395,50 @@ def test_winding_bisects_only_the_intervals_with_large_steps(t, nu, monkeypatch)
     assert 256 < intervals < 300
     # the 257-angle base grid comes from the FFT: only bisection midpoints are evaluated per angle
     assert sum(angles) == intervals - 256
+
+
+@pytest.mark.parametrize("gap, count", [(1e-4, 2), (1e-7, 1)])
+def test_closings_merge_only_within_their_distance(gap, count, monkeypatch):
+    # two simple zeros of det m astride a grid angle, each in its own base
+    # interval: 1e-4 apart they are two closings, 1e-7 apart one, as
+    # closings merge within 1e-6
+    ps = chiral.parity_sort(interpolated_state(0.3, PHI))
+    grid = np.linspace(0.0, math.pi, ps.grid_size + 1)
+    zeros = grid[100] + np.array([-0.5, 0.5]) * gap
+
+    def dets(thetas):
+        return np.prod(np.exp(2j * np.asarray(thetas)[:, None]) - np.exp(2j * zeros), axis=1)
+
+    monkeypatch.setattr(chiral, "block_determinants", lambda ps, thetas: dets(thetas))
+    closings = chiral._phase_scan(ps, dets(grid))[3]
+    assert len(closings) == count
+    assert all(np.min(np.abs(zeros - c)) < 1e-9 for c in closings)
+
+
+def _circular_distance(a, b):
+    """|a - b| mod pi, folded into [0, pi/2]."""
+    return abs((a - b + math.pi / 2.0) % math.pi - math.pi / 2.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.234567, 2.9])
+def test_rotating_the_state_moves_its_closings_by_the_rotation(alpha):
+    # c_n -> c_n e^{-i n alpha} maps the cut at theta to the cut at
+    # theta - alpha: the closings move by +alpha mod pi, off the base grid,
+    # where the scan reads its blocks by interpolation, and nu stays
+    def rotated(state):
+        return SlaterState(state.coeffs * np.exp(-1j * alpha * np.arange(state.basis_size)))
+
+    for phi in (0.0, 1.0, 2.0 * math.pi / 3.0):
+        state = interpolated_state(T_CRIT, phi)
+        want = chiral.detect_gap_closings(chiral.parity_sort(state))
+        got = chiral.detect_gap_closings(chiral.parity_sort(rotated(state)))
+        assert len(got) == len(want) == 1, phi
+        assert _circular_distance(got[0], want[0] + alpha) < 1e-9, phi
+    for kind in SYMMETRIC_WELLS:
+        state = potentials.bound_states(potentials.potential(kind), 6).as_slater()
+        want = chiral.parity_sort(state).phase_scan
+        got = chiral.parity_sort(rotated(state)).phase_scan
+        assert got[0] == want[0] == 3 and got[3] == want[3] == (), kind
 
 
 def test_flat_band_count():
@@ -513,7 +583,8 @@ def test_minimum_block_gap_reads_the_phase_scan(name, monkeypatch):
     else:  # a filling's |det m| = prod sigma(m(0)) is constant: no grid angle holds less
         assert det == pytest.approx(np.min(np.abs(ps.grid_determinants)), rel=1e-13)
     assert 0.0 <= theta < math.pi
-    assert abs(chiral.block_determinants(ps, [theta])[0]) == pytest.approx(det, rel=1e-9)
+    block = overlap.evaluate_gramians(*ps.sectors, [theta])
+    assert abs(np.linalg.det(block)[0]) == pytest.approx(det, rel=1e-9)
     # near a zero the scan's bisection has brought its minimum onto the closing
     closings = chiral.detect_gap_closings(ps)
     if name == "interpolated-critical":
@@ -524,30 +595,22 @@ def test_minimum_block_gap_reads_the_phase_scan(name, monkeypatch):
 
 
 def test_winding_and_closings_build_the_harmonics_once(monkeypatch):
+    # once, for the base grid: every later block is read from it
     calls = []
-    build = chiral.gramian_harmonics
+    half_turn = chiral.evaluate_half_turn
 
-    def counted(left, right):
-        calls.append(len(left))
-        return build(left, right)
+    def counted(left, right, count):
+        calls.append(count)
+        return half_turn(left, right, count)
 
-    monkeypatch.setattr(chiral, "gramian_harmonics", counted)
+    monkeypatch.setattr(chiral, "evaluate_half_turn", counted)
+    monkeypatch.setattr(chiral, "evaluate_gramians", None)
     ps = chiral.parity_sort(_scan_states()["poschl-teller-6"])
     assert chiral.winding_scan(ps)[0] == 3
     assert chiral.detect_gap_closings(ps) == []
-    assert calls == [3]
-
-
-def test_block_too_large_to_keep_is_rebuilt_per_call(monkeypatch):
-    state = _scan_states()["poschl-teller-6"]
-    thetas = np.linspace(0.0, math.pi, 33)
-    kept = chiral.parity_sort(state)
-    want = chiral.block_determinants(kept, thetas)
-    monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    ps = chiral.parity_sort(SlaterState(state.coeffs.copy()))  # the same object would be remembered
-    assert ps.harmonics.coeffs is None
-    assert np.max(np.abs(chiral.block_determinants(ps, thetas) - want)) < 1e-13
-    assert chiral.winding_number(ps) == chiral.winding_number(kept)
+    chiral.chiral_block(ps, 0.3)
+    chiral.block_determinants(ps, [0.1, 2.0])
+    assert calls == [2 * ps.grid_size]
 
 
 def test_flat_determinant_ripples_are_not_refined(monkeypatch):
@@ -571,7 +634,7 @@ def test_flat_determinant_ripples_are_not_refined(monkeypatch):
 
     monkeypatch.setattr(chiral, "block_determinants", counted)
     monkeypatch.setattr(chiral, "_grid_determinants", counted_grid)
-    assert chiral._phase_scan(ps, ps.grid_determinants, ps.grid_blocks)[3] == ()
+    assert chiral._phase_scan(ps, ps.grid_determinants)[3] == ()
     assert calls == []
     assert grids == [chiral.DEFAULT_GRID]
 
@@ -587,7 +650,7 @@ def test_block_determinants_memory_on_a_long_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (16385, 6, 6) stack alone is 9.0 MiB; harmonics and phase blocks stay small
+    # the (16385, 6, 6) stack alone is 9.0 MiB; the grid and the weights stay small
     assert peak <= 1.1 * 9.6 * 2**20
 
 
@@ -612,11 +675,14 @@ def _grid_oracle_states(well_states):
 
 
 def _assert_grid_matches_per_angle(ps):
+    # FFT grids of other sizes, and the state's own grid interpolated onto
+    # them, against the sum of the harmonics angle by angle
     for grid_size in (1, 2, 3, 256, 4096):
-        want = chiral.block_determinants(ps, np.linspace(0.0, math.pi, grid_size + 1))
-        got = _grid(ps, grid_size)[0]
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), grid_size
+        thetas = np.linspace(0.0, math.pi, grid_size + 1)
+        want = np.linalg.det(overlap.evaluate_gramians(*ps.sectors, thetas))
+        for got in (_grid(ps, grid_size), chiral.block_determinants(ps, thetas)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), grid_size
 
 
 def test_grid_determinants_match_block_determinants(well_states):
@@ -633,13 +699,13 @@ def test_grid_determinants_from_row_blocks(well_states, monkeypatch):
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     for name in ("well-double_well", "random-1000", "ho-900-919"):
         ps = chiral.parity_sort(SlaterState(states[name].coeffs))
-        assert ps.harmonics.coeffs is None
+        assert overlap._harmonic_rows(ps.n_odd, ps.coeffs.shape[1]) == 1
         _assert_grid_matches_per_angle(ps)
 
 
 @pytest.mark.parametrize("indices", [[0, 1, 2], [0, 2], "double_well-4-3"])
 def test_unequal_sectors_raise_empty_block(indices):
-    # the sectors are compared first: no harmonics and no grid are built
+    # the sectors are compared first: no grid is built
     if indices == "double_well-4-3":
         state = potentials.bound_states(potentials.potential("double_well"), 7, 100).as_slater()
     else:
@@ -649,7 +715,7 @@ def test_unequal_sectors_raise_empty_block(indices):
                  lambda ps: ps.grid_blocks):
         with pytest.raises(chiral.EmptyBlock):
             scan(ps)
-        assert "harmonics" not in ps.__dict__ and "grid_blocks" not in ps.__dict__
+        assert "grid_blocks" not in ps.__dict__
 
 
 def test_gapped_well_windings_evaluate_no_single_angles(well_states, monkeypatch):
@@ -733,7 +799,7 @@ def test_determinant_dips_that_are_not_zeros_are_not_closings():
         dips = [t for t, d in (_scalar_golden(ps, lo, hi, chiral.RESOLUTION) for lo, hi in brackets)
                 if d < 1e-6]
         assert len(dips) >= least, name
-        blocks = overlap.evaluate_gramians(ps.harmonics, dips)
+        blocks = overlap.evaluate_gramians(*ps.sectors, dips)
         assert np.min(np.linalg.svd(blocks, compute_uv=False)) >= 1e-4, name
         assert chiral.detect_gap_closings(ps) == [], name
 
@@ -759,15 +825,15 @@ def test_gapped_wells_and_flat_fillings_refine_nothing(well_states, monkeypatch)
 
 
 def test_scans_agree_without_held_harmonics(well_states, monkeypatch):
-    # rebuilt Gramians round within 1e-15 of held ones: the same windings,
-    # grids and closings
+    # grids built one left row at a time round within 1e-15 of grids built
+    # in one block: the same windings, grids and closings
     states = {kind: SlaterState(ps.coeffs) for kind, ps in well_states.items()}
     states["random-1000"] = _closing_oracle_states()["random-1000"]
     want = {name: chiral.parity_sort(state).phase_scan for name, state in states.items()}
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     for name, state in states.items():
         ps = chiral.parity_sort(SlaterState(state.coeffs.copy()))
-        assert ps.harmonics.coeffs is None
+        assert overlap._harmonic_rows(ps.n_odd, ps.coeffs.shape[1]) == 1
         got = ps.phase_scan
         assert got[:2] == want[name][:2] and got[3] == want[name][3], name
 
@@ -775,19 +841,21 @@ def test_scans_agree_without_held_harmonics(well_states, monkeypatch):
 # ------------------------------------------------- the remembered parity sort
 
 def test_sweep_and_scans_of_one_state_build_the_harmonics_once(monkeypatch):
-    # the library chain of one analysis: sweep, sort, winding, gap closings
+    # the library chain of one analysis: sweep, sort, winding, gap closings;
+    # the harmonics are built once, for the base grid that all of them read
     calls = []
-    for module in (chiral, overlap):
-        build = module.gramian_harmonics
-        monkeypatch.setattr(module, "gramian_harmonics",
-                            lambda left, right, build=build: calls.append(len(left))
-                            or build(left, right))
+    for module in (chiral, entanglement):
+        half_turn = module.evaluate_half_turn
+        monkeypatch.setattr(module, "evaluate_half_turn",
+                            lambda left, right, count, half_turn=half_turn:
+                            calls.append(count) or half_turn(left, right, count))
+        monkeypatch.setattr(module, "evaluate_gramians", None)
     state = mixed_well_filling(np.random.default_rng(42), "double_well", 3, 3)
     pses_sweep(state, np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
     ps = chiral.parity_sort(state)
     assert chiral.winding_scan(ps)[0] == 3
     assert chiral.detect_gap_closings(ps) == []
-    assert calls == [3]
+    assert calls == [2 * ps.grid_size]
 
 
 def test_parity_sort_remembers_the_last_state_by_identity():
@@ -805,7 +873,7 @@ def test_parity_sort_remembers_the_last_state_by_identity():
 def test_parity_sort_holds_no_reference_to_its_state():
     state = mixed_well_filling(np.random.default_rng(44), "sho", 2, 2)
     ps = chiral.parity_sort(state)
-    ps.grid_determinants  # the kept harmonics and grid hold no reference either
+    ps.grid_determinants  # the kept grid holds no reference either
     ref = weakref.ref(state)
     del state
     gc.collect()
@@ -813,9 +881,9 @@ def test_parity_sort_holds_no_reference_to_its_state():
     assert not chiral._sorts  # the memo dropped its sort with the state
 
 
-def test_sort_and_harmonics_are_read_only():
+def test_sort_and_grid_are_read_only():
     ps = chiral.parity_sort(ho_slater([0, 1, 2, 3], 8))
-    for array in (ps.coeffs, ps.harmonics.half, ps.harmonics.coeffs):
+    for array in (ps.coeffs, ps.grid_blocks, ps.grid_determinants):
         with pytest.raises(ValueError):
             array[0] = 7.0
 
@@ -856,8 +924,8 @@ def test_fillings_wind_by_their_level_sums_from_one_block(levels, basis):
         assert chiral.winding_scan(ps) == (nu, ps.grid_size, float(np.prod(sigma)))
         assert chiral.detect_gap_closings(ps) == []
         assert chiral.minimum_block_gap(ps) == (0.0, float(np.prod(sigma)))
-        assert "harmonics" not in ps.__dict__ and "grid_blocks" not in ps.__dict__
-        if basis <= 1004:  # the block is m(0) of the harmonics
+        assert "grid_blocks" not in ps.__dict__
+        if basis <= 1004:  # the block is m(0) of the grid
             block = chiral.chiral_block(ps, 0.0)
             assert np.max(np.abs(block - chiral.level_block(ps))) < 1e-15
 
@@ -867,7 +935,7 @@ def test_a_filling_whose_block_is_singular_to_roundoff_takes_the_scan():
     ps = chiral.parity_sort(ho_slater([0, 2, 4, 1019, 1021, 1023]))
     assert ps.levels is not None
     assert np.linalg.svd(chiral.level_block(ps), compute_uv=False)[-1] < chiral.DET_FLOOR
-    assert ps.phase_scan == chiral._phase_scan(ps, ps.grid_determinants, ps.grid_blocks)
+    assert ps.phase_scan == chiral._phase_scan(ps, ps.grid_determinants)
 
 
 def test_the_level_test_reads_the_residual_not_the_weights():

@@ -200,7 +200,7 @@ def test_spectrum_gap_min_is_the_chiral_gap(tmp_path):
     ps = chiral.parity_sort(state)
     assert ps.n_even == ps.n_odd == 3
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    sigma_min = np.linalg.svd(evaluate_gramians(ps.harmonics, thetas), compute_uv=False)[:, -1]
+    sigma_min = np.linalg.svd(evaluate_gramians(*ps.sectors, thetas), compute_uv=False)[:, -1]
     want = float(np.min(2.0 * np.arctanh(2.0 * sigma_min)))
     assert abs(gap_min - want) <= 1e-10 * want
 

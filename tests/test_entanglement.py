@@ -54,11 +54,24 @@ def test_schmidt_stack_matches_slices_and_keeps_guards():
         ent.schmidt_values(beyond)
 
 
+@pytest.mark.parametrize("defect, refused", [(1e-9, True), (1e-11, False)])
+def test_the_hermiticity_tolerance_decides_the_check(defect, refused):
+    # |O - O^H| of 10 and 0.1 times HERMITICITY_TOL = 1e-10: the first is
+    # refused, the second symmetrised away
+    o = two_level_overlap(0.4)
+    o[0, 1] += defect
+    if refused:
+        with pytest.raises(ent.NonHermitian):
+            ent.schmidt_values(o)
+    else:
+        assert ent.schmidt_values(o) == pytest.approx([MU_PLUS, 1.0 - MU_PLUS], abs=1e-10)
+
+
 def test_hermitian_check_is_blocked_and_bitwise_unchanged():
     # the copy is checked and symmetrised in place: no stack-sized temporaries
     state = ho_slater([0, 1])
     thetas = np.linspace(0.0, 2.0 * math.pi, 2**16, endpoint=False)
-    stack = overlap.evaluate_gramians(overlap.gramian_harmonics(state.coeffs, state.coeffs), thetas)
+    stack = overlap.evaluate_gramians(state.coeffs, state.coeffs, thetas)
     tracemalloc.start()
     try:
         got = ent._hermitian(stack)
@@ -206,8 +219,7 @@ def _uniform(k):
 
 def _per_angle(state, thetas):
     """The sweep's numbers angle by angle: the oracle of the half-turn path."""
-    h = overlap.gramian_harmonics(state.coeffs, state.coeffs)
-    mu = ent.schmidt_values(overlap.evaluate_gramians(h, thetas))
+    mu = ent.schmidt_values(overlap.evaluate_gramians(state.coeffs, state.coeffs, thetas))
     return mu, ent.entanglement_energies(mu), ent.entanglement_entropy(mu)
 
 
@@ -215,8 +227,7 @@ def _general_sweep(state, k):
     """The half-turn route of the general path, mu of the N x N Gramians and
     the subsystem swap, called directly (pses_sweep takes the chiral path
     for an inversion-symmetric state)."""
-    h = overlap.gramian_harmonics(state.coeffs, state.coeffs)
-    mu = ent.schmidt_values(overlap.evaluate_half_turn(h, k))
+    mu = ent.schmidt_values(overlap.evaluate_half_turn(state.coeffs, state.coeffs, k))
     half = ent.entanglement_energies(mu)
     return np.concatenate((half, -half[:, ::-1])), np.tile(ent.entanglement_entropy(mu), 2)
 
@@ -289,7 +300,7 @@ def test_other_grids_take_the_chiral_path_angle_by_angle_bitwise(grid, monkeypat
     ps = parity_sort(state)
     assert (ps.n_even, ps.n_odd) == (4, 3)
     thetas = _other_grid(grid)
-    sigma = np.linalg.svd(overlap.evaluate_gramians(ps.harmonics, thetas), compute_uv=False)
+    sigma = np.linalg.svd(overlap.evaluate_gramians(*ps.sectors, thetas), compute_uv=False)
     mu = overlap.clamp_unit_interval(np.concatenate(
         (0.5 + sigma, np.full((len(sigma), 1), 0.5), 0.5 - sigma[:, ::-1]), axis=1))
     monkeypatch.setattr(ent, "evaluate_half_turn", _refused)
@@ -335,10 +346,10 @@ def test_uniform_sweep_left_row_blocks_match(monkeypatch):
 
 @pytest.mark.parametrize("name", ["random-1000", "ho-900-919"])
 def test_chiral_sweep_without_kept_harmonics(name, monkeypatch):
-    # blocks too wide to keep: every sweep rebuilds them in row blocks
+    # one left row per block of harmonics: every sweep builds them in row blocks
     state = SlaterState(_chiral_oracle_states()[name].coeffs.copy())
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    assert parity_sort(state).harmonics.coeffs is None
+    assert overlap._harmonic_rows(parity_sort(state).n_odd, state.basis_size) == 1
     for thetas in (_uniform(256), _uniform(64) + 0.1):
         data = ent.pses_sweep(state, thetas)
         mu, _, entropy = _per_angle(state, thetas)
@@ -520,8 +531,9 @@ def test_the_sweep_reads_the_held_base_grid_when_k_divides_it(monkeypatch):
     calls = []
     for module in (chiral, ent):
         half_turn = module.evaluate_half_turn
-        monkeypatch.setattr(module, "evaluate_half_turn", lambda h, count, half_turn=half_turn:
-                            calls.append(count) or half_turn(h, count))
+        monkeypatch.setattr(module, "evaluate_half_turn",
+                            lambda left, right, count, half_turn=half_turn:
+                            calls.append(count) or half_turn(left, right, count))
     ps = parity_sort(state)
     for k in (256, 16):
         data = ent.pses_sweep(state, _uniform(k))
@@ -606,7 +618,7 @@ def test_paired_schmidt_values_keep_the_gram_bound(indices, grid, monkeypatch):
     state = SlaterState(rows)
     assert parity_sort(state).levels is None
 
-    def escaping(ps, arg):
+    def escaping(left, right, arg):
         angles = arg // 2 if grid == "uniform" else len(arg)
         blocks = np.zeros((angles, n, n), dtype=complex)
         blocks[:, 0, 0] = 0.5 + 1e-6
@@ -676,15 +688,15 @@ def test_fillings_sweep_one_row_that_matches_the_per_angle_oracle(name, grid, mo
 
 def test_a_filling_builds_no_harmonics_and_no_grid(monkeypatch):
     for module in (chiral, ent, overlap):
-        for name in ("gramian_harmonics", "evaluate_half_turn", "evaluate_gramians"):
-            monkeypatch.setattr(module, name, _refused)
+        for name in ("evaluate_half_turn", "evaluate_gramians", "interpolate_half_turn"):
+            monkeypatch.setattr(module, name, _refused, raising=False)
     state = _filling(*FILLINGS["0-5"], seed=42)
     data = ent.pses_sweep(state, _uniform(256))
     ps = parity_sort(state)
     assert chiral.winding_scan(ps) == (3, 256, chiral.minimum_block_gap(ps)[1])
     assert detect_gap_closings(ps) == []
     assert data.energies.shape == (256, 6)
-    assert "harmonics" not in ps.__dict__ and "grid_blocks" not in ps.__dict__
+    assert "grid_blocks" not in ps.__dict__
 
 
 def test_a_level_admixture_takes_the_full_path(monkeypatch):

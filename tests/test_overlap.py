@@ -97,7 +97,7 @@ def test_translated_at_origin_matches_rotated_gramians_at_max_basis():
     rng = np.random.default_rng(1024)
     a = random_unitary_rows(rng, 3, 1024)
     o_t = overlap.translated_overlap(SlaterState(a), 0.0)
-    o_r = overlap.evaluate_gramians(overlap.gramian_harmonics(a, a), [0.0])[0]
+    o_r = overlap.evaluate_gramians(a, a, [0.0])[0]
     assert np.max(np.abs(o_t - o_r)) < 1e-11
 
 
@@ -108,7 +108,7 @@ def test_rotated_gramians_match_quadrature_of_rotated_orbitals(m):
     rng = np.random.default_rng(m)
     a = random_unitary_rows(rng, 4, m)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=6)
-    stack = overlap.evaluate_gramians(overlap.gramian_harmonics(a, a), thetas)
+    stack = overlap.evaluate_gramians(a, a, thetas)
     assert stack.shape == (6, 4, 4)
     for theta, o in zip(thetas, stack):
         rotated = SlaterState(a * np.exp(1j * np.arange(m) * theta))
@@ -146,8 +146,7 @@ def test_boundary_current_kernel_matches_dense_product(m, side):
         left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
         for k in (0, 1, 7):
             thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=k)
-            h = overlap.gramian_harmonics(left, right)
-            got = overlap.evaluate_gramians(h, thetas + TURN[side])
+            got = overlap.evaluate_gramians(left, right, thetas + TURN[side])
             assert got.shape == (k, n_l, n_r)
             want = _dense_gramians(left, right, thetas, side)
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13
@@ -160,7 +159,7 @@ def test_even_odd_block_matches_dense_product_at_m_1000():
     odd = np.zeros((3, 1000), dtype=complex)
     odd[:, 1::2] = _unit_rows(rng, 3, 500)
     thetas = rng.uniform(0.0, math.pi, size=7)
-    got = overlap.evaluate_gramians(overlap.gramian_harmonics(even, odd), thetas)
+    got = overlap.evaluate_gramians(even, odd, thetas)
     assert np.max(np.abs(got - _dense_gramians(even, odd, thetas))) < 1e-13
 
 
@@ -170,11 +169,10 @@ def test_left_row_blocks_match_dense_product(monkeypatch):
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     assert overlap._harmonic_rows(3, 60) == 1
-    h = overlap.gramian_harmonics(left, right)
     for side in ("right", "left"):
-        got = overlap.evaluate_gramians(h, thetas + TURN[side])
+        got = overlap.evaluate_gramians(left, right, thetas + TURN[side])
         assert np.max(np.abs(got - _dense_gramians(left, right, thetas, side))) < 1e-13
-    assert overlap.evaluate_gramians(h, []).shape == (0, 5, 3)
+    assert overlap.evaluate_gramians(left, right, []).shape == (0, 5, 3)
 
 
 @pytest.mark.parametrize("m", [1, 3, 100, 1000])
@@ -183,25 +181,24 @@ def test_half_turn_gramians_match_per_angle_kernel(m):
     rng = np.random.default_rng(m + 7)
     for n_l, n_r in ((3, 2), (1, 4), (0, 3), (2, 0)):
         left, right = _unit_rows(rng, n_l, m), _unit_rows(rng, n_r, m)
-        h = overlap.gramian_harmonics(left, right)
         for k in (2, 4, 16, 256, 4096):
             thetas = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-            got = overlap.evaluate_half_turn(h, k)
+            got = overlap.evaluate_half_turn(left, right, k)
             assert got.shape == (k // 2, n_l, n_r)
-            want = overlap.evaluate_gramians(h, thetas[: k // 2])
+            want = overlap.evaluate_gramians(left, right, thetas[: k // 2])
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13, (n_l, n_r, k)
     for count in (0, 7):
         with pytest.raises(ValueError):
-            overlap.evaluate_half_turn(h, count)
+            overlap.evaluate_half_turn(left, right, count)
 
 
 def test_half_turn_left_row_blocks_match(monkeypatch):
     rng = np.random.default_rng(61)
     left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
-    whole = overlap.evaluate_half_turn(overlap.gramian_harmonics(left, right), 64)
+    whole = overlap.evaluate_half_turn(left, right, 64)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
     assert overlap._harmonic_rows(3, 300) == 1
-    blocked = overlap.evaluate_half_turn(overlap.gramian_harmonics(left, right), 64)
+    blocked = overlap.evaluate_half_turn(left, right, 64)
     assert np.max(np.abs(blocked - whole)) < 1e-15
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:32]
     assert np.max(np.abs(blocked - _dense_gramians(left, right, thetas))) < 1e-13
@@ -209,21 +206,20 @@ def test_half_turn_left_row_blocks_match(monkeypatch):
 
 def test_row_block_rebuild_is_one_pass_with_the_held_bits(monkeypatch):
     # one table lookup and one right-row transform per evaluation; one
-    # constant term for all left rows, so the half turn keeps the held bits
-    # and the per-angle sum differs only by the BLAS panel widths
+    # constant term for all left rows, so the half turn in row blocks keeps
+    # the bits of one block and the per-angle sum differs only by the BLAS
+    # panel widths
     rng = np.random.default_rng(62)
     left, right = _unit_rows(rng, 5, 300), _unit_rows(rng, 3, 300)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
-    held = overlap.gramian_harmonics(left, right)
-    want = [overlap.evaluate_gramians(held, thetas), overlap.evaluate_half_turn(held, 64)]
+    want = [overlap.evaluate_gramians(left, right, thetas),
+            overlap.evaluate_half_turn(left, right, 64)]
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    streamed = overlap.gramian_harmonics(left, right)
-    assert streamed.coeffs is None
-    assert streamed.half.tobytes() == held.half.tobytes()
     lookups = []
     table = overlap.ho_overlap_table
     monkeypatch.setattr(overlap, "ho_overlap_table", lambda m: lookups.append(m) or table(m))
-    got = [overlap.evaluate_gramians(streamed, thetas), overlap.evaluate_half_turn(streamed, 64)]
+    got = [overlap.evaluate_gramians(left, right, thetas),
+           overlap.evaluate_half_turn(left, right, 64)]
     assert lookups == [300, 300]
     assert np.max(np.abs(got[0] - want[0])) <= 1e-15
     assert got[1].tobytes() == want[1].tobytes()
@@ -249,12 +245,12 @@ def test_parity_sectors_transform_only_their_nonzero_row_sets(monkeypatch):
     transforms = []
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda x, n: transforms.append(len(x)) or fft(x, n))
-    got = overlap.gramian_harmonics(left, right).coeffs
+    ((_, got),) = overlap._coefficient_blocks(left, right)
     assert transforms == [3, 4]
     assert np.array_equal(got, want)
     both = np.vstack((left[:2], right[:2]))  # rows of both parities keep all four
     transforms.clear()
-    overlap.gramian_harmonics(both, both)
+    list(overlap._coefficient_blocks(both, both))
     assert transforms == [4, 4, 4, 4]
 
 
@@ -264,12 +260,11 @@ def test_streamed_half_turn_memory(monkeypatch):
     rng = np.random.default_rng(63)
     left, right = _unit_rows(rng, 8, 300), _unit_rows(rng, 8, 300)
     monkeypatch.setattr(overlap, "HARMONIC_BYTES", 1)
-    h = overlap.gramian_harmonics(left, right)
-    assert h.coeffs is None
+    assert overlap._harmonic_rows(8, 300) == 1
     overlap.ho_overlap_table(300)
     tracemalloc.start()
     try:
-        out = overlap.evaluate_half_turn(h, 4096)
+        out = overlap.evaluate_half_turn(left, right, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,7 +272,38 @@ def test_streamed_half_turn_memory(monkeypatch):
     assert peak <= 1.5 * out.nbytes
 
 
-@pytest.mark.parametrize("m,n", [(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
+def _sector_rows(rng, n, m, parity):
+    """n unit rows on the basis columns of one parity."""
+    rows = np.zeros((n, m), dtype=complex)
+    rows[:, parity::2] = _unit_rows(rng, n, (m + 1 - parity) // 2)
+    return rows
+
+
+@pytest.mark.parametrize("m", [2, 3, 100, 257, 1024])
+def test_interpolated_half_turn_matches_the_harmonics(m):
+    # an even-odd block has no constant term and odd lags below M <= G, so
+    # its G base-grid values fix every angle: near grid angles, at pi and
+    # beyond [0, pi] too
+    rng = np.random.default_rng(m + 9)
+    even, odd = _sector_rows(rng, 4, m, 0), _sector_rows(rng, 3, m, 1)
+    size = max(256, 1 << (m - 1).bit_length())
+    blocks = overlap.evaluate_half_turn(even, odd, 2 * size)
+    grid = np.linspace(0.0, math.pi, size + 1)
+    near = grid[rng.integers(0, size + 1, 16)] + rng.choice([-1e-10, 1e-10, -1e-15, 3e-16], 16)
+    thetas = np.concatenate((rng.uniform(-3.0 * math.pi, 3.0 * math.pi, 40), near,
+                             [math.pi - 1e-12, np.nextafter(math.pi, 4.0), 2.5 * math.pi,
+                              -2.5 * math.pi, 100.0, 1e-300, -1e-12, -3e-16]))
+    got = overlap.interpolate_half_turn(blocks, thetas)
+    assert np.max(np.abs(got - overlap.evaluate_gramians(even, odd, thetas))) < 1e-13
+    # grid angles gather their blocks, pi giving -m(0); each angle's bits are its own
+    assert np.array_equal(overlap.interpolate_half_turn(blocks, grid),
+                          np.concatenate((blocks, -blocks[:1])))
+    single = [overlap.interpolate_half_turn(blocks, [theta])[0] for theta in thetas]
+    assert np.array_equal(got, single)
+    assert overlap.interpolate_half_turn(blocks, []).shape == (0, 4, 3)
+
+
+@pytest.mark.parametrize("m,n",[(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
 def test_closed_form_matches_oracle(m, n):
     assert TABLE[m, n] == pytest.approx(
         overlap.overlap_quadrature_oracle(m, n), abs=1e-10

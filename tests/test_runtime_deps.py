@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -69,3 +71,13 @@ def test_public_names_resolve():
     missing = [f"{m.__name__}.{name}" for m in modules
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
+
+
+def test_the_declared_numpy_floor_has_what_the_code_calls():
+    # np.trapezoid (phasespace.marginal_position and the tests) came in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    floors = [dep.split(">=")[1] for dep in project["dependencies"]
+              if dep.split(">=")[0].strip() == "numpy"]
+    assert len(floors) == 1
+    assert tuple(int(part) for part in floors[0].split(".")[:2]) >= (2, 0)

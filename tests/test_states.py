@@ -32,6 +32,22 @@ def test_orthonormality_enforced():
         SlaterState(np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
+@pytest.mark.parametrize("deviation, refused", [(1e-7, True), (1e-9, False)])
+def test_the_orthonormality_tolerance_decides_the_check(deviation, refused):
+    # Gram deviations of 10 and 0.1 times ORTHONORMALITY_TOL = 1e-8, on the
+    # diagonal and off it
+    norm = np.eye(2, dtype=complex)
+    norm[0] *= math.sqrt(1.0 + deviation)
+    tilt = np.array([[1.0, 0.0], [deviation, math.sqrt(1.0 - deviation**2)]], dtype=complex)
+    for rows in (norm, tilt):
+        assert np.max(np.abs(rows @ rows.conj().T - np.eye(2))) == pytest.approx(deviation)
+        if refused:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                SlaterState(rows)
+        else:
+            assert np.array_equal(SlaterState(rows).coeffs, rows)
+
+
 def test_interpolated_endpoints():
     gs = interpolated_state(0.0, 0.3)
     assert np.allclose(gs.coeffs[0], [1, 0, 0])
