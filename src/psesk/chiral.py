@@ -53,13 +53,14 @@ with N_e = N_o holds (ParitySortedState.grid_blocks), once they are made.
 G = max(DEFAULT_GRID, 2^ceil(log2 M)) for basis size M: the entries of m
 have odd lags |k| < M, so no harmonic of m turns by more than pi per
 interval, and the G blocks fix m(theta) at every angle exactly, by
-trigonometric interpolation (overlap.interpolate_half_turn,
+trigonometric interpolation (overlap._interpolate_half_turn,
 ParitySortedState.blocks_at).  So the determinants, the scan's bisection
-midpoints and gap SVDs, chiral_block, and every sweep whose K angles
-divide 2G read one stack; a state with unequal sectors holds none, as no
-scan of it has a det m, and its blocks come from the harmonics of its
-sectors, built as they are summed.  The blocks live as long as the state
-is remembered.  The scan winds the demodulated determinant
+midpoints and gap SVDs, and every sweep whose K angles divide 2G read one
+stack; a state with unequal sectors holds none, as no scan of it has a
+det m.  chiral_block, and the sweeps that read no grid, evaluate the
+sectors directly (overlap.evaluate_gramians, evaluate_half_turn), which
+build their harmonics as they go and hold nothing.  The blocks live as
+long as the state is remembered.  The scan winds the demodulated determinant
 d(theta) = det m(theta) e^{-i S theta}, S the rounded difference of the
 odd and the even sectors' summed mean levels sum_a sum_n n |c_an|^2, and
 reports nu(det m) = nu(d) + S: e^{-i S theta} winds by exactly -S over
@@ -91,8 +92,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .overlap import (_wronskian_overlap, evaluate_gramians, evaluate_half_turn, ho_overlap_table,
-                      interpolate_half_turn)
+from .overlap import (_interpolate_half_turn, _wronskian_overlap, evaluate_gramians,
+                      evaluate_half_turn, ho_overlap_table)
 from .states import SlaterState
 
 __all__ = [
@@ -197,10 +198,10 @@ class ParitySortedState:
 
     def blocks_at(self, thetas: Sequence[float]) -> np.ndarray:
         """m(theta) at each angle, read from grid_blocks by exact trigonometric
-        interpolation (overlap.interpolate_half_turn): a base-grid angle
+        interpolation (overlap._interpolate_half_turn): a base-grid angle
         gathers its block, any other is summed from all G.  Raises EmptyBlock
         unless N_e = N_o."""
-        return interpolate_half_turn(self.grid_blocks, thetas)
+        return _interpolate_half_turn(self.grid_blocks, thetas)
 
     def half_turn_blocks(self, count: int) -> np.ndarray:
         """m(2 pi j / K), j < K/2, the first half turn of the uniform grid of
@@ -340,11 +341,8 @@ def _sort_by_parity(state: SlaterState) -> ParitySortedState:
 
 
 def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
-    """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian: read
-    from the base grid when N_e = N_o (ParitySortedState.blocks_at), summed
-    from the sectors' harmonics otherwise."""
-    return (ps.blocks_at([theta]) if ps.n_even == ps.n_odd
-            else evaluate_gramians(*ps.sectors, [theta]))[0]
+    """The N_e x N_o even-odd block m(theta) of the rotated cut Gramian."""
+    return evaluate_gramians(*ps.sectors, [theta])[0]
 
 
 def level_block(ps: ParitySortedState) -> np.ndarray:

@@ -82,7 +82,7 @@ below G, so
 
 exactly, since sin(G d) / sin(d) = sum_{p odd, |p| < G} e^{i p d} for G
 even (trigonometric interpolation; Berrut and Trefethen, SIAM Rev. 46
-(2004) 501).  ``interpolate_half_turn`` sums it, O(G N_L N_R) per angle:
+(2004) 501).  ``_interpolate_half_turn`` sums it, O(G N_L N_R) per angle:
 an angle that ``np.linspace(0, pi, G + 1)`` spells gathers its block (pi
 gives -m_0), and every other angle is its own vector-matrix product, with
 weights that keep their relative accuracy however close it is to a grid
@@ -116,7 +116,6 @@ __all__ = [
     "clamp_unit_interval",
     "evaluate_gramians",
     "evaluate_half_turn",
-    "interpolate_half_turn",
 ]
 
 GRAM_CLAMP_TOL = 1e-9
@@ -331,7 +330,7 @@ def evaluate_half_turn(left: np.ndarray, right: np.ndarray, count: int) -> np.nd
     return out
 
 
-def interpolate_half_turn(blocks: np.ndarray, thetas) -> np.ndarray:
+def _interpolate_half_turn(blocks: np.ndarray, thetas) -> np.ndarray:
     """(K, N_L, N_R) stack of m(theta) from its G values ``blocks``,
     m(pi j / G) for j < G, by trigonometric interpolation (module docstring).
 

@@ -148,9 +148,8 @@ def test_block_determinants_stack_equals_single_angle_calls():
     assert np.array_equal(chiral.block_determinants(ps, thetas), single)
 
 
-def test_chiral_block_reads_the_grid_only_when_balanced():
-    # a balanced state reads its grid; an unbalanced one, which holds none,
-    # sums the harmonics of its sectors; both match the dense product
+def test_chiral_block_matches_the_dense_product_and_builds_no_grid():
+    # balanced or not, the block is summed from the harmonics of the sectors
     rng = np.random.default_rng(35)
     for n_even, n_odd in ((2, 2), (3, 2)):
         ps = chiral.parity_sort(random_symmetric_slater(rng, n_even, n_odd, 40))
@@ -160,7 +159,7 @@ def test_chiral_block_reads_the_grid_only_when_balanced():
             even, odd = (rows * phases for rows in ps.sectors)
             want = even.conj() @ table @ odd.T
             assert np.max(np.abs(chiral.chiral_block(ps, theta) - want)) < 1e-14
-        assert ("grid_blocks" in ps.__dict__) == (n_even == n_odd)
+        assert "grid_blocks" not in ps.__dict__
 
 
 def test_block_requires_both_sectors():
@@ -253,14 +252,14 @@ def test_floor_svds_read_base_grid_blocks(monkeypatch):
     # |det m| < DET_FLOOR at the grid point pi/2: its SVD gathers the held
     # block bitwise, and no angle is evaluated from the harmonics
     read = []
-    interpolate = chiral.interpolate_half_turn
+    interpolate = chiral._interpolate_half_turn
 
     def recorded(blocks, thetas):
         out = interpolate(blocks, thetas)
         read.extend(zip(np.asarray(thetas).tolist(), out))
         return out
 
-    monkeypatch.setattr(chiral, "interpolate_half_turn", recorded)
+    monkeypatch.setattr(chiral, "_interpolate_half_turn", recorded)
     monkeypatch.setattr(chiral, "evaluate_gramians", None)
     ps = chiral.parity_sort(interpolated_state(T_CRIT, 0.0))
     assert abs(ps.grid_determinants[ps.grid_size // 2]) < chiral.DET_FLOOR
@@ -608,7 +607,6 @@ def test_winding_and_closings_build_the_harmonics_once(monkeypatch):
     ps = chiral.parity_sort(_scan_states()["poschl-teller-6"])
     assert chiral.winding_scan(ps)[0] == 3
     assert chiral.detect_gap_closings(ps) == []
-    chiral.chiral_block(ps, 0.3)
     chiral.block_determinants(ps, [0.1, 2.0])
     assert calls == [2 * ps.grid_size]
 

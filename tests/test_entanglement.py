@@ -688,7 +688,7 @@ def test_fillings_sweep_one_row_that_matches_the_per_angle_oracle(name, grid, mo
 
 def test_a_filling_builds_no_harmonics_and_no_grid(monkeypatch):
     for module in (chiral, ent, overlap):
-        for name in ("evaluate_half_turn", "evaluate_gramians", "interpolate_half_turn"):
+        for name in ("evaluate_half_turn", "evaluate_gramians", "_interpolate_half_turn"):
             monkeypatch.setattr(module, name, _refused, raising=False)
     state = _filling(*FILLINGS["0-5"], seed=42)
     data = ent.pses_sweep(state, _uniform(256))

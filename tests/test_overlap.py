@@ -293,14 +293,14 @@ def test_interpolated_half_turn_matches_the_harmonics(m):
     thetas = np.concatenate((rng.uniform(-3.0 * math.pi, 3.0 * math.pi, 40), near,
                              [math.pi - 1e-12, np.nextafter(math.pi, 4.0), 2.5 * math.pi,
                               -2.5 * math.pi, 100.0, 1e-300, -1e-12, -3e-16]))
-    got = overlap.interpolate_half_turn(blocks, thetas)
+    got = overlap._interpolate_half_turn(blocks, thetas)
     assert np.max(np.abs(got - overlap.evaluate_gramians(even, odd, thetas))) < 1e-13
     # grid angles gather their blocks, pi giving -m(0); each angle's bits are its own
-    assert np.array_equal(overlap.interpolate_half_turn(blocks, grid),
+    assert np.array_equal(overlap._interpolate_half_turn(blocks, grid),
                           np.concatenate((blocks, -blocks[:1])))
-    single = [overlap.interpolate_half_turn(blocks, [theta])[0] for theta in thetas]
+    single = [overlap._interpolate_half_turn(blocks, [theta])[0] for theta in thetas]
     assert np.array_equal(got, single)
-    assert overlap.interpolate_half_turn(blocks, []).shape == (0, 4, 3)
+    assert overlap._interpolate_half_turn(blocks, []).shape == (0, 4, 3)
 
 
 @pytest.mark.parametrize("m,n",[(0, 5), (2, 9), (7, 8), (10, 11), (11, 12)])
