@@ -310,9 +310,9 @@ def evaluate_half_turn(left: np.ndarray, right: np.ndarray, count: int) -> np.nd
 
     C_k goes to bin (k mod K) // 2, one inverse FFT of length K/2 per entry
     sums the bins, and angle j is multiplied by the twiddle e^{2 pi i j / K}
-    (module docstring).  Each block of left rows is binned and transformed
-    in its columns of the output, so the peak is the stack plus one block's
-    transform: about twice the stack when all rows fit one block.
+    (module docstring).  Each block of left rows is binned into its columns
+    of the output and transformed there in place, so the peak stays near
+    the stack itself.
     """
     if count < 2 or count % 2:
         raise ValueError("count must be a positive even number")
@@ -323,7 +323,7 @@ def evaluate_half_turn(left: np.ndarray, right: np.ndarray, count: int) -> np.nd
         slots = (np.arange(1 - len(coeffs), len(coeffs), 2) % count) // 2  # lags -top .. top
         for s in range(0, len(slots), half_k):  # K/2 consecutive odd lags fill distinct bins
             bins[slots[s : s + half_k]] += coeffs[s : s + half_k]
-        bins[...] = np.fft.ifft(bins, axis=0, norm="forward")
+        np.fft.ifft(bins, axis=0, norm="forward", out=bins)
     out *= np.exp(2j * math.pi / count * np.arange(half_k))[:, None]
     out = out.reshape(half_k, len(left), len(right))
     out += 0.5 * (left.conj() @ right.T)

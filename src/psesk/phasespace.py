@@ -12,10 +12,13 @@ multiple of pi and carries the phase convention pi/4 - theta/2 on (0, pi).
 It exists as the brute-force oracle and for states supplied as raw samples.
 
 Wigner fields come from the position-space kernel K(a, b) = <a|rho|b>
-(wigner_of_state; the "fft" route of QuTiP's wigner, Johansson, Nation &
-Nori, CPC 184, 1234 (2013)): W(x, p) = 2 int du e^{-2ip(u - x)} K(u, 2x - u),
-summed on one lattice that holds every mirror point 2x - u.  The closed
-form for basis-state pairs (z = (x+ip)/sqrt2) is the oracle:
+(wigner_of_state): W(x, p) = 2 int du e^{-2ip(u - x)} K(u, 2x - u), a dense
+Fourier sum on one lattice that holds every mirror point 2x - u, so p may be
+any points.  (QuTiP's "fft" wigner, Johansson, Nation & Nori, CPC 184, 1234
+(2013), transforms the same kernel by FFT onto its own p grid.)  The sum is
+streamed over blocks of ROW_BLOCK lattice points: no step holds the whole
+kernel or the whole phase matrix e^{-2ipu}.  The closed form for basis-state
+pairs (z = (x+ip)/sqrt2) is the oracle:
 
     W_mn(x, p) = 2 (-1)^m sqrt(m!/n!) (2 conj(z))^{n-m}
                  * exp(-2|z|^2) L_m^{n-m}(4 |z|^2),     n >= m,
@@ -57,7 +60,7 @@ __all__ = [
 
 ANGLE_EPS = 1e-6
 EDGE_DECAY = 1e-10
-ROW_BLOCK = 256  # lattice rows of the position kernel built per matmul
+ROW_BLOCK = 64  # lattice points, and field rows, of one step of the Wigner sum
 COMPOSE_ORDER = 96  # Gauss-Hermite points of compose_kernels_quadrature
 
 
@@ -215,8 +218,13 @@ def _grid_step(x: np.ndarray) -> float:
 def _lattice_field(rho, used, xs, step, ps, h, reach) -> np.ndarray:
     """W at rows xs (one point, or uniform with this step) and columns ps.
 
-    Sums G[i, a] = K(u_a, 2 x_i - u_a) over a lattice u_a of step <= h that
-    covers [-reach, reach].
+    Sums G[i, a] e^{-2i u_a p}, G[i, a] = K(u_a, 2 x_i - u_a), over a
+    lattice u_a of step <= h that covers [-reach, reach], then multiplies by
+    2 h e^{2i x p}.  Each block of B = ROW_BLOCK lattice points forms its rows
+    of K (B x L), its columns of G (n_x x B) and its slab of e^{-2i u p}
+    (B x n_p), and adds their product into the field B rows at a time.
+    Beyond phi, left = phi^T rho and the field, the work space is
+    O(B (L + n_x + n_p)) for L lattice points, n_x rows and n_p columns.
     """
     m = math.ceil(2.0 * step / h) if len(xs) > 1 else 1  # 2 x_i - u_a stays on the lattice
     h = 2.0 * step / m if len(xs) > 1 else h
@@ -225,14 +233,21 @@ def _lattice_field(rho, used, xs, step, ps, h, reach) -> np.ndarray:
     phi = ho_stack(used[-1], u)[used]
     left = phi.T @ rho
     i = np.arange(len(xs))[:, None]
-    kernel = np.zeros((len(xs), len(u)), dtype=left.dtype)
+    field = np.zeros((len(xs), len(ps)), dtype=complex)
     for lo in range(0, len(u), ROW_BLOCK):
         j = np.arange(lo, min(lo + ROW_BLOCK, len(u)))
         mirror = i * m - 2 * int(a[0]) - j  # lattice index of 2 x_i - u_j
         inside = (mirror >= 0) & (mirror < len(u))
         block = left[j] @ phi
-        kernel[:, j] = np.where(inside, block[j - lo, np.clip(mirror, 0, len(u) - 1)], 0.0)
-    return (2.0 * h) * np.exp(2j * np.outer(xs, ps)) * (kernel @ np.exp(-2j * np.outer(u, ps)))
+        # "clip" keeps an outside mirror's index in range; where() zeroes its entry
+        kernel = np.where(inside, np.take(block, (j - lo) * len(u) + mirror, mode="clip"), 0.0)
+        # a real kernel meets e^{-2iup} as pairs of reals: half the work of a complex product
+        slab = np.exp(np.outer(-2j * u[j], ps)).view(kernel.dtype)
+        for r in range(0, len(xs), ROW_BLOCK):
+            field[r : r + ROW_BLOCK].view(kernel.dtype)[...] += kernel[r : r + ROW_BLOCK] @ slab
+    for r in range(0, len(xs), ROW_BLOCK):
+        field[r : r + ROW_BLOCK] *= (2.0 * h) * np.exp(np.outer(2j * xs[r : r + ROW_BLOCK], ps))
+    return field
 
 
 def wigner_of_state(op, x: np.ndarray, p: np.ndarray) -> WignerField:

@@ -755,7 +755,8 @@ def test_an_unbalanced_sweep_builds_no_base_grid():
 
 def test_the_sweep_peak_stays_near_its_output():
     # the solved rows come first, then the output, filled in place: no
-    # index arrays or intermediate copies of all K angles
+    # index arrays or intermediate copies of all K angles, and the half
+    # turn's inverse FFT runs in its own bins
     thetas = _uniform(2**18)
     for make in (lambda: interpolated_state(0.3, 1.0),
                  lambda: bound_states(potential("double_well"), 6, basis_size=100).as_slater(),
@@ -768,4 +769,4 @@ def test_the_sweep_peak_stays_near_its_output():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (data.energies.nbytes + data.entropy.nbytes + data.gap.nbytes)
+        assert peak <= 1.9 * (data.energies.nbytes + data.entropy.nbytes + data.gap.nbytes)

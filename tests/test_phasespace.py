@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from helpers import random_unitary_rows
 from psesk import phasespace as ph
 from psesk.hobasis import ho_stack
+from psesk.potentials import bound_states, potential
+from psesk.states import ho_slater
 
 
 def unit_expansion(n, size):
@@ -220,6 +223,41 @@ def test_fine_rows_on_interleaved_subgrids():
     closed = sum(c[m] * np.conj(c[n]) * ph.wigner_mn(n, m, x[:, None], p[None, :])
                  for m in range(30) for n in range(30))
     assert np.max(np.abs(field.values - closed)) < 1e-12
+    # a complex cross field |c><d| on one grid: its lattice of ~340 points
+    # spans six blocks, its 81 rows two
+    d = rng.normal(size=30) + 1j * rng.normal(size=30)
+    d /= np.linalg.norm(d)
+    x = np.linspace(-4.0, 4.0, 81)
+    cross = ph.wigner_of_state(np.outer(c, d.conj()), x, p)
+    closed = sum(c[m] * np.conj(d[n]) * ph.wigner_mn(n, m, x[:, None], p[None, :])
+                 for m in range(30) for n in range(30))
+    assert not cross.is_diagonal
+    assert np.max(np.abs(cross.values - closed)) < 1e-12
+
+
+@pytest.mark.parametrize("make,half,points", [
+    (lambda: bound_states(potential("poschl_teller"), 7).as_slater(), 12.0, 241),
+    (lambda: ho_slater(range(300)), 30.0, 1201),
+])
+def test_wigner_workspace_is_the_field_plus_one_block(make, half, points):
+    # beyond the field and its complex sum, phi and phi^T rho on the lattice,
+    # the assembly holds one block of ROW_BLOCK lattice points: never the
+    # whole kernel G or the whole phase matrix e^{-2ipu}
+    coeffs = make().coeffs
+    rho = coeffs.T @ coeffs.conj()
+    axis = np.linspace(-half, half, points)
+    ph.wigner_of_state(rho, axis[::40], axis[::40])  # warm-up: numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        field = ph.wigner_of_state(rho, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reach = math.sqrt(2 * len(rho) + 1) + 9.0
+    lattice = 4.0 * reach * (half + reach) / math.pi  # both grids step the lattice by > h / 2
+    held = 3 * field.values.nbytes + 2 * 8 * len(rho) * lattice  # W, its complex sum, phi, phi^T rho
+    block = 8 * ph.ROW_BLOCK * (lattice + 2 * points)  # one block's rows of K, columns of G, slab
+    assert peak <= held + 2 * block
 
 
 def test_density_matrix_field_on_non_square_axes():
