@@ -76,10 +76,14 @@ closes.  The scan bisects every interval whose phase step of d is >= pi/2
 (or undefined, at an exact zero) and evaluates only the midpoints, through
 block_determinants; a bad interval narrower than RESOLUTION holds a zero
 and is bisected no further, and an angle whose gap is below DET_FLOOR is a
-closing too; its SVD gathers the held block at a grid angle and
-interpolates only a midpoint.  Each parity-sorted state keeps its grid's
-determinants and one scan of them, which the winding, the closings and
-the minimum gap (the smallest |det m| the scan evaluated) share.
+closing too.  The floor pass gathers the held block at a grid angle and
+interpolates only a midpoint; it bounds sigma_min from |det m| and the
+Frobenius norm ||m||_F, and takes an SVD only where that bound is below
+DET_FLOOR, so a wide block whose singular values all lie well below 1/2
+is not decomposed at every angle.  Each parity-sorted state keeps its
+grid's determinants and one scan of them, which the winding, the
+closings and the minimum gap (the smallest |det m| the scan evaluated)
+share.
 """
 
 from __future__ import annotations
@@ -310,34 +314,31 @@ def _filled_levels(coeffs: np.ndarray) -> np.ndarray | None:
 
 
 def _sort_by_parity(state: SlaterState) -> ParitySortedState:
+    coeffs = np.zeros_like(state.coeffs)
     levels = _filled_levels(state.coeffs)
     if levels is not None:  # the levels' unit rows, even levels first
         levels = np.concatenate((levels[levels % 2 == 0], levels[levels % 2 == 1]))
-        coeffs = np.zeros_like(state.coeffs)
-        coeffs[np.arange(len(levels)), levels] = 1.0
-        for array in (coeffs, levels):
-            array.flags.writeable = False
+        levels.flags.writeable = False
         n_even = int(np.count_nonzero(levels % 2 == 0))
-        return ParitySortedState(coeffs=coeffs, n_even=n_even, n_odd=len(levels) - n_even,
-                                 levels=levels)
-    _, s_even, even = np.linalg.svd(state.coeffs[:, 0::2], full_matrices=False)
-    _, s_odd, odd = np.linalg.svd(state.coeffs[:, 1::2], full_matrices=False)
-    w_even, w_odd = np.zeros((2, state.n_particles))  # 0 past a block's rank
-    w_even[: len(s_even)] = s_even**2
-    w_odd[len(w_odd) - len(s_odd) :] = s_odd[::-1] ** 2
-    lam = (w_even - w_odd) / (w_even + w_odd)
-    if np.max(np.abs(np.abs(lam) - 1.0)) > PARITY_TOL:
-        raise NotInversionSymmetric(
-            f"inversion eigenvalues {np.sort(lam).round(8).tolist()} "
-            f"are not within {PARITY_TOL:.0e} of +-1"
-        )
-    n_even = int(np.count_nonzero(lam > 0.0))
-    n_odd = len(lam) - n_even
-    coeffs = np.zeros_like(state.coeffs)
-    coeffs[:n_even, 0::2] = even[:n_even]
-    coeffs[n_even:, 1::2] = odd[:n_odd]
+        coeffs[np.arange(len(levels)), levels] = 1.0
+    else:
+        _, s_even, even = np.linalg.svd(state.coeffs[:, 0::2], full_matrices=False)
+        _, s_odd, odd = np.linalg.svd(state.coeffs[:, 1::2], full_matrices=False)
+        w_even, w_odd = np.zeros((2, state.n_particles))  # 0 past a block's rank
+        w_even[: len(s_even)] = s_even**2
+        w_odd[len(w_odd) - len(s_odd) :] = s_odd[::-1] ** 2
+        lam = (w_even - w_odd) / (w_even + w_odd)
+        if np.max(np.abs(np.abs(lam) - 1.0)) > PARITY_TOL:
+            raise NotInversionSymmetric(
+                f"inversion eigenvalues {np.sort(lam).round(8).tolist()} "
+                f"are not within {PARITY_TOL:.0e} of +-1"
+            )
+        n_even = int(np.count_nonzero(lam > 0.0))
+        coeffs[:n_even, 0::2] = even[:n_even]
+        coeffs[n_even:, 1::2] = odd[: len(lam) - n_even]
     coeffs.flags.writeable = False
-    return ParitySortedState(coeffs=coeffs, n_even=n_even, n_odd=n_odd)
+    return ParitySortedState(coeffs=coeffs, n_even=n_even, n_odd=len(coeffs) - n_even,
+                             levels=levels)
 
 
 def chiral_block(ps: ParitySortedState, theta: float) -> np.ndarray:
@@ -400,9 +401,14 @@ def _phase_scan(
     |det m|.  The closings (mod pi, merged circularly within 1e-6, a zero
     keeping its angle) are the zeros of det m, the bad intervals narrower
     than RESOLUTION, and the evaluated angles where the chiral gap
-    sigma_min(m) < DET_FLOOR; m takes an SVD only where the bound
-    sigma_min >= 2^{N_e - 1} |det m| (every sigma_i <= 1/2) is below it.
-    Midpoints and SVD blocks are read from the state's own grid
+    sigma_min(m) < DET_FLOOR.  The other N_e - 1 singular values are each
+    at most 1/2, and by AM-GM their product is at most
+    (||m||_F / sqrt(N_e - 1))^{N_e - 1}, so
+    sigma_min >= |det m| / min(1/2, ||m||_F / sqrt(N_e - 1))^{N_e - 1},
+    taken in logs (an exact zero bounds nothing); the floor pass gathers the
+    blocks only where 2^{N_e - 1} |det m| is below DET_FLOOR, and takes an
+    SVD only where this bound still is.
+    Midpoints and floor blocks are read from the state's own grid
     (ParitySortedState.blocks_at), so they are exact whatever grid
     ``dets`` come from.
     """
@@ -427,8 +433,12 @@ def _phase_scan(
     found = [0.5 * (thetas[z] + thetas[z + 1])]  # the zeros first, so a cluster keeps their angle
     low = np.flatnonzero(np.ldexp(size, ps.n_even - 1) < DET_FLOOR)
     if len(low):
-        sigma_min = np.linalg.svd(ps.blocks_at(thetas[low]), compute_uv=False)[:, -1]
-        found.append(thetas[low[sigma_min < DET_FLOOR]])
+        blocks, n = ps.blocks_at(thetas[low]), ps.n_even
+        top = np.minimum(0.5, np.linalg.norm(blocks, axis=(1, 2)) / math.sqrt(max(n - 1, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero bounds nothing
+            weak = ~(np.log(size[low]) - (n - 1) * np.log(top) >= math.log(DET_FLOOR))
+        sigma_min = np.linalg.svd(blocks[weak], compute_uv=False)[:, -1]
+        found.append(thetas[low[weak][sigma_min < DET_FLOOR]])
     closings: list[float] = []
     for c in np.concatenate(found) % math.pi:
         if all(abs((c - k + math.pi / 2.0) % math.pi - math.pi / 2.0) > 1e-6 for k in closings):

@@ -344,6 +344,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _solve_well(spec: dict, count: int, basis: int | None) -> potentials.BoundStateSet:
+    """The ``count`` lowest bound states of the well that a potential_ground
+    ``spec`` names, at ``basis`` or DEFAULT_BASIS_SIZE basis functions;
+    a bad spec raises ValueError."""
+    pot = potentials.potential(spec["kind"], spec.get("expression"))
+    return potentials.bound_states(pot, count, basis_size=basis or DEFAULT_BASIS_SIZE)
+
+
 def build_state(cfg: dict) -> tuple[SlaterState, dict]:
     """Resolve the state spec into a SlaterState plus descriptive metadata."""
     ((kind, spec),) = cfg["state"].items()
@@ -358,8 +366,7 @@ def build_state(cfg: dict) -> tuple[SlaterState, dict]:
             state = interpolated_state(t, phi, basis_size=basis or 3)
             return state, {"kind": kind, "t": t, "phi": phi}
         n = spec.get("n", 1)  # potential_ground
-        pot = potentials.potential(spec["kind"], spec.get("expression"))
-        bset = potentials.bound_states(pot, n, basis_size=basis or DEFAULT_BASIS_SIZE)
+        bset = _solve_well(spec, n, basis)
         return bset.as_slater(), {"kind": kind, "potential": spec["kind"], "n": n,
                                   "energies": [float(e) for e in bset.energies]}
     except ValueError as exc:
@@ -426,25 +433,21 @@ def cmd_winding(cfg: dict) -> int:
     """chiral winding invariant"""
     state, state_meta = build_state(cfg)
     ps = chiral.parity_sort(state)
-    report = {"state": state_meta, "n_even": ps.n_even, "n_odd": ps.n_odd}
+    report = {"state": state_meta, "n_even": ps.n_even, "n_odd": ps.n_odd,
+              "nu_E": None, "closings": []}
     if ps.n_even != ps.n_odd:
-        flat = chiral.flat_band_count(ps)
-        write_outputs(cfg, "winding", "winding",
-                      {**report, "nu_E": None, "flat_bands": flat, "closings": []})
-        print(f"flat bands: {flat} (n_even={ps.n_even}, n_odd={ps.n_odd})")
-        return 0
-    try:
-        nu, k_used, min_det = chiral.winding_scan(ps)
-    except GapClosed as exc:
-        write_outputs(cfg, "winding", "winding", {**report, "nu_E": None, "K_used": None,
-                                                  "min_abs_det": exc.min_abs_det,
-                                                  "closings": exc.closings})
-        print("gap closed; winding undefined", file=sys.stderr)
-        return 4
-    write_outputs(cfg, "winding", "winding", {**report, "nu_E": nu, "K_used": k_used,
-                                              "min_abs_det": min_det, "closings": []})
-    print(f"nu_E = {nu}")
-    return 0
+        report["flat_bands"] = flat = chiral.flat_band_count(ps)
+        line, code = f"flat bands: {flat} (n_even={ps.n_even}, n_odd={ps.n_odd})", 0
+    else:
+        try:
+            report["nu_E"], report["K_used"], report["min_abs_det"] = chiral.winding_scan(ps)
+            line, code = f"nu_E = {report['nu_E']}", 0
+        except GapClosed as exc:
+            report.update(K_used=None, min_abs_det=exc.min_abs_det, closings=exc.closings)
+            line, code = "gap closed; winding undefined", 4
+    write_outputs(cfg, "winding", "winding", report)
+    print(line, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 def cmd_entropy_surface(cfg: dict) -> int:
@@ -517,12 +520,11 @@ def cmd_wigner(cfg: dict) -> int:
 def cmd_solve_potential(cfg: dict) -> int:
     """bound states of a 1D well"""
     entry = cfg["state"]["potential_ground"]
+    levels = entry.get("n", cfg["levels"] or DEFAULT_LEVELS)
     try:
-        pot = potentials.potential(entry["kind"], entry.get("expression"))
+        bset = _solve_well(entry, levels, cfg["basis"])
     except ValueError as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
-    levels = entry.get("n", cfg["levels"] or DEFAULT_LEVELS)
-    bset = potentials.bound_states(pot, levels, basis_size=cfg["basis"] or DEFAULT_BASIS_SIZE)
     parities = potentials.parity_check(bset)
     cells = cell_texts(cfg["format"])
     names = [str(i) for i in range(levels)]

@@ -802,6 +802,34 @@ def test_determinant_dips_that_are_not_zeros_are_not_closings():
         assert chiral.detect_gap_closings(ps) == [], name
 
 
+@pytest.mark.parametrize("n, nu, intervals, least, floor_svds", [
+    (20, 14, 1065, (0.25281920860340223, 4.19200652070945e-27), 0),
+    (30, 16, 1072, (2.7871472177889673, 2.6266188254747832e-37), 3),
+])
+def test_the_floor_pass_bounds_sigma_min_before_any_svd(n, nu, intervals, least, floor_svds,
+                                                         monkeypatch):
+    # every sigma_i of these blocks is at most about 0.24, so 2^{N - 1} |det m|
+    # is below DET_FLOOR at every angle; the Frobenius bound clears every
+    # base-grid angle, and of the 30 + 30 scan's midpoints only the three
+    # beside its smallest |det m| (bound 0.79-0.97 DET_FLOOR) take an SVD
+    ps = chiral.parity_sort(random_symmetric_slater(np.random.default_rng(5), n, n, 1024))
+    dets = ps.grid_determinants
+    assert np.all(np.ldexp(np.abs(dets), n - 1) < chiral.DET_FLOOR)
+    decomposed = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):  # sigma_min of each floor block
+        decomposed.extend(svd(a, compute_uv=False)[:, -1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    scan = chiral._phase_scan(ps, dets)
+    assert len(decomposed) == floor_svds
+    assert all(sigma >= 1e-6 for sigma in decomposed)
+    assert (scan[0], scan[1], scan[3]) == (nu, intervals, ())
+    assert scan[2] == pytest.approx(least, rel=1e-9, abs=1e-12)
+
+
 def _counting(monkeypatch, name):
     calls = []
     original = getattr(chiral, name)

@@ -145,6 +145,42 @@ def test_winding_flat_band_report_for_odd_counts(tmp_path, capsys):
     assert report["flat_bands"] == 1
 
 
+WINDING_KEYS = {"command", "config", "state", "n_even", "n_odd", "nu_E", "closings"}
+
+
+@pytest.mark.parametrize("state, code, keys, out, err", [
+    (["--potential", "double_well", "--particles", "7"], 0, {"flat_bands"},
+     "flat bands: 1 (n_even=4, n_odd=3)\n", ""),
+    (["--ho-slater", "0,1,2,3"], 0, {"K_used", "min_abs_det"}, "nu_E = 2\n", ""),
+    (["--interpolated", "0.6081734479693929,1.0"], 4, {"K_used", "min_abs_det"}, "",
+     "gap closed; winding undefined\n"),
+])
+def test_each_winding_outcome_has_its_keys_line_and_exit_code(tmp_path, capsys, state, code,
+                                                              keys, out, err):
+    # unbalanced, gapped and closed: one sidecar each, with exactly these keys
+    assert main(["winding", *state, "--out", str(tmp_path)]) == code
+    assert capsys.readouterr() == (out, err)
+    report = json.loads((tmp_path / "winding.json").read_text())
+    assert report.keys() == WINDING_KEYS | keys
+    assert (report["nu_E"] is None) == (code == 4 or "flat_bands" in keys)
+    assert (report["closings"] != []) == (code == 4)
+    assert (report.get("K_used") is None) == (code == 4 or "flat_bands" in keys)
+
+
+@pytest.mark.parametrize("basis, size", [([], 100), (["--basis", "120"], 120)])
+def test_solve_potential_and_spectrum_write_the_same_well_energies(tmp_path, basis, size):
+    assert main(["solve-potential", "--potential", "double_well", "--levels", "7", *basis,
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert main(["spectrum", "--potential", "double_well", "--particles", "7", *basis,
+                 "--theta-points", "16", "--out", str(tmp_path / "spectrum")]) == 0
+    solved = json.loads((tmp_path / "solve" / "solve_potential_meta.json").read_text())
+    spectrum = json.loads((tmp_path / "spectrum" / "spectrum_meta.json").read_text())
+    assert solved["basis_size"] == spectrum["basis_size"] == size
+    assert len(solved["energies"]) == 7
+    assert ([e.hex() for e in solved["energies"]]
+            == [e.hex() for e in spectrum["state"]["energies"]])
+
+
 def test_winding_gap_closed_exit_code(tmp_path):
     t_crit = (2.0 / math.pi) * math.atan(math.sqrt(2.0))
     rc = main(
