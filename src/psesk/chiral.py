@@ -98,7 +98,7 @@ import numpy as np
 
 from .overlap import (_interpolate_half_turn, _wronskian_overlap, evaluate_gramians,
                       evaluate_half_turn, ho_overlap_table)
-from .states import SlaterState
+from .states import NumericError, SlaterState
 
 __all__ = [
     "NotInversionSymmetric",
@@ -130,11 +130,11 @@ RESOLUTION = 1e-10  # a bad phase step this narrow holds a zero
 LEVEL_TOL = 1e-14
 
 
-class NotInversionSymmetric(Exception):
+class NotInversionSymmetric(NumericError):
     """The orbital span is not closed under inversion."""
 
 
-class GapClosed(Exception):
+class GapClosed(NumericError):
     """The chiral gap closed on the winding grid, at the angles ``closings``;
     ``min_abs_det`` is the smallest |det m| the scan saw."""
 
@@ -147,11 +147,11 @@ class GapClosed(Exception):
         return f"det m vanishes near theta = {self.closings[0]:.6f}; winding undefined"
 
 
-class GridTooCoarse(Exception):
+class GridTooCoarse(NumericError):
     """Phase steps stayed >= pi/2 after GRID_CAP bisection midpoints."""
 
 
-class EmptyBlock(Exception):
+class EmptyBlock(NumericError):
     """No even-odd block exists (one parity sector is empty), or det m is
     asked of one that is not square (N_e != N_o)."""
 

@@ -6,8 +6,9 @@ frft-check.  Every run writes its tables (CSV by default, JSON with
 Tables are written in blocks of rows, one theta, t, x or level at a time,
 each axis formatted once.  Float cells use shortest round-trip formatting;
 infinite entanglement energies serialize as "+inf"/"-inf".  Exit codes:
-0 ok, 2 config error, 3 numeric failure or a result too large to allocate,
-4 gap closed during winding; a failure prints one line to stderr.
+0 ok, 2 config error, 3 a numeric refusal (any ``NumericError``, labelled
+with its class name) or a result too large to allocate, 4 gap closed
+during winding; a failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -25,20 +26,7 @@ import numpy as np
 from . import chiral, entanglement, phasespace, potentials
 from .chiral import GapClosed, NotInversionSymmetric
 from .hobasis import DEFAULT_BASIS_SIZE, ho_stack
-from .overlap import GramBoundError
-from .states import SlaterState, ho_slater, interpolated_state
-
-NUMERIC_ERRORS = (
-    GramBoundError,
-    entanglement.NonHermitian,
-    NotInversionSymmetric,
-    chiral.GridTooCoarse,
-    chiral.EmptyBlock,
-    phasespace.DegenerateAngle,
-    phasespace.EdgeLeakage,
-    potentials.QuadratureOverflow,
-    potentials.NotEnoughBoundStates,
-)
+from .states import NumericError, SlaterState, ho_slater, interpolated_state
 
 # the overlap table, ho_stack (so the quadrature oracle, translated cuts and
 # Wigner fields) and the Galerkin solve are all exact up to this basis
@@ -208,6 +196,16 @@ def _spans(cells, *columns) -> Iterator[Iterator[tuple[str, ...]]]:
     """Blocks of SPAN rows of the table whose columns are ``columns``."""
     for s in range(0, len(columns[0]), SPAN):
         yield zip(*(cells(c[s:s + SPAN]) for c in columns))
+
+
+def _grid_rows(cells, outer, inner, *planes) -> Iterator[Iterator[tuple[str, ...]]]:
+    """Blocks of the table over the grid ``outer`` x ``inner``, one per outer
+    value: its text beside each inner text and one row of each plane.  The
+    inner axis is formatted once, the outer one SPAN values at a time; a
+    plane yields one row of cell texts per outer value."""
+    inner = cells(inner)
+    for x, *rows in zip(_streamed(cells, outer), *planes):
+        yield zip(itertools.repeat(x), inner, *rows)
 
 
 class Blocks:
@@ -403,11 +401,7 @@ def cmd_spectrum(cfg: dict) -> int:
     thetas = np.linspace(0.0, 2.0 * math.pi, cfg["theta_points"], endpoint=False)
     data = entanglement.pses_sweep(state, thetas)
     cells, csv = cell_texts(cfg["format"]), cell_texts("csv")
-
-    def spectrum():
-        levels = cells([str(k) for k in range(data.energies.shape[1])])
-        for theta, row in zip(_streamed(cells, data.thetas), data.energies):
-            yield zip(itertools.repeat(theta), levels, cells(row))
+    levels = [str(k) for k in range(data.energies.shape[1])]
 
     def matrix():
         for theta, row in zip(_streamed(csv, data.thetas), data.energies):
@@ -422,7 +416,8 @@ def cmd_spectrum(cfg: dict) -> int:
         **_chiral_metadata(state),
     }
     write_outputs(cfg, "spectrum", "spectrum_meta", report, tables=[
-        ("spectrum", ["theta", "level", "epsilon"], Blocks(data.energies.size, spectrum())),
+        ("spectrum", ["theta", "level", "epsilon"], Blocks(data.energies.size, _grid_rows(
+            cells, data.thetas, levels, map(cells, data.energies)))),
         ("entropy", ["theta", "entropy"],
          Blocks(len(data.thetas), _spans(cells, data.thetas, data.entropy))),
     ], matrix=matrix())
@@ -458,19 +453,14 @@ def cmd_entropy_surface(cfg: dict) -> int:
     entropy = np.array([entanglement.pses_sweep(interpolated_state(float(t), phi), thetas).entropy
                         for t in t_grid])
     cells = cell_texts(cfg["format"])
-
-    def rows():
-        theta = cells(thetas)
-        for t, row in zip(cells(t_grid), entropy):
-            yield zip(itertools.repeat(t), theta, cells(row))
-
     half = entropy[:, : len(thetas) // 2]  # the sweep gives S(theta + pi) = S(theta)
     i, j = np.unravel_index(np.argmax(half), half.shape)
     best = (float(half[i, j]), float(t_grid[i]), float(thetas[j]))
     report = {"phi": phi, "max_entropy": best[0], "argmax": {"t": best[1], "theta": best[2]}}
     write_outputs(cfg, "entropy-surface", "entropy_surface_meta", report,
                   tables=[("entropy_surface", ["t", "theta", "entropy"],
-                           Blocks(entropy.size, rows()))])
+                           Blocks(entropy.size,
+                                  _grid_rows(cells, t_grid, thetas, map(cells, entropy))))])
     print(f"max entropy {best[0]:.6f} at t={best[1]:.4f}, theta={best[2]:.4f}")
     return 0
 
@@ -495,14 +485,10 @@ def cmd_wigner(cfg: dict) -> int:
     re, im = field.values.real, field.values.imag
     # w_re is formatted once when the matrix shows it too
     held = [cells(row) for row in re] if cfg["gnuplot"] else None
-
-    def rows():
-        p = cells(field.p)
-        # a w_im column of +0.0 entries is one constant text (-0.0 keeps its own)
-        zero = not np.any(im) and not np.any(np.signbit(im))
-        for x, w_re, w_im in zip(cells(field.x), held or map(cells, re), im):
-            yield zip(itertools.repeat(x), p, w_re,
-                      itertools.repeat("0.0") if zero else cells(w_im))
+    # a w_im column of +0.0 entries is one constant text (-0.0 keeps its own)
+    zero = not np.any(im) and not np.any(np.signbit(im))
+    rows = _grid_rows(cells, field.x, field.p, held or map(cells, re),
+                      itertools.repeat(itertools.repeat("0.0")) if zero else map(cells, im))
 
     def matrix():  # JSON's cells are CSV's where finite
         texts = held if cfg["format"] == "csv" or np.isfinite(re).all() else map(csv, re)
@@ -513,7 +499,7 @@ def cmd_wigner(cfg: dict) -> int:
     write_outputs(cfg, "wigner", "wigner_meta",
                   {"state": state_meta, "is_diagonal": field.is_diagonal},
                   tables=[("wigner", ["x", "p", "w_re", "w_im"],
-                           Blocks(field.values.size, rows()))], matrix=matrix())
+                           Blocks(field.values.size, rows))], matrix=matrix())
     return 0
 
 
@@ -660,9 +646,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         return _fail(2, "config error", exc)
-    except GapClosed as exc:
-        return _fail(4, "GapClosed", exc)
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         return _fail(3, type(exc).__name__, exc)
     except MemoryError as exc:
         return _fail(3, "MemoryError", str(exc) or "result too large to allocate")

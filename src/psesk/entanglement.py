@@ -58,7 +58,7 @@ from .chiral import NotInversionSymmetric, ParitySortedState, level_block, parit
 # rotated_overlap stays bound: the benchmark patches psesk.entanglement.rotated_overlap
 from .overlap import (clamp_unit_interval, evaluate_gramians, evaluate_half_turn,  # noqa
                       rotated_overlap)
-from .states import SlaterState
+from .states import NumericError, SlaterState
 
 __all__ = [
     "NonHermitian",
@@ -79,11 +79,11 @@ HERMITIAN_BLOCK = 2**14  # matrix entries _hermitian checks per step
 SPAN_TOL = 1e-12
 
 
-class NonHermitian(Exception):
+class NonHermitian(NumericError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-class SingularOverlap(Exception):
+class SingularOverlap(NumericError):
     """A Schmidt value sits at 0 or 1; the log-form Hamiltonian is undefined."""
 
 

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .states import NumericError
+
 __all__ = [
     "TruncationError",
     "ho_wavefunction",
@@ -36,7 +38,7 @@ RESCALE = 1e150  # ho_stack divides its recurrence by this where it passes it
 FAR_MARGIN = 90.0  # past sqrt(2 n + 1) + FAR_MARGIN, phi_n(x) is below any double
 
 
-class TruncationError(Exception):
+class TruncationError(NumericError):
     """Raised when an expansion leaves too much weight beyond the basis."""
 
 

@@ -104,7 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hobasis import ho_stack
-from .states import SlaterState
+from .states import NumericError, SlaterState
 
 __all__ = [
     "GramBoundError",
@@ -124,7 +124,7 @@ ANGLE_BLOCK = 64
 COLUMN_BYTES = 1 << 19
 
 
-class GramBoundError(Exception):
+class GramBoundError(NumericError):
     """An overlap eigenvalue escaped [0, 1] by more than the clamping slack."""
 
 

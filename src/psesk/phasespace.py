@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .hobasis import ho_stack
+from .states import NumericError
 
 __all__ = [
     "DegenerateAngle",
@@ -64,11 +65,11 @@ ROW_BLOCK = 64  # lattice points, and field rows, of one step of the Wigner sum
 COMPOSE_ORDER = 96  # Gauss-Hermite points of compose_kernels_quadrature
 
 
-class DegenerateAngle(Exception):
+class DegenerateAngle(NumericError):
     """The kernel degenerates to a distribution at multiples of pi."""
 
 
-class EdgeLeakage(Exception):
+class EdgeLeakage(NumericError):
     """Samples do not decay at the grid edges; quadrature would alias."""
 
 

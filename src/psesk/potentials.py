@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hobasis import DEFAULT_BASIS_SIZE, ho_stack, quadrature_order, reweighted_rule
-from .states import SlaterState
+from .states import NumericError, SlaterState
 
 __all__ = [
     "QuadratureOverflow",
@@ -45,11 +45,11 @@ PARITY_SUPPORT_TOL = 1e-10
 Sampler = Callable[[np.ndarray], np.ndarray]
 
 
-class QuadratureOverflow(Exception):
+class QuadratureOverflow(NumericError):
     """Potential grows at least as fast as exp(x^2); matrix elements diverge."""
 
 
-class NotEnoughBoundStates(Exception):
+class NotEnoughBoundStates(NumericError):
     """Fewer genuine bound levels below the continuum than requested."""
 
 
@@ -164,8 +164,9 @@ def hamiltonian_matrix(sampler: Sampler, basis_size: int = DEFAULT_BASIS_SIZE) -
     nodes, w = reweighted_rule(quadrature_order(basis_size))
     _screen_growth(sampler, nodes)
     phi = ho_stack(basis_size - 1, nodes)
-    v = (phi * (w * np.asarray(sampler(nodes), dtype=float))) @ phi.T
-    h = kinetic_matrix(basis_size) + 0.5 * (v + v.T)
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        v = (phi * (w * np.asarray(sampler(nodes), dtype=float))) @ phi.T
+        h = kinetic_matrix(basis_size) + 0.5 * (v + v.T)
     if not np.all(np.isfinite(h)):
         raise QuadratureOverflow("Galerkin matrix has non-finite entries")
     return h
@@ -195,15 +196,19 @@ def bound_states(
 ) -> BoundStateSet:
     """Lowest ``count`` bound eigenpairs of the well.
 
-    Levels must lie below the potential's asymptotic value (continuum edge);
-    eigenvector phases are fixed by making the largest-modulus coefficient
-    real positive (ties to the lowest index) so coefficient matrices are
-    reproducible.
+    Levels must lie below the potential's asymptotic value (continuum edge)
+    by more than M eps max|E|: ``eigh`` knows each eigenvalue only to about
+    eps ||H||_2 = eps max|E|, so a level within that margin of the edge may
+    be roundoff of the continuum (a barrier of height 1e20 shows dozens of
+    them at M = 100) and does not count as bound.  Eigenvector phases are
+    fixed by making the largest-modulus coefficient real positive (ties to
+    the lowest index) so coefficient matrices are reproducible.
     """
     h = hamiltonian_matrix(sampler, basis_size)
     energies, vecs = np.linalg.eigh(h)
     threshold = _continuum_threshold(sampler)
-    n_bound = int(np.sum(energies < threshold)) if np.isfinite(threshold) else basis_size
+    margin = basis_size * np.finfo(float).eps * np.max(np.abs(energies))
+    n_bound = int(np.sum(energies < threshold - margin)) if np.isfinite(threshold) else basis_size
     if count > n_bound:
         raise NotEnoughBoundStates(
             f"requested {count} levels but only {n_bound} lie below the continuum at {threshold:.3g}"

@@ -12,9 +12,16 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SlaterState", "ho_slater", "interpolated_state"]
+__all__ = ["NumericError", "SlaterState", "ho_slater", "interpolated_state"]
 
 ORTHONORMALITY_TOL = 1e-8
+
+
+class NumericError(Exception):
+    """The base of every numeric refusal in psesk: an input whose result
+    would be meaningless (a Gramian outside [0, 1], a span without inversion
+    symmetry, too few bound levels, ...).  A command that lets one escape
+    exits 3 with the class name."""
 
 
 @dataclass(frozen=True, eq=False)

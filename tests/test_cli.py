@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import re
 import runpy
 import shlex
@@ -14,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import psesk
 from psesk import chiral, cli, potentials
 from psesk.cli import COMMANDS, KEYS, STATE_FLAGS, build_parser, main, resolve_config
 from psesk.overlap import evaluate_gramians
 from psesk.phasespace import wigner_mn
-from psesk.states import ho_slater
+from psesk.states import NumericError, ho_slater
 
 
 def read_csv(path):
@@ -456,6 +459,9 @@ BAD_INPUTS = [
      {"levels": 5, "state": {"potential_ground": {"kind": "sho"}}}),
     (["wigner", "--coherent", "3", "--basis", "5"], None),
     (["wigner", "--coherent", "3"], {"basis": 5}),
+    # a list that does not parse, and a filling of no level
+    (["spectrum", "--ho-slater", "0,x"], None),
+    (["spectrum"], {"state": {"ho_slater": []}}),
 ]
 
 
@@ -485,19 +491,46 @@ def test_winding_beyond_old_table_cap(tmp_path):
     assert json.loads((tmp_path / "winding.json").read_text())["nu_E"] == 1
 
 
+BARRIER = "1e20*exp(-x^4)"  # V >= 0 and V -> 0: no bound level, only roundoff below 0
+NO_LEVEL = "NotEnoughBoundStates: requested 2 levels but only 0 lie below the continuum at 0"
+# (argv, the start of the one stderr line)
 NUMERIC_FAILURES = [
-    (["solve-potential", "--potential", "poschl_teller", "--levels", "12"], "NotEnoughBoundStates"),
-    (["solve-potential", "--potential-expr", "1/0"], "QuadratureOverflow"),
+    (["solve-potential", "--potential", "poschl_teller", "--levels", "12"], "NotEnoughBoundStates:"),
+    (["solve-potential", "--potential-expr", "1/0"], "QuadratureOverflow:"),
+    (["solve-potential", "--potential-expr", BARRIER, "--levels", "2"], NO_LEVEL),
+    (["spectrum", "--potential-expr", BARRIER, "--particles", "2"], NO_LEVEL),
+    (["solve-potential", "--potential-expr", "1.7e308*exp(-x^4)"],
+     "QuadratureOverflow: Galerkin matrix has non-finite entries"),
 ]
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for argv, error in NUMERIC_FAILURES:
+        for argv, start in NUMERIC_FAILURES:
             assert main(argv + ["--out", str(tmp_path)]) == 3, argv
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"{error}:"), (argv, err)
+            assert len(err) == 1 and err[0].startswith(start), (argv, err)
+
+
+def test_every_refusal_is_a_config_or_numeric_error(capsys, monkeypatch):
+    # main has one handler for numeric refusals, so every exception class
+    # that psesk defines is a ConfigError (exit 2) or a NumericError, which
+    # exits 3 with one line labelled with its class name
+    defined = {value for info in pkgutil.iter_modules(psesk.__path__)
+               for value in vars(importlib.import_module(f"psesk.{info.name}")).values()
+               if isinstance(value, type) and issubclass(value, Exception)
+               and value.__module__ == f"psesk.{info.name}"}
+    assert cli.ConfigError in defined and len(defined) >= 14
+    for cls in sorted(defined - {cli.ConfigError}, key=lambda cls: cls.__name__):
+        assert issubclass(cls, NumericError), cls
+        exc = cls([0.5], 0.0) if cls is chiral.GapClosed else cls("no result")
+
+        def refuse(cfg, exc=exc):
+            raise exc
+        monkeypatch.setitem(COMMANDS, "frft-check", refuse)
+        assert main(["frft-check"]) == 3, cls
+        assert capsys.readouterr().err.splitlines() == [f"{cls.__name__}: {exc}"], cls
 
 
 def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):

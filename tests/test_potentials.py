@@ -103,6 +103,20 @@ def test_not_enough_bound_states():
         pot.bound_states(pot.potential("poschl_teller"), 12)
 
 
+def test_roundoff_below_the_continuum_is_not_a_bound_level():
+    # V >= 0 and V -> 0: the barrier binds nothing, but at ||H|| = 1e20 eigh
+    # knows each level only to about eps ||H|| = 2e4, and some land below 0
+    barrier = pot.parse_potential_expression("1e20*exp(-x^4)")
+    assert np.linalg.eigvalsh(pot.hamiltonian_matrix(barrier))[0] < -1e3
+    with pytest.raises(pot.NotEnoughBoundStates, match="only 0 lie below the continuum at 0$"):
+        pot.bound_states(barrier, 1)
+    # the sech^2 wells' top levels sit 0.5 below their edge, far outside the margin
+    for kind, count in (("poschl_teller", 9), ("rosen_morse", 8)):
+        assert len(pot.bound_states(pot.potential(kind), count).energies) == count
+        with pytest.raises(pot.NotEnoughBoundStates):
+            pot.bound_states(pot.potential(kind), count + 1)
+
+
 def test_parity_alternation_for_symmetric_wells():
     for kind in ("sho", "poschl_teller"):
         bset = pot.bound_states(pot.potential(kind), 6)

@@ -9,7 +9,11 @@ exactly once in that file, the ``new`` text that replaces it, and the
 that must fail on it.
 For each entry the runner copies ``src`` to a temporary directory, applies
 the mutation there, and runs ``python -m pytest -x -q`` on the entry's
-tests from the repository root with the copy first on ``PYTHONPATH``.
+tests from the repository root with the copy first on ``PYTHONPATH``,
+without hypothesis's pytest plugin: its report of a failing example imports
+optional packages (libcst) whose deprecation warnings the suite's
+``filterwarnings = error`` turns into an internal error (exit status 3),
+while the ``@given`` tests run and fail the same without it.
 First it runs every listed test once on an unmutated copy: they must pass.
 
 A mutation is killed when pytest reports a failed test (exit status 1).
@@ -64,7 +68,8 @@ def run(entry: dict) -> str:
         if not where.stdout.startswith(str(src)):
             return f"psesk imports from {where.stdout.strip() or where.stderr.strip()!r}"
         status = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                                 "no:cacheprovider", *entry["tests"]],
+                                 "no:cacheprovider", "-p", "no:hypothesispytest",
+                                 *entry["tests"]],
                                 env=env, cwd=ROOT, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL).returncode
     return {0: "survived", 1: "killed"}.get(status, f"pytest exited with status {status}")
